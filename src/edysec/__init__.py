@@ -5,6 +5,6 @@ verdict service."""
 
 from .errors import EdysecError
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = ["EdysecError", "__version__"]

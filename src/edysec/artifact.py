@@ -13,9 +13,9 @@ import numpy as np
 
 from . import explain, featsel
 from . import neuralnet as nn
-from .dataset import FeatureManifest, TraceDataset
-from .errors import CorruptArtifact, MissingFeature, VersionMismatch
-from .preprocess import Preprocessor
+from .dataset import FeatureManifest, TraceDataset, parse_cell
+from .errors import CorruptArtifact, MissingFeature, NoBackground, NonFiniteScore, VersionMismatch
+from .preprocess import Preprocessor, ProcessedMatrix
 
 ARTIFACT_VERSION = 1
 
@@ -42,6 +42,23 @@ class ModelArtifact:
     threshold: float = 0.5
     fingerprint: dict = field(default_factory=dict)  # seed, train config, dataset hash
     background: np.ndarray | None = None  # projected training rows for explanations
+
+    def project(self, ds: TraceDataset) -> ProcessedMatrix:
+        """The network's input matrix for raw records under the artifact's manifest."""
+        return featsel.project(self.preprocessor.transform(ds), self.selected)
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Malicious-class probabilities for rows of the input matrix; a
+        non-finite score is rejected, never thresholded."""
+        probs = nn.predict_proba(self.params, X)
+        if not np.isfinite(probs).all():
+            raise NonFiniteScore("the network produced a non-finite probability")
+        return probs
+
+    def explanation_background(self) -> np.ndarray:
+        if self.background is None:
+            raise NoBackground("artifact carries no background sample for explanations")
+        return self.background
 
     def to_dict(self) -> dict:
         return {
@@ -136,8 +153,7 @@ def _record_to_dataset(artifact: ModelArtifact, package: str, record: dict) -> T
     for col in artifact.manifest.columns:
         if col.name not in record:
             raise MissingFeature(col.name)
-        value = record[col.name]
-        cells[col.name] = float(value) if col.kind == "numeric" else str(value)
+        cells[col.name] = parse_cell(col, record[col.name], 0)
     return TraceDataset(artifact.manifest, (package,), (cells,), (0,))
 
 
@@ -150,25 +166,17 @@ def predict_package(
 ) -> VerdictReport:
     """Transform, project, score, threshold; optionally attach SHAP attributions."""
     started = time.perf_counter()
-    ds = _record_to_dataset(artifact, package, record)
-    pm = artifact.preprocessor.transform(ds)
-    projected = featsel.project(pm, artifact.selected)
-    probability = float(nn.predict_proba(artifact.params, projected.X)[0])
+    projected = artifact.project(_record_to_dataset(artifact, package, record))
+    probability = float(artifact.predict_proba(projected.X)[0])
     verdict = "malicious" if probability >= artifact.threshold else "benign"
 
     attributions = None
     if explain_verdict:
-        if artifact.background is None:
-            raise ValueError("artifact carries no background sample for explanations")
-        groups = explain.feature_groups(projected)
-        d = len(groups)
-        budget = "exact" if d <= explain.KERNEL_ENUM_LIMIT else 2048
         attr = explain.kernel_shap(
-            lambda rows: nn.predict_proba(artifact.params, rows),
+            artifact.predict_proba,
             projected.X[0],
-            artifact.background,
-            groups,
-            budget=budget,
+            artifact.explanation_background(),
+            explain.feature_groups(projected),
         )
         attributions = [
             {"feature": f, "phi": p} for f, p in attr.ranked()[:top_k]

@@ -8,10 +8,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import explain, featsel, metrics, pipeline, service, stability
-from . import neuralnet as nn
 from .artifact import ModelArtifact, dataset_hash, load_artifact, predict_package, save_artifact
 from .dataset import (
     FeatureManifest,
@@ -124,14 +121,7 @@ def cmd_train(args):
         selected = tuple(train_pm.source_features())
     train_sel = featsel.project(train_pm, selected)
     val_sel = featsel.project(val_pm, selected)
-    spec = pipeline._network_spec(args.model, train_sel.X.shape[1])
-    cfg = nn.TrainConfig(
-        epochs=options.epochs,
-        batch_size=options.batch_size,
-        learning_rate=options.learning_rate,
-        seed=options.seed,
-    )
-    params, history = nn.train(spec, cfg, train_sel.X, train_sel.labels, val_sel.X, val_sel.labels)
+    params, history = pipeline.train_network(args.model, options, options.seed, train_sel, val_sel)
     background = explain.sample_background(train_sel, options.background_size, options.seed)
     artifact = ModelArtifact(
         manifest=ds.manifest,
@@ -161,10 +151,8 @@ def cmd_train(args):
 def cmd_evaluate(args):
     artifact = load_artifact(args.artifact)
     manifest = FeatureManifest.load(args.manifest) if args.manifest else artifact.manifest
-    ds = load_dataset(args.data, manifest)
-    pm = artifact.preprocessor.transform(ds)
-    projected = featsel.project(pm, artifact.selected)
-    probs = nn.predict_proba(artifact.params, projected.X)
+    projected = artifact.project(load_dataset(args.data, manifest))
+    probs = artifact.predict_proba(projected.X)
     cm = metrics.confusion(projected.labels, probs, artifact.threshold)
     auc = metrics.roc_auc(projected.labels, probs)
     report = metrics.classification_metrics(cm, auc=auc)
@@ -179,14 +167,14 @@ def cmd_stability(args):
     train_pm = pre.transform(splits.train)
     val_pm = pre.transform(splits.validation)
     test_pm = pre.transform(splits.test)
-    if options.stability_mode == "selectors":
-        selector_results = pipeline.run_selectors(train_pm, val_pm, options)
-        chosen = featsel.choose_selector(selector_results)
-    else:
-        selector_results = []
-        all_features = tuple(train_pm.source_features())
-        chosen = featsel.SelectorResult("anova", all_features, len(all_features), 1.0, 1.0)
-    table = pipeline._stability_table(options, train_pm, val_pm, test_pm, chosen, selector_results)
+    selector_results = (
+        pipeline.run_selectors(train_pm, val_pm, options)
+        if options.stability_mode == "selectors"
+        else []
+    )
+    table = pipeline._stability_table(
+        options, train_pm, val_pm, test_pm, tuple(train_pm.source_features()), selector_results
+    )
     rows = stability.stability_report(table, seed=options.seed)
     sys.stdout.write(stability.render_table(rows))
     _emit([r.display() for r in rows])
@@ -195,22 +183,14 @@ def cmd_stability(args):
 def cmd_explain(args):
     artifact = load_artifact(args.artifact)
     manifest = FeatureManifest.load(args.manifest) if args.manifest else artifact.manifest
-    ds = load_dataset(args.data, manifest)
-    pm = artifact.preprocessor.transform(ds)
-    projected = featsel.project(pm, artifact.selected)
-    if artifact.background is None:
-        raise EdysecError("artifact carries no background sample for explanations")
+    projected = artifact.project(load_dataset(args.data, manifest))
+    background = artifact.explanation_background()
     groups = explain.feature_groups(projected)
-    model = lambda rows: nn.predict_proba(artifact.params, rows)
+    method = explain.kernel_shap if args.method == "shap" else explain.lime_explain
     count = min(args.count, projected.X.shape[0])
     records = []
     for i in range(count):
-        if args.method == "shap":
-            d = len(groups)
-            budget = "exact" if d <= explain.KERNEL_ENUM_LIMIT else 2048
-            attr = explain.kernel_shap(model, projected.X[i], artifact.background, groups, budget=budget)
-        else:
-            attr = explain.lime_explain(model, projected.X[i], artifact.background, groups)
+        attr = method(artifact.predict_proba, projected.X[i], background, groups)
         records.append({"package": projected.ids[i] if projected.ids else str(i), **attr.to_dict()})
         if args.per_package:
             sys.stdout.write(json.dumps(records[-1], sort_keys=True) + "\n")
@@ -336,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_split_args(p)
     _add_train_args(p)
-    p.add_argument("--model", choices=("mlp", "nn"), default="mlp")
+    p.add_argument("--model", choices=tuple(pipeline.MODEL_PRESETS), default="mlp")
     p.add_argument("--features", default=None, help="JSON list of source features to keep")
     p.add_argument("--artifact", required=True)
     p.set_defaults(func=cmd_train)
@@ -353,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.add_argument("--mode", choices=("seeds", "selectors"), default="seeds")
     p.add_argument("--runs", dest="stability_runs", type=int, default=None)
-    p.add_argument("--models", nargs="+", choices=("mlp", "nn"), default=None)
+    p.add_argument("--models", nargs="+", choices=tuple(pipeline.MODEL_PRESETS), default=None)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("explain", help="per-package explanations from an artifact")
@@ -370,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_split_args(p)
     _add_train_args(p)
     p.add_argument("--methods", nargs="+", choices=featsel.METHODS, default=None)
-    p.add_argument("--models", nargs="+", choices=("mlp", "nn"), default=None)
+    p.add_argument("--models", nargs="+", choices=tuple(pipeline.MODEL_PRESETS), default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--mode", dest="mode", choices=("seeds", "selectors", "off"), default=None)
     p.add_argument("--runs", dest="stability_runs", type=int, default=None)

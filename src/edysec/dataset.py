@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,9 +13,11 @@ from .errors import (
     BadLabel,
     BadNumeric,
     BadRatios,
+    BadText,
     DuplicateId,
     EmptySelection,
     MissingColumn,
+    ShortRow,
 )
 
 KINDS = ("numeric", "categorical", "pattern")
@@ -146,8 +148,26 @@ def _parse_label(raw: str, row: int) -> int:
     return int(raw)
 
 
+def parse_cell(col: FeatureColumn, value, row) -> float | str:
+    """The one rule for a feature cell, from a CSV or a JSON record: a numeric
+    cell is a number or numeric string (not a bool) that parses to a finite
+    float; a text cell is a string."""
+    if col.kind != "numeric":
+        if not isinstance(value, str):
+            raise BadText(row, col.name, value)
+        return value
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number):
+            return number
+    raise BadNumeric(row, col.name, value)
+
+
 def load_dataset(csv_path, manifest: FeatureManifest) -> TraceDataset:
-    """Load a CSV under the manifest. Numeric cells must parse to finite floats."""
+    """Load a CSV under the manifest; every cell passes `parse_cell`."""
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -162,23 +182,15 @@ def load_dataset(csv_path, manifest: FeatureManifest) -> TraceDataset:
         ids, rows, labels = [], [], []
         seen = set()
         for row_num, record in enumerate(reader):
+            if len(record) < len(header):
+                raise ShortRow(row_num, len(record), len(header))
             pkg = record[index[manifest.id_column]]
             if pkg in seen:
                 raise DuplicateId(pkg)
             seen.add(pkg)
-            cells = {}
-            for col in manifest.columns:
-                raw = record[index[col.name]]
-                if col.kind == "numeric":
-                    try:
-                        value = float(raw)
-                    except ValueError:
-                        raise BadNumeric(row_num, col.name, raw)
-                    if not math.isfinite(value):
-                        raise BadNumeric(row_num, col.name, raw)
-                    cells[col.name] = value
-                else:
-                    cells[col.name] = raw
+            cells = {
+                col.name: parse_cell(col, record[index[col.name]], row_num) for col in manifest.columns
+            }
             ids.append(pkg)
             rows.append(cells)
             labels.append(_parse_label(record[index[manifest.label_column]], row_num))
@@ -235,9 +247,8 @@ def split_dataset(
     ds: TraceDataset,
     ratios=(0.70, 0.15, 0.15),
     seed: int = 0,
-    stratified: bool = True,
 ) -> DatasetSplits:
-    """Deterministic seeded train/validation/test split, stratified by label by default."""
+    """Deterministic seeded train/validation/test split, stratified by label."""
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise BadRatios(f"ratios must be three positive numbers, got {ratios}")
@@ -245,15 +256,12 @@ def split_dataset(
         raise BadRatios(f"ratios must sum to 1, got {sum(ratios)}")
 
     rng = np.random.default_rng(seed)
-    if stratified:
-        groups = [
-            [i for i, y in enumerate(ds.labels) if y == 0],
-            [i for i, y in enumerate(ds.labels) if y == 1],
-        ]
-        if any(not g for g in groups):
-            raise ValueError("stratified split needs at least one row per class")
-    else:
-        groups = [list(range(len(ds)))]
+    groups = [
+        [i for i, y in enumerate(ds.labels) if y == 0],
+        [i for i, y in enumerate(ds.labels) if y == 1],
+    ]
+    if any(not g for g in groups):
+        raise ValueError("stratified split needs at least one row per class")
 
     parts: list[list[int]] = [[], [], []]
     for group in groups:

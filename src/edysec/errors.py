@@ -20,6 +20,20 @@ class BadNumeric(EdysecError):
         super().__init__(f"bad numeric value {value!r} in column {column} at row {row}")
 
 
+class BadText(EdysecError):
+    def __init__(self, row, column, value):
+        self.row = row
+        self.column = column
+        self.value = value
+        super().__init__(f"text cell in column {column} at row {row} must be a string, got {value!r}")
+
+
+class ShortRow(EdysecError):
+    def __init__(self, row, cells, expected):
+        self.row = row
+        super().__init__(f"row {row} has {cells} cells, the header has {expected}")
+
+
 class BadLabel(EdysecError):
     def __init__(self, row, value):
         self.row = row
@@ -124,3 +138,11 @@ class MissingFeature(EdysecError):
     def __init__(self, column):
         self.column = column
         super().__init__(f"record is missing feature: {column}")
+
+
+class NoBackground(EdysecError):
+    pass
+
+
+class NonFiniteScore(EdysecError):
+    pass

@@ -4,7 +4,7 @@ enumeration, Kernel SHAP, LIME-style local surrogates, and global aggregation.""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +13,7 @@ from .preprocess import ProcessedMatrix
 
 EXACT_LIMIT = 12
 KERNEL_ENUM_LIMIT = 14
+KERNEL_SAMPLE_BUDGET = 2048  # sampled coalitions above KERNEL_ENUM_LIMIT features
 
 
 @dataclass(frozen=True)
@@ -41,11 +42,7 @@ class Attribution:
 
 @dataclass(frozen=True)
 class ExplainConfig:
-    background_size: int = 100
-    background_seed: int = 0
-    shap_budget: int | str = "exact"  # coalition sample count, or "exact"
     lime_perturbations: int = 5000
-    lime_kernel_width: float | None = None  # default 0.75 * sqrt(d)
     lime_top_k: int | None = None
     seed: int = 0
 
@@ -105,12 +102,18 @@ def _kernel_weight(d: int, size: int) -> float:
     return (d - 1) / (math.comb(d, size) * size * (d - size))
 
 
-def kernel_shap(model, x, background, groups, budget="exact", seed: int = 0) -> Attribution:
+def kernel_shap(model, x, background, groups, budget=None, seed: int = 0) -> Attribution:
     """Weighted least squares over the Shapley kernel with the empty/full
-    coalition constraints enforced exactly."""
+    coalition constraints enforced exactly.
+
+    `budget` is "exact" (enumerate every coalition) or a sampled coalition
+    count. By default coalitions are enumerated up to KERNEL_ENUM_LIMIT
+    features and KERNEL_SAMPLE_BUDGET are sampled above it."""
     d = len(groups)
     if d < 2:
         raise ValueError("kernel SHAP needs at least two source features")
+    if budget is None:
+        budget = "exact" if d <= KERNEL_ENUM_LIMIT else KERNEL_SAMPLE_BUDGET
     x = np.asarray(x, dtype=float)
     background = np.asarray(background, dtype=float)
     names = list(groups)
@@ -176,7 +179,7 @@ def lime_explain(model, x, background, groups, cfg: ExplainConfig = ExplainConfi
     preds = np.asarray(model(rows), dtype=float)
 
     dist = 1.0 - masks.mean(axis=1)
-    width = cfg.lime_kernel_width if cfg.lime_kernel_width is not None else 0.75 * math.sqrt(d)
+    width = 0.75 * math.sqrt(d)
     sw = np.sqrt(np.exp(-(dist**2) / width**2))
     design = np.hstack([np.ones((n_pert, 1)), masks.astype(float)])
     solution, _, rank, _ = np.linalg.lstsq(design * sw[:, None], preds * sw, rcond=None)

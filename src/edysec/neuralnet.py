@@ -3,7 +3,7 @@ sigmoid output, BCE loss, Adam, deterministic seeded training."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    shuffle: bool = True
     patience: int | None = None
 
     def __post_init__(self):
@@ -147,13 +146,6 @@ def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng
     probs = _sigmoid(logits[:, 0])
     cache = {"inputs": inputs, "pres": pres, "masks": masks, "probs": probs}
     return probs, cache
-
-
-def forward(params: NetworkParams, x: np.ndarray, mode: str = "eval", rng=None) -> float:
-    """Single-sample output probability."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    probs, _ = forward_batch(params, x, train=(mode == "train"), rng=rng)
-    return float(probs[0])
 
 
 def bce_loss(p: float, y: int) -> float:
@@ -275,10 +267,7 @@ def train(
     since_best = 0
     n = len(train_X)
     for epoch in range(cfg.epochs):
-        if cfg.shuffle:
-            order = np.random.default_rng([cfg.seed, epoch, 1]).permutation(n)
-        else:
-            order = np.arange(n)
+        order = np.random.default_rng([cfg.seed, epoch, 1]).permutation(n)
         dropout_rng = np.random.default_rng([cfg.seed, epoch, 2])
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]

@@ -74,12 +74,22 @@ class PipelineResult:
     histories: dict[str, nn.TrainHistory] = field(default_factory=dict)
 
 
-def _network_spec(name: str, width: int) -> nn.NetworkSpec:
-    if name == "mlp":
-        return nn.NetworkSpec.mlp(width)
-    if name == "nn":
-        return nn.NetworkSpec.nn(width)
-    raise ValueError(f"unknown model preset {name!r}")
+MODEL_PRESETS = {"mlp": nn.NetworkSpec.mlp, "nn": nn.NetworkSpec.nn}
+
+
+def train_network(name: str, options: PipelineOptions, seed: int, train_sel, val_sel):
+    """Train one model preset on projected train/validation matrices under the
+    options' epochs, batch size and learning rate; returns (params, history)."""
+    if name not in MODEL_PRESETS:
+        raise ValueError(f"unknown model preset {name!r}")
+    spec = MODEL_PRESETS[name](train_sel.X.shape[1])
+    cfg = nn.TrainConfig(
+        epochs=options.epochs,
+        batch_size=options.batch_size,
+        learning_rate=options.learning_rate,
+        seed=seed,
+    )
+    return nn.train(spec, cfg, train_sel.X, train_sel.labels, val_sel.X, val_sel.labels)
 
 
 def _val_scores(params, val_pm, threshold):
@@ -159,14 +169,7 @@ def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions())
 
     candidates, trained, histories = [], {}, {}
     for name in options.models:
-        spec = _network_spec(name, train_sel.X.shape[1])
-        cfg = nn.TrainConfig(
-            epochs=options.epochs,
-            batch_size=options.batch_size,
-            learning_rate=options.learning_rate,
-            seed=options.seed,
-        )
-        params, history = nn.train(spec, cfg, train_sel.X, train_sel.labels, val_sel.X, val_sel.labels)
+        params, history = train_network(name, options, options.seed, train_sel, val_sel)
         acc, f1 = _val_scores(params, val_sel, options.threshold)
         candidates.append(CandidateScore(name, acc, f1))
         trained[name] = params
@@ -182,7 +185,7 @@ def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions())
     stability_rows = None
     if options.stability_mode != "off":
         table = _stability_table(
-            options, train_pm, val_pm, test_pm, chosen, selector_results
+            options, train_pm, val_pm, test_pm, chosen.selected, selector_results
         )
         stability_rows = stability.stability_report(table, seed=options.seed)
 
@@ -229,53 +232,34 @@ def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions())
     )
 
 
-def _train_and_f1(name, train_sel, val_sel, test_sel, options, seed):
-    spec = _network_spec(name, train_sel.X.shape[1])
-    cfg = nn.TrainConfig(
-        epochs=options.epochs,
-        batch_size=options.batch_size,
-        learning_rate=options.learning_rate,
-        seed=seed,
-    )
-    params, _ = nn.train(spec, cfg, train_sel.X, train_sel.labels, val_sel.X, val_sel.labels)
+def _train_and_f1(name, options, seed, selected, train_pm, val_pm, test_pm):
+    train_sel, val_sel, test_sel = (featsel.project(pm, selected) for pm in (train_pm, val_pm, test_pm))
+    params, _ = train_network(name, options, seed, train_sel, val_sel)
     probs = nn.predict_proba(params, test_sel.X)
     cm = metrics.confusion(test_sel.labels, probs, options.threshold)
     return metrics.classification_metrics(cm).f1
 
 
-def _stability_table(options, train_pm, val_pm, test_pm, chosen, selector_results):
+def _stability_table(options, train_pm, val_pm, test_pm, selected, selector_results):
+    """Test F1 per model over labelled (feature subset, seed) runs: the
+    stability seeds on `selected`, or each selector's subset at one seed."""
     if options.stability_mode == "seeds":
-        configs = tuple(f"seed_{r}" for r in range(options.stability_runs))
-        train_sel = featsel.project(train_pm, chosen.selected)
-        val_sel = featsel.project(val_pm, chosen.selected)
-        test_sel = featsel.project(test_pm, chosen.selected)
-        scores = tuple(
-            tuple(
-                _train_and_f1(name, train_sel, val_sel, test_sel, options, options.seed + 1000 * (r + 1))
-                for r in range(options.stability_runs)
-            )
-            for name in options.models
-        )
-        return stability.ScoreTable(tuple(options.models), configs, scores)
-    if options.stability_mode == "selectors":
-        configs = tuple(r.method for r in selector_results)
-        rows = []
-        for name in options.models:
-            row = []
-            for res in selector_results:
-                tr = featsel.project(train_pm, res.selected)
-                vd = featsel.project(val_pm, res.selected)
-                te = featsel.project(test_pm, res.selected)
-                row.append(_train_and_f1(name, tr, vd, te, options, options.seed))
-            rows.append(tuple(row))
-        return stability.ScoreTable(tuple(options.models), configs, tuple(rows))
-    raise ValueError(f"unknown stability mode {options.stability_mode!r}")
+        runs = [
+            (f"seed_{r}", selected, options.seed + 1000 * (r + 1)) for r in range(options.stability_runs)
+        ]
+    elif options.stability_mode == "selectors":
+        runs = [(res.method, res.selected, options.seed) for res in selector_results]
+    else:
+        raise ValueError(f"unknown stability mode {options.stability_mode!r}")
+    scores = tuple(
+        tuple(_train_and_f1(name, options, seed, subset, train_pm, val_pm, test_pm) for _, subset, seed in runs)
+        for name in options.models
+    )
+    return stability.ScoreTable(tuple(options.models), tuple(label for label, _, _ in runs), scores)
 
 
 def _explanations(params, test_sel, background, selected, options):
     groups = explain.feature_groups(test_sel)
-    d = len(groups)
-    budget = "exact" if d <= explain.KERNEL_ENUM_LIMIT else 2048
     rng = np.random.default_rng(options.seed)
     n = test_sel.X.shape[0]
     count = min(options.explain_count, n)
@@ -283,7 +267,7 @@ def _explanations(params, test_sel, background, selected, options):
 
     model = lambda rows: nn.predict_proba(params, rows)
     explanations = [
-        explain.kernel_shap(model, test_sel.X[i], background, groups, budget=budget, seed=options.seed)
+        explain.kernel_shap(model, test_sel.X[i], background, groups, seed=options.seed)
         for i in idx
     ]
     if explanations:

@@ -6,8 +6,8 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .artifact import ModelArtifact, load_artifact, predict_package
-from .errors import MissingFeature
+from .artifact import ModelArtifact, predict_package
+from .errors import EdysecError
 
 
 class VerdictHandler(BaseHTTPRequestHandler):
@@ -46,15 +46,20 @@ class VerdictHandler(BaseHTTPRequestHandler):
         if not isinstance(request, dict) or not isinstance(request.get("features"), dict):
             self._reply(400, {"error": "request must carry a 'features' object"})
             return
+        explain_verdict = request.get("explain", False)
+        if not isinstance(explain_verdict, bool):
+            self._reply(400, {"error": "'explain' must be a JSON boolean"})
+            return
         try:
             report = predict_package(
                 self.artifact,
                 request["features"],
                 package=str(request.get("package", "package")),
-                explain_verdict=bool(request.get("explain", False)),
+                explain_verdict=explain_verdict,
             )
-        except MissingFeature as exc:
-            self._reply(422, {"error": str(exc), "column": exc.column})
+        except EdysecError as exc:
+            # a record the artifact cannot score, or an explanation it cannot give
+            self._reply(422, {"error": str(exc), "column": getattr(exc, "column", None)})
             return
         self._reply(200, report.to_dict())
 
@@ -62,11 +67,3 @@ class VerdictHandler(BaseHTTPRequestHandler):
 def make_server(artifact: ModelArtifact, host: str = "127.0.0.1", port: int = 8730) -> ThreadingHTTPServer:
     handler = type("BoundVerdictHandler", (VerdictHandler,), {"artifact": artifact})
     return ThreadingHTTPServer((host, port), handler)
-
-
-def serve(artifact_path, host: str = "127.0.0.1", port: int = 8730) -> None:
-    server = make_server(load_artifact(artifact_path), host, port)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()

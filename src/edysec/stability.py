@@ -48,14 +48,6 @@ class StabilityRow:
         }
 
 
-def population_std(scores) -> float:
-    """Divide-by-n standard deviation."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.size < 1:
-        raise ValueError("need at least one score")
-    return float(scores.std(ddof=0))
-
-
 def sample_std(scores) -> float:
     """Divide-by-(n-1) standard deviation; the convention the report uses."""
     scores = np.asarray(scores, dtype=float)

@@ -15,7 +15,7 @@ from edysec.dataset import (
     save_dataset,
     split_dataset,
 )
-from edysec.errors import BadLabel, BadNumeric, BadRatios, DuplicateId, MissingColumn
+from edysec.errors import BadLabel, BadNumeric, BadRatios, DuplicateId, MissingColumn, ShortRow
 
 
 def small_manifest():
@@ -63,6 +63,12 @@ class TestLoadDataset:
         p = write_csv(tmp_path / "d.csv", ["a,0,inf,/x"])
         with pytest.raises(BadNumeric):
             load_dataset(p, small_manifest())
+
+    def test_short_row(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", ["a,0,1.0,/x", "b,1,2.0"])
+        with pytest.raises(ShortRow) as exc:
+            load_dataset(p, small_manifest())
+        assert exc.value.row == 1
 
     def test_bad_label(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", ["a,2,1.0,/x"])

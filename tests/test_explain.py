@@ -88,6 +88,16 @@ class TestKernelShap:
         for name in fixture["groups"]:
             assert sampled.phi[name] == pytest.approx(exact.phi[name], abs=0.05)
 
+    @pytest.mark.parametrize("d, explicit", [(14, "exact"), (15, 2048)])
+    def test_default_budget(self, d, explicit):
+        # exact enumeration up to KERNEL_ENUM_LIMIT features, 2048 sampled coalitions above
+        rng = np.random.default_rng(d)
+        w = rng.normal(size=d)
+        model = lambda rows: np.tanh(rows @ w)
+        x, bg, groups = rng.normal(size=d), rng.normal(size=(3, d)), make_groups(d)
+        default = explain.kernel_shap(model, x, bg, groups, seed=5)
+        assert default == explain.kernel_shap(model, x, bg, groups, budget=explicit, seed=5)
+
     def test_needs_two_features(self, fixture):
         with pytest.raises(ValueError):
             explain.kernel_shap(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import threading
@@ -9,8 +10,16 @@ import pytest
 
 from edysec import artifact as art
 from edysec import cli, pipeline, service
+from edysec import neuralnet as nn
 from edysec.dataset import generate_synthetic
-from edysec.errors import CorruptArtifact, MissingFeature, VersionMismatch
+from edysec.errors import (
+    CorruptArtifact,
+    EdysecError,
+    MissingFeature,
+    NoBackground,
+    NonFiniteScore,
+    VersionMismatch,
+)
 from edysec.featsel import BaselineConfig, SwarmConfig
 
 
@@ -180,7 +189,56 @@ class TestService:
         assert first["probability"] == again["probability"]
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A synthetic corpus and an `edysec train` artifact on it."""
+    out = tmp_path_factory.mktemp("cli")
+    cli.main([
+        "synth", "--rows", "80", "--informative", "2", "--noise", "2",
+        "--text-fraction", "0.5", "--seed", "3", "--out", str(out),
+    ])
+    model = out / "model.json"
+    assert cli.main([
+        "train", "--data", str(out / "data.csv"), "--manifest", str(out / "manifest.json"),
+        "--model", "nn", "--epochs", "4", "--artifact", str(model),
+    ]) == 0
+    return out, model
+
+
 class TestCli:
+    @pytest.mark.parametrize("method, name", [("shap", "kernel_shap"), ("lime", "lime")])
+    def test_explain(self, trained, capsys, method, name):
+        out, model = trained
+        capsys.readouterr()
+        assert cli.main([
+            "explain", "--artifact", str(model), "--data", str(out / "data.csv"),
+            "--method", method, "--count", "3",
+        ]) == 0
+        records = json.loads(capsys.readouterr().out)
+        selected = art.load_artifact(model).selected
+        assert len(records) == 3
+        for rec in records:
+            assert rec["method"] == name
+            assert {c["feature"] for c in rec["contributions"]} == set(selected)
+            if method == "shap":
+                assert abs(rec["residual"]) < 1e-9
+
+    @pytest.mark.parametrize("mode", ["seeds", "selectors"])
+    def test_stability(self, trained, capsys, mode):
+        out, _ = trained
+        capsys.readouterr()
+        assert cli.main([
+            "stability", "--data", str(out / "data.csv"), "--manifest", str(out / "manifest.json"),
+            "--mode", mode, "--runs", "2", "--epochs", "2", "--models", "nn", "mlp",
+        ]) == 0
+        text = capsys.readouterr().out
+        table, _, rows = text.partition("\n[")
+        assert table.splitlines()[0].startswith("Model")
+        rows = json.loads("[" + rows)
+        assert sorted(r["model"] for r in rows) == ["mlp", "nn"]
+        for r in rows:
+            assert 0.0 <= r["mean"] <= 1.0 and r["ci"][0] <= r["ci"][1]
+
     def test_synth_split_train_predict(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert cli.main([
@@ -241,3 +299,124 @@ class TestCli:
         rec.write_text("{}")
         missing.write_text("broken")
         assert cli.main(["predict", "--artifact", str(missing), "--in", str(rec)]) == 2
+
+
+NUMERIC, TEXT = "inf_0", "noise_1"
+
+# (cell value, column it goes in): each must be rejected with a typed error naming the column
+HOSTILE = [
+    ("nan", NUMERIC),
+    ("inf", NUMERIC),
+    ("-inf", NUMERIC),
+    ("1e999", NUMERIC),
+    ("abc", NUMERIC),
+    ("", NUMERIC),
+    (True, NUMERIC),
+    (None, NUMERIC),
+    ([1], NUMERIC),
+    ({"v": 1}, NUMERIC),
+    (10**400, NUMERIC),
+    (["open", "/tmp"], TEXT),
+    (3, TEXT),
+    (None, TEXT),
+    (False, TEXT),
+]
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    """An artifact over numeric and text columns, and the dataset it came from."""
+    ds = generate_synthetic(120, 2, 2, kinds={"numeric": 0.5, "pattern": 0.5}, seed=4)
+    assert ds.manifest.column(NUMERIC).kind == "numeric"
+    assert ds.manifest.column(TEXT).kind == "pattern"
+    options = fast_options(selectors=("anova",), epochs=2, explain_count=1, baseline=BaselineConfig(epochs=2))
+    return ds, pipeline.run_pipeline(ds, options).artifact
+
+
+@pytest.fixture(scope="module")
+def ports(mixed):
+    """Live servers for the mixed artifact, with and without its background."""
+    _, artifact = mixed
+    bare = dataclasses.replace(artifact, background=None)
+    servers = [service.make_server(a, port=0) for a in (artifact, bare)]
+    threads = [threading.Thread(target=s.serve_forever, daemon=True) for s in servers]
+    for t in threads:
+        t.start()
+    yield tuple(s.server_address[1] for s in servers)
+    for s in servers:
+        s.shutdown()
+        s.server_close()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+
+
+def with_cell(ds, column, value):
+    record = dict(ds.rows[0])
+    record[column] = value
+    return record
+
+
+class TestHostileInput:
+    """The verdict path fails closed, in process, over HTTP and from the CLI."""
+
+    @pytest.mark.parametrize("value, column", HOSTILE)
+    def test_cell_in_process(self, mixed, value, column):
+        ds, artifact = mixed
+        with pytest.raises(EdysecError) as exc:
+            art.predict_package(artifact, with_cell(ds, column, value))
+        assert exc.value.column == column
+
+    @pytest.mark.parametrize("value, column", HOSTILE)
+    def test_cell_served(self, mixed, ports, value, column):
+        ds, _ = mixed
+        status, body = http(ports[0], "/v1/analyze", {"features": with_cell(ds, column, value)})
+        assert status == 422 and body["column"] == column
+        assert "verdict" not in body
+
+    def test_cell_from_cli(self, mixed, tmp_path, capsys):
+        ds, artifact = mixed
+        path, rec = tmp_path / "m.json", tmp_path / "rec.json"
+        art.save_artifact(artifact, path)
+        rec.write_text(json.dumps({"features": with_cell(ds, NUMERIC, "nan")}))
+        assert cli.main(["predict", "--artifact", str(path), "--in", str(rec)]) == 2
+        assert NUMERIC in capsys.readouterr().err
+
+    def test_numeric_string_scores_as_number(self, mixed):
+        ds, artifact = mixed
+        record = dict(ds.rows[0])
+        as_number = art.predict_package(artifact, record)
+        record[NUMERIC] = repr(record[NUMERIC])
+        assert art.predict_package(artifact, record).probability == as_number.probability
+
+    def test_non_finite_probability(self, mixed, ports, monkeypatch):
+        ds, artifact = mixed
+        monkeypatch.setattr(nn, "predict_proba", lambda params, X: np.full(len(X), np.nan))
+        with pytest.raises(NonFiniteScore):
+            art.predict_package(artifact, dict(ds.rows[0]))
+        status, body = http(ports[0], "/v1/analyze", {"features": dict(ds.rows[0])})
+        assert status == 422 and "verdict" not in body
+
+    @pytest.mark.parametrize("flag", ["false", "true", 1, 0, None, [True]])
+    def test_explain_flag_must_be_boolean(self, mixed, ports, flag):
+        ds, _ = mixed
+        status, body = http(ports[0], "/v1/analyze", {"features": dict(ds.rows[0]), "explain": flag})
+        assert status == 400 and "verdict" not in body
+        status, body = http(ports[0], "/v1/analyze", {"features": dict(ds.rows[0]), "explain": False})
+        assert status == 200 and body["attributions"] is None
+
+    def test_explain_without_background(self, mixed, ports, tmp_path, capsys):
+        ds, artifact = mixed
+        bare = dataclasses.replace(artifact, background=None)
+        with pytest.raises(NoBackground):
+            art.predict_package(bare, dict(ds.rows[0]), explain_verdict=True)
+
+        status, body = http(ports[1], "/v1/analyze", {"features": dict(ds.rows[0]), "explain": True})
+        assert status == 422 and "verdict" not in body
+        assert http(ports[1], "/v1/analyze", {"features": dict(ds.rows[0])})[0] == 200
+
+        path, rec = tmp_path / "bare.json", tmp_path / "rec.json"
+        art.save_artifact(bare, path)
+        rec.write_text(json.dumps({"features": dict(ds.rows[0])}))
+        assert cli.main(["predict", "--artifact", str(path), "--in", str(rec), "--explain"]) == 2
+        assert "background" in capsys.readouterr().err

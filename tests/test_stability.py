@@ -6,7 +6,6 @@ from edysec.stability import (
     ScoreTable,
     average_rank,
     bootstrap_ci,
-    population_std,
     render_table,
     sample_std,
     stability_report,
@@ -24,7 +23,6 @@ def table():
 class TestStd:
     def test_population_vs_sample(self):
         scores = [0.97, 0.98, 0.99, 0.98, 0.98]
-        assert population_std(scores) == pytest.approx(np.std(scores, ddof=0))
         assert sample_std(scores) == pytest.approx(np.std(scores, ddof=1))
 
     def test_single_score(self):
