@@ -17,7 +17,7 @@ from .dataset import (
     save_dataset,
     split_dataset,
 )
-from .errors import EdysecError
+from .errors import BadRecord, EdysecError
 from .preprocess import Preprocessor
 
 ARTIFACT_ENV = "EDYSEC_ARTIFACT"
@@ -217,9 +217,14 @@ def cmd_pipeline(args):
 
 def cmd_predict(args):
     artifact = load_artifact(args.artifact)
-    with open(args.record, encoding="utf-8") as fh:
-        request = json.load(fh)
-    features = request.get("features", request)
+    try:
+        with open(args.record, encoding="utf-8") as fh:
+            request = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BadRecord(f"cannot read a JSON record from {args.record}: {exc}") from exc
+    features = request.get("features", request) if isinstance(request, dict) else None
+    if not isinstance(features, dict):
+        raise BadRecord(f"{args.record} must hold a JSON object of features")
     report = predict_package(
         artifact,
         features,

@@ -140,6 +140,10 @@ class MissingFeature(EdysecError):
         super().__init__(f"record is missing feature: {column}")
 
 
+class BadRecord(EdysecError):
+    pass
+
+
 class NoBackground(EdysecError):
     pass
 

@@ -3,6 +3,7 @@ enumeration, Kernel SHAP, LIME-style local surrogates, and global aggregation.""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -13,7 +14,9 @@ from .preprocess import ProcessedMatrix
 
 EXACT_LIMIT = 12
 KERNEL_ENUM_LIMIT = 14
-KERNEL_SAMPLE_BUDGET = 2048  # sampled coalitions above KERNEL_ENUM_LIMIT features
+KERNEL_SAMPLE_BUDGET = 2048  # distinct coalitions evaluated above KERNEL_ENUM_LIMIT features
+KERNEL_BACKGROUND_K = 33  # weighted centroids that stand in for the background when sampling
+MODEL_BLOCK_ROWS = 100  # rows per model call on the sampled path
 
 
 @dataclass(frozen=True)
@@ -59,18 +62,64 @@ def sample_background(pm: ProcessedMatrix, size: int = 100, seed: int = 0) -> np
     return pm.X[np.sort(idx)]
 
 
-def _coalition_values(model, x, background, groups, subsets):
-    """v(S) = mean model output with features outside S replaced row-wise by
-    background values (interventional masking on whole blocks)."""
-    names = list(groups)
-    values = {}
-    for mask_bits in subsets:
-        rows = background.copy()
-        for j, name in enumerate(names):
-            if mask_bits >> j & 1:
-                rows[:, groups[name]] = x[groups[name]]
-        values[mask_bits] = float(np.mean(model(rows)))
+def summarize_background(background, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted k-means summary of a background sample: at most
+    KERNEL_BACKGROUND_K centroids, each weighted by its cluster's share of the
+    rows, so the weighted mean is the background mean. A background of that
+    many rows or fewer passes through with uniform weights. Seeded k-means++
+    start, then at most 100 Lloyd iterations."""
+    k = KERNEL_BACKGROUND_K
+    background = np.asarray(background, dtype=float)
+    n = len(background)
+    if n <= k:
+        return background, np.full(n, 1.0 / n)
+    rng = np.random.default_rng(seed)
+    centers = [background[rng.integers(n)]]
+    dist = ((background - centers[0]) ** 2).sum(axis=1)
+    while len(centers) < k and dist.sum() > 0:  # stops early below k distinct rows
+        centers.append(background[rng.choice(n, p=dist / dist.sum())])
+        dist = np.minimum(dist, ((background - centers[-1]) ** 2).sum(axis=1))
+    centers = np.array(centers)
+    labels = np.full(n, -1)
+    for _ in range(100):
+        nearest = ((background[:, None, :] - centers) ** 2).sum(axis=2).argmin(axis=1)
+        if np.array_equal(nearest, labels):
+            break
+        labels = nearest
+        centers = np.array([
+            background[labels == c].mean(axis=0) if (labels == c).any() else centers[c]
+            for c in range(len(centers))
+        ])
+    used = np.unique(labels)  # the centers left are exactly the means of these clusters
+    return centers[used], np.bincount(labels)[used] / n
+
+
+def _coalition_values(model, x, background, groups, coalitions, weights=None) -> np.ndarray:
+    """v(S) for each row of the boolean `coalitions` matrix (one column per
+    group): the mean model output over the background rows with the columns
+    of the groups in S set to x (interventional masking on whole blocks).
+
+    Without `weights` each model call covers one coalition over the whole
+    background, so exact values do not depend on how rows are batched; with
+    them, v(S) is the weighted mean and calls are packed to about
+    MODEL_BLOCK_ROWS rows."""
+    n, width = background.shape
+    columns = np.zeros((len(coalitions), width), dtype=bool)
+    for j, idx in enumerate(groups.values()):
+        columns[:, idx] = coalitions[:, j : j + 1]
+    per_call = 1 if weights is None else max(1, MODEL_BLOCK_ROWS // n)
+    values = np.empty(len(coalitions))
+    for start in range(0, len(coalitions), per_call):
+        block = columns[start : start + per_call]
+        rows = np.where(block[:, None, :], x, background).reshape(-1, width)
+        out = np.asarray(model(rows), dtype=float).reshape(len(block), n)
+        values[start : start + len(block)] = out.mean(axis=1) if weights is None else out @ weights
     return values
+
+
+def _all_coalitions(d: int) -> np.ndarray:
+    """Every coalition of d groups as a boolean row, in bit order (bit j = group j)."""
+    return (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(bool)
 
 
 def exact_shapley(model, x, background, groups) -> Attribution:
@@ -80,8 +129,7 @@ def exact_shapley(model, x, background, groups) -> Attribution:
         raise TooManyFeatures(f"exact enumeration capped at {EXACT_LIMIT} features, got {d}")
     x = np.asarray(x, dtype=float)
     background = np.asarray(background, dtype=float)
-    subsets = range(1 << d)
-    v = _coalition_values(model, x, background, groups, subsets)
+    v = _coalition_values(model, x, background, groups, _all_coalitions(d)).tolist()
 
     fact = [math.factorial(i) for i in range(d + 1)]
     names = list(groups)
@@ -102,13 +150,64 @@ def _kernel_weight(d: int, size: int) -> float:
     return (d - 1) / (math.comb(d, size) * size * (d - size))
 
 
+def _sample_coalitions(d: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Coalition rows and kernel weights for `budget` distinct coalitions
+    (rounded down to even, capped at the 2^d - 2 proper ones).
+
+    Size tiers are taken in complement pairs (s, d - s), outermost first. A
+    tier is enumerated whole while the budget left, split by kernel mass over
+    the open tiers, covers it (the shap KernelExplainer rule). The open tiers
+    are then sampled in complement pairs, tier by mass and members uniformly,
+    until the budget is filled; each sampled coalition is weighted by its draw
+    count, scaled so that every size keeps its total kernel mass."""
+    mass = lambda s: (d - 1) / (s * (d - s))  # kernel weight of all size-s coalitions together
+    pair = lambda s: 1 if 2 * s == d else 2  # the middle tier of an even d is its own complement
+    left = min(budget - budget % 2, (1 << d) - 2)
+    tiers = list(range(1, d // 2 + 1))
+    rows, weights = [], []
+    while tiers:
+        s = tiers[0]
+        count = pair(s) * math.comb(d, s)
+        share = pair(s) * mass(s) / sum(pair(t) * mass(t) for t in tiers)
+        if left * share < count - 1e-8:
+            break
+        for members in itertools.combinations(range(d), s):
+            row = np.zeros(d, dtype=bool)
+            row[list(members)] = True
+            rows.extend([row, ~row] if pair(s) == 2 else [row])
+        weights.extend([_kernel_weight(d, s)] * count)
+        left -= count
+        tiers.pop(0)
+
+    draws: dict[bytes, int] = {}
+    p = np.array([pair(t) * mass(t) for t in tiers])
+    while len(draws) < left:  # every pair adds two new coalitions or none
+        sizes = rng.choice(tiers, size=left // 2, p=p / p.sum())
+        batch = rng.random((len(sizes), d)).argsort(axis=1) < sizes[:, None]
+        for row in batch:
+            for member in (row, ~row):
+                key = member.tobytes()
+                draws[key] = draws.get(key, 0) + 1
+            if len(draws) >= left:
+                break
+    sampled = np.array([np.frombuffer(key, dtype=bool) for key in draws], dtype=bool).reshape(-1, d)
+    counts = np.array(list(draws.values()), dtype=float)
+    sizes = sampled.sum(axis=1)
+    per_size = np.bincount(sizes, weights=counts, minlength=d)
+    rows.extend(sampled)
+    weights.extend(counts / per_size[sizes] * mass(sizes))
+    return np.array(rows, dtype=bool).reshape(-1, d), np.array(weights)
+
+
 def kernel_shap(model, x, background, groups, budget=None, seed: int = 0) -> Attribution:
     """Weighted least squares over the Shapley kernel with the empty/full
     coalition constraints enforced exactly.
 
-    `budget` is "exact" (enumerate every coalition) or a sampled coalition
-    count. By default coalitions are enumerated up to KERNEL_ENUM_LIMIT
-    features and KERNEL_SAMPLE_BUDGET are sampled above it."""
+    `budget` is "exact" (enumerate every coalition over the full background)
+    or a count of distinct coalitions, chosen by `_sample_coalitions` and
+    evaluated over a KERNEL_BACKGROUND_K-centroid summary of the background.
+    By default coalitions are enumerated up to KERNEL_ENUM_LIMIT features and
+    KERNEL_SAMPLE_BUDGET are sampled above it."""
     d = len(groups)
     if d < 2:
         raise ValueError("kernel SHAP needs at least two source features")
@@ -118,34 +217,23 @@ def kernel_shap(model, x, background, groups, budget=None, seed: int = 0) -> Att
     background = np.asarray(background, dtype=float)
     names = list(groups)
 
-    full = (1 << d) - 1
     if budget == "exact":
         if d > KERNEL_ENUM_LIMIT:
             raise TooManyFeatures(
                 f"full coalition enumeration capped at {KERNEL_ENUM_LIMIT} features; pass a numeric budget"
             )
-        coalitions = [s for s in range(1, full)]
-        weights = np.array([_kernel_weight(d, bin(s).count("1")) for s in coalitions])
+        z = _all_coalitions(d)[1:-1]
+        weights = np.array([_kernel_weight(d, size) for size in z.sum(axis=1).tolist()])
+        bg_weights = None
     else:
-        rng = np.random.default_rng(seed)
-        sizes = np.arange(1, d)
-        size_p = np.array([(d - 1) / (s * (d - s)) for s in sizes])
-        size_p /= size_p.sum()
-        coalitions = []
-        for _ in range(int(budget)):
-            size = int(rng.choice(sizes, p=size_p))
-            members = rng.choice(d, size=size, replace=False)
-            bits = 0
-            for m in members:
-                bits |= 1 << int(m)
-            coalitions.append(bits)
-        weights = np.ones(len(coalitions))
+        z, weights = _sample_coalitions(d, int(budget), np.random.default_rng(seed))
+        background, bg_weights = summarize_background(background, seed=seed)
 
-    v = _coalition_values(model, x, background, groups, set(coalitions) | {0, full})
-    base, fx = v[0], v[full]
+    ends = np.array([np.zeros(d, dtype=bool), np.ones(d, dtype=bool)])
+    v = _coalition_values(model, x, background, groups, np.vstack([ends, z]), bg_weights)
+    base, fx, y = float(v[0]), float(v[1]), v[2:]
 
-    z = np.array([[s >> j & 1 for j in range(d)] for s in coalitions], dtype=float)
-    y = np.array([v[s] for s in coalitions])
+    z = z.astype(float)
     # eliminate the last feature via the efficiency constraint
     y_adj = y - base - z[:, -1] * (fx - base)
     Z_adj = z[:, :-1] - z[:, -1:]

@@ -9,18 +9,24 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .artifact import ModelArtifact, predict_package
 from .errors import EdysecError
 
+MAX_BODY_BYTES = 1 << 20
+
 
 class VerdictHandler(BaseHTTPRequestHandler):
     artifact: ModelArtifact  # set by make_server
 
     protocol_version = "HTTP/1.1"
+    timeout = 10  # seconds a socket read may block before the connection is dropped
 
     def log_message(self, format, *args):  # quiet by default
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
 
     def _reply(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
+        try:
+            body = json.dumps(payload, allow_nan=False).encode()
+        except ValueError:
+            status, body = 500, json.dumps({"error": "reply holds a non-finite number"}).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -39,8 +45,23 @@ class VerdictHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # the unread body would be parsed as the next request
+            self.close_connection = True
+            if length < 0:
+                self._reply(400, {"error": "Content-Length must be a non-negative integer"})
+            else:
+                self._reply(413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
+            return
+        try:
             request = json.loads(self.rfile.read(length))
-        except (ValueError, json.JSONDecodeError):
+        except TimeoutError:
+            self.close_connection = True
+            self._reply(408, {"error": "request body not received in time"})
+            return
+        except ValueError:
             self._reply(400, {"error": "request body must be JSON"})
             return
         if not isinstance(request, dict) or not isinstance(request.get("features"), dict):

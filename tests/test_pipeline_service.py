@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import os
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
+from http.client import HTTPResponse
 
 import numpy as np
 import pytest
@@ -293,6 +296,15 @@ class TestCli:
         text = capsys.readouterr().out
         assert "F1" in text
 
+    @pytest.mark.parametrize("content", ["[1, 2]", "not json", '{"features": [1]}'])
+    def test_predict_record_must_be_an_object(self, trained, tmp_path, capsys, content):
+        _, model = trained
+        rec = tmp_path / "rec.json"
+        rec.write_text(content)
+        capsys.readouterr()
+        assert cli.main(["predict", "--artifact", str(model), "--in", str(rec)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         rec = tmp_path / "rec.json"
@@ -420,3 +432,58 @@ class TestHostileInput:
         rec.write_text(json.dumps({"features": dict(ds.rows[0])}))
         assert cli.main(["predict", "--artifact", str(path), "--in", str(rec), "--explain"]) == 2
         assert "background" in capsys.readouterr().err
+
+
+def raw_exchange(port, data: bytes, timeout: float = 5.0):
+    """Send raw bytes, read one reply; returns (status, JSON body, whether the
+    server then closed the connection)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        resp = HTTPResponse(sock)
+        resp.begin()
+        body = json.loads(resp.read())
+        try:
+            closed = sock.recv(1) == b""
+        except TimeoutError:
+            closed = False
+        return resp.status, body, closed
+
+
+def post_head(length: str) -> bytes:
+    return (f"POST /v1/analyze HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode()
+
+
+class TestSocket:
+    """The live server bounds what it reads and answers every request."""
+
+    @pytest.mark.parametrize("length, status", [("-1", 400), ("abc", 400), (str((1 << 20) + 1), 413)])
+    def test_bad_content_length(self, mixed, ports, length, status):
+        ds, _ = mixed
+        reply, body, closed = raw_exchange(ports[0], post_head(length))
+        assert reply == status and "error" in body and closed
+        assert http(ports[0], "/v1/analyze", {"features": dict(ds.rows[0])})[0] == 200
+
+    def test_slow_body_times_out(self, mixed):
+        _, artifact = mixed
+        srv = service.make_server(artifact, port=0)
+        srv.RequestHandlerClass.timeout = 0.5
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            started = time.perf_counter()
+            reply, body, closed = raw_exchange(srv.server_address[1], post_head("100") + b'{"feat')
+            assert reply == 408 and "error" in body and closed
+            assert time.perf_counter() - started < 5
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_non_finite_reply_is_500_json(self, mixed, ports, monkeypatch):
+        ds, _ = mixed
+        report = art.VerdictReport("p", float("nan"), "benign", None, 1.0)
+        monkeypatch.setattr(service, "predict_package", lambda *a, **k: report)
+        status, body = http(ports[0], "/v1/analyze", {"features": dict(ds.rows[0])})
+        assert status == 500 and "verdict" not in body
