@@ -17,7 +17,7 @@ from .dataset import (
     save_dataset,
     split_dataset,
 )
-from .errors import BadRecord, EdysecError
+from .errors import BadFeatureList, BadRecord, EdysecError
 from .preprocess import Preprocessor
 
 ARTIFACT_ENV = "EDYSEC_ARTIFACT"
@@ -110,13 +110,23 @@ def cmd_select(args):
     _emit({"selectors": [r.to_dict() for r in results], "chosen": chosen.method})
 
 
+def _feature_list(path: str) -> tuple[str, ...]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            names = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BadFeatureList(f"cannot read a JSON feature list from {path}: {exc}") from exc
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise BadFeatureList(f"{path} must hold a JSON list of feature names")
+    return tuple(names)
+
+
 def cmd_train(args):
     ds, options, splits, pre = _prepared(args)
     train_pm = pre.transform(splits.train)
     val_pm = pre.transform(splits.validation)
     if args.features:
-        with open(args.features, encoding="utf-8") as fh:
-            selected = tuple(json.load(fh))
+        selected = _feature_list(args.features)
     else:
         selected = tuple(train_pm.source_features())
     train_sel = featsel.project(train_pm, selected)

@@ -85,6 +85,10 @@ class UnknownFeature(EdysecError):
     pass
 
 
+class BadFeatureList(EdysecError):
+    pass
+
+
 # neural net
 class WidthMismatch(EdysecError):
     pass
@@ -95,6 +99,10 @@ class ShapeMismatch(EdysecError):
 
 
 class StateMissing(EdysecError):
+    pass
+
+
+class NotContiguous(EdysecError):
     pass
 
 

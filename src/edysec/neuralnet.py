@@ -7,9 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch, StateMissing, WidthMismatch
+from .errors import NotContiguous, ShapeMismatch, StateMissing, WidthMismatch
 
 BCE_CLAMP = 1e-7
+ADAM_CHUNK = 1 << 15  # elements; four arrays and two work buffers fit a 2 MiB L2
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,8 @@ def backward(params: NetworkParams, cache: dict, y: np.ndarray) -> tuple[list[np
         dz = da * (cache["pres"][i] > 0)
         grads_w[i] = cache["inputs"][i].T @ dz
         grads_b[i] = dz.sum(axis=0)
-        da = dz @ params.weights[i].T
+        if i:  # the input gradient of the first layer is never used
+            da = dz @ params.weights[i].T
     return grads_w, grads_b
 
 
@@ -205,30 +207,48 @@ def adam_step(
     state: AdamState,
     t: int,
     cfg: TrainConfig,
-) -> tuple[NetworkParams, AdamState]:
+) -> None:
+    """One Adam update of `params` and `state`, in place.
+
+    Each array is walked in flat chunks of ADAM_CHUNK elements so that a chunk's
+    elementwise passes stay in cache. The operation order is fixed, so the
+    weights are the same bits as the textbook expression
+    w -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
+    """
     grads_w, grads_b = grads
     if len(grads_w) != len(params.weights) or any(
         g.shape != w.shape for g, w in zip(grads_w, params.weights)
     ):
         raise ShapeMismatch("gradient shapes do not match parameters")
-    new = params.copy()
-    new_state = AdamState(
-        [m.copy() for m in state.m_w], [v.copy() for v in state.v_w],
-        [m.copy() for m in state.m_b], [v.copy() for v in state.v_b],
-    )
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
-    for i in range(len(new.weights)):
-        for value, grad, m_arr, v_arr in (
-            (new.weights[i], grads_w[i], new_state.m_w[i], new_state.v_w[i]),
-            (new.biases[i], grads_b[i], new_state.m_b[i], new_state.v_b[i]),
-        ):
-            m_arr *= cfg.beta1
-            m_arr += (1.0 - cfg.beta1) * grad
-            v_arr *= cfg.beta2
-            v_arr += (1.0 - cfg.beta2) * grad * grad
-            value -= cfg.learning_rate * (m_arr / bc1) / (np.sqrt(v_arr / bc2) + cfg.eps)
-    return new, new_state
+    values = params.weights + params.biases
+    firsts, seconds = state.m_w + state.m_b, state.v_w + state.v_b
+    if not all(a.flags.c_contiguous for a in values + firsts + seconds):
+        # reshape(-1) of such an array is a copy, and the update would be lost
+        raise NotContiguous("Adam updates in place and needs C-contiguous parameters and moments")
+    b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.eps
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    buf_t = np.empty(ADAM_CHUNK)
+    buf_u = np.empty(ADAM_CHUNK)
+    for value, grad, m_arr, v_arr in zip(values, [*grads_w, *grads_b], firsts, seconds):
+        flat = [a.reshape(-1) for a in (value, grad, m_arr, v_arr)]
+        for lo in range(0, value.size, ADAM_CHUNK):
+            w, g, m, v = (a[lo : lo + ADAM_CHUNK] for a in flat)
+            tmp, den = buf_t[: w.size], buf_u[: w.size]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=tmp)
+            m += tmp
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(m, bc1, out=tmp)
+            tmp *= lr
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            tmp /= den
+            w -= tmp
 
 
 def _eval_stats(params, X, y):
@@ -248,7 +268,12 @@ def train(
     val_X: np.ndarray | None = None,
     val_y: np.ndarray | None = None,
 ) -> tuple[NetworkParams, TrainHistory]:
-    """Seeded mini-batch Adam training; fully deterministic for a fixed config."""
+    """Seeded mini-batch Adam training; fully deterministic for a fixed config.
+
+    With `cfg.patience` and validation rows, training stops once the validation
+    loss has not improved for `patience` epochs, and the weights of the epoch
+    with the lowest validation loss are returned.
+    """
     import time
 
     if train_X.shape[1] != spec.input_width:
@@ -264,6 +289,7 @@ def train(
     history = TrainHistory()
     t = 0
     best_val = np.inf
+    best = None
     since_best = 0
     n = len(train_X)
     for epoch in range(cfg.epochs):
@@ -274,20 +300,21 @@ def train(
             probs, cache = forward_batch(params, train_X[idx], train=True, rng=dropout_rng)
             grads = backward(params, cache, train_y[idx])
             t += 1
-            params, state = adam_step(params, grads, state, t, cfg)
+            adam_step(params, grads, state, t, cfg)
         tr_loss, tr_acc = _eval_stats(params, train_X, train_y)
         vl_loss, vl_acc = _eval_stats(params, val_X, val_y)
         history.epochs.append(EpochStats(tr_loss, tr_acc, vl_loss, vl_acc))
         if cfg.patience is not None and len(val_y):
             if vl_loss < best_val - 1e-12:
                 best_val = vl_loss
+                best = params.copy()  # a snapshot: later steps update params in place
                 since_best = 0
             else:
                 since_best += 1
                 if since_best >= cfg.patience:
                     break
     history.wall_time_s = time.perf_counter() - started
-    return params, history
+    return (params if best is None else best), history
 
 
 def predict_proba(params: NetworkParams, X: np.ndarray) -> np.ndarray:

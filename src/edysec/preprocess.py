@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +57,15 @@ class TextVectorizer:
     vocabulary: tuple[str, ...]  # alphabetical; index = position
     idf: tuple[float, ...]
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.vocabulary)}
+
+    @cached_property
+    def idf_array(self) -> np.ndarray:
+        idf = np.asarray(self.idf)
+        idf.flags.writeable = False  # shared by every transform_text call
+        return idf
 
 
 def fit_text_vectorizer(train: TraceDataset, column: str) -> TextVectorizer:
@@ -84,7 +91,7 @@ def transform_text(vec: TextVectorizer, cell: str) -> np.ndarray:
         i = index.get(token)
         if i is not None:
             out[i] += 1.0
-    out *= np.asarray(vec.idf)
+    out *= vec.idf_array
     norm = np.linalg.norm(out)
     if norm > 0:
         out /= norm

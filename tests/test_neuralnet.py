@@ -2,7 +2,34 @@ import numpy as np
 import pytest
 
 from edysec import neuralnet as nn
-from edysec.errors import ShapeMismatch, StateMissing, WidthMismatch
+from edysec.errors import NotContiguous, ShapeMismatch, StateMissing, WidthMismatch
+
+
+def functional_adam_step(params, grads, state, t, cfg):
+    """The copying Adam update that `nn.adam_step` replaced; the in-place one must match it bit for bit."""
+    grads_w, grads_b = grads
+    if len(grads_w) != len(params.weights) or any(
+        g.shape != w.shape for g, w in zip(grads_w, params.weights)
+    ):
+        raise ShapeMismatch("gradient shapes do not match parameters")
+    new = params.copy()
+    new_state = nn.AdamState(
+        [m.copy() for m in state.m_w], [v.copy() for v in state.v_w],
+        [m.copy() for m in state.m_b], [v.copy() for v in state.v_b],
+    )
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    for i in range(len(new.weights)):
+        for value, grad, m_arr, v_arr in (
+            (new.weights[i], grads_w[i], new_state.m_w[i], new_state.v_w[i]),
+            (new.biases[i], grads_b[i], new_state.m_b[i], new_state.v_b[i]),
+        ):
+            m_arr *= cfg.beta1
+            m_arr += (1.0 - cfg.beta1) * grad
+            v_arr *= cfg.beta2
+            v_arr += (1.0 - cfg.beta2) * grad * grad
+            value -= cfg.learning_rate * (m_arr / bc1) / (np.sqrt(v_arr / bc2) + cfg.eps)
+    return new, new_state
 
 
 def toy_data(n=64, d=4, seed=0):
@@ -111,22 +138,47 @@ class TestAdam:
         # with bias correction the first update has magnitude ~ lr per coordinate
         spec = nn.NetworkSpec(2, ())
         params = nn.init_network(spec, seed=0)
+        snapshot = params.copy()
         state = nn.AdamState.zeros_like(params)
         grads = ([np.full((2, 1), 0.3)], [np.full(1, -0.7)])
         cfg = nn.TrainConfig(learning_rate=1e-3)
-        new, _ = nn.adam_step(params, grads, state, 1, cfg)
-        step = params.weights[0] - new.weights[0]
+        assert nn.adam_step(params, grads, state, 1, cfg) is None
+        step = snapshot.weights[0] - params.weights[0]
         assert np.allclose(step, 1e-3, atol=1e-6)
-        assert new.biases[0][0] - params.biases[0][0] == pytest.approx(1e-3, abs=1e-6)
+        assert params.biases[0][0] - snapshot.biases[0][0] == pytest.approx(1e-3, abs=1e-6)
 
-    def test_functional_update(self):
-        spec = nn.NetworkSpec(2, ())
-        params = nn.init_network(spec, seed=0)
-        snapshot = params.weights[0].copy()
+    def test_in_place_matches_functional_reference(self):
+        # 500x500 weights span several ADAM_CHUNKs with a ragged last chunk; biases go down to 1 element
+        spec = nn.NetworkSpec.mlp(30)
+        assert nn.param_count(spec) == 517_001
+        assert spec.layer_widths()[1][0] * spec.layer_widths()[1][1] % nn.ADAM_CHUNK != 0
+        params = nn.init_network(spec, seed=4)
+        ref, ref_state = params.copy(), nn.AdamState.zeros_like(params)
         state = nn.AdamState.zeros_like(params)
-        grads = ([np.ones((2, 1))], [np.ones(1)])
-        nn.adam_step(params, grads, state, 1, nn.TrainConfig())
-        assert np.array_equal(params.weights[0], snapshot)
+        cfg = nn.TrainConfig()
+        rng = np.random.default_rng(5)
+        for t in range(1, 51):
+            grads = ([rng.normal(size=w.shape) for w in params.weights],
+                     [rng.normal(size=b.shape) for b in params.biases])
+            ref, ref_state = functional_adam_step(ref, grads, ref_state, t, cfg)
+            nn.adam_step(params, grads, state, t, cfg)
+        for name in ("weights", "biases"):
+            assert all(np.array_equal(a, b) for a, b in zip(getattr(params, name), getattr(ref, name)))
+        for name in ("m_w", "v_w", "m_b", "v_b"):
+            assert all(np.array_equal(a, b) for a, b in zip(getattr(state, name), getattr(ref_state, name)))
+
+    def test_not_contiguous_parameter_is_refused(self):
+        # reshaping a transposed array copies it, so an in-place update would be lost
+        spec = nn.NetworkSpec(3, (nn.LayerSpec(4),))
+        params = nn.init_network(spec, seed=0)
+        params.weights[0] = np.ascontiguousarray(params.weights[0].T).T
+        snapshot = params.copy()
+        state = nn.AdamState.zeros_like(params)
+        grads = ([np.ones(w.shape) for w in params.weights], [np.ones(b.shape) for b in params.biases])
+        with pytest.raises(NotContiguous):
+            nn.adam_step(params, grads, state, 1, nn.TrainConfig())
+        assert all(np.array_equal(a, b) for a, b in zip(params.weights, snapshot.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(params.biases, snapshot.biases))
 
 
 class TestTrain:
@@ -160,3 +212,22 @@ class TestTrain:
         cfg = nn.TrainConfig(epochs=200, batch_size=8, seed=0, patience=3)
         _, history = nn.train(spec, cfg, X, y, val_X, val_y)
         assert len(history.epochs) < 200
+
+    def test_patience_restores_best_weights(self):
+        X, y = toy_data(n=80)
+        rng = np.random.default_rng(9)
+        val_X = rng.normal(size=(40, 4))
+        val_y = rng.integers(0, 2, 40).astype(float)
+        spec = nn.NetworkSpec(4, (nn.LayerSpec(8),))
+        cfg = nn.TrainConfig(epochs=200, batch_size=8, seed=0, patience=3)
+        params, history = nn.train(spec, cfg, X, y, val_X, val_y)
+        val_losses = [h.val_loss for h in history.epochs]
+        assert val_losses[-1] > min(val_losses)  # the last epoch is not the best one
+        assert nn.batch_bce(nn.predict_proba(params, val_X), val_y) == min(val_losses)
+
+    def test_without_patience_last_weights_are_kept(self):
+        X, y = toy_data(n=80)
+        spec = nn.NetworkSpec(4, (nn.LayerSpec(8),))
+        cfg = nn.TrainConfig(epochs=6, batch_size=8, seed=0)
+        params, history = nn.train(spec, cfg, X, y, X[:20], y[:20])
+        assert nn.batch_bce(nn.predict_proba(params, X[:20]), y[:20]) == history.epochs[-1].val_loss

@@ -305,6 +305,21 @@ class TestCli:
         assert cli.main(["predict", "--artifact", str(model), "--in", str(rec)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, "not json", '{"inf_0": 1}', '["inf_0", 3]'])
+    def test_train_features_must_be_a_list_of_names(self, trained, tmp_path, capsys, content):
+        out, _ = trained
+        features = tmp_path / "features.json"
+        if content is not None:  # None: the file does not exist
+            features.write_text(content)
+        capsys.readouterr()
+        assert cli.main([
+            "train", "--data", str(out / "data.csv"), "--manifest", str(out / "manifest.json"),
+            "--model", "nn", "--epochs", "1", "--features", str(features),
+            "--artifact", str(tmp_path / "model.json"),
+        ]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         rec = tmp_path / "rec.json"
