@@ -4,6 +4,7 @@ weights, and the per-package verdict path."""
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
 import time
@@ -28,8 +29,9 @@ def _encode(arr: np.ndarray) -> dict:
 
 
 def _decode(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(d["shape"]).copy()
+    """A read-only array over the decoded bytes."""
+    raw = binascii.a2b_base64(d["data"])  # reads the str in place, where b64decode copies it to bytes first
+    return np.frombuffer(raw, dtype="<f8").reshape(d["shape"])
 
 
 @dataclass
@@ -82,11 +84,14 @@ class ModelArtifact:
         if d.get("version") != ARTIFACT_VERSION:
             raise VersionMismatch(f"unsupported artifact version: {d.get('version')!r}")
         spec = nn.NetworkSpec.from_dict(d["network"]["spec"])
-        params = nn.NetworkParams(
-            spec,
-            [_decode(w) for w in d["network"]["weights"]],
-            [_decode(b) for b in d["network"]["biases"]],
-        )
+        params = nn.NetworkParams(spec, np.empty(nn.param_count(spec)))
+        for views, stored in ((params.weights, d["network"]["weights"]), (params.biases, d["network"]["biases"])):
+            if len(stored) != len(views):
+                raise CorruptArtifact(f"{len(stored)} stored layers for a spec of {len(views)}")
+            for view, layer in zip(views, stored):
+                if tuple(layer["shape"]) != view.shape:  # the assignment would broadcast a (1, n) row
+                    raise CorruptArtifact(f"stored layer of shape {layer['shape']} where the spec has {view.shape}")
+                view[...] = _decode(layer)
         return cls(
             manifest=FeatureManifest.from_dict(d["manifest"]),
             preprocessor=Preprocessor.from_dict(d["preprocessor"]),
@@ -95,7 +100,7 @@ class ModelArtifact:
             params=params,
             threshold=d["threshold"],
             fingerprint=d["fingerprint"],
-            background=_decode(d["background"]) if d.get("background") else None,
+            background=_decode(d["background"]).copy() if d.get("background") else None,
         )
 
 
@@ -118,16 +123,16 @@ def save_artifact(artifact: ModelArtifact, path) -> None:
 
 
 def load_artifact(path) -> ModelArtifact:
+    """Read, verify and decode an artifact; any malformed part fails closed as CorruptArtifact."""
     try:
         with open(path, encoding="utf-8") as fh:
             wrapper = json.load(fh)
         payload = wrapper["payload"]
-        checksum = wrapper["checksum"]
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as exc:
-        raise CorruptArtifact(f"unreadable artifact file: {exc}")
-    if hashlib.sha256(payload.encode()).hexdigest() != checksum:
-        raise CorruptArtifact("checksum mismatch")
-    return ModelArtifact.from_dict(json.loads(payload))
+        if hashlib.sha256(payload.encode()).hexdigest() != wrapper["checksum"]:
+            raise CorruptArtifact("checksum mismatch")
+        return ModelArtifact.from_dict(json.loads(payload))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptArtifact(f"malformed artifact: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Trace-feature datasets: manifest, CSV loading, projection, splitting, synthetic fixtures."""
+"""Trace-feature datasets: manifest, CSV loading, splitting, synthetic fixtures."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .errors import (
     BadRatios,
     BadText,
     DuplicateId,
-    EmptySelection,
     MissingColumn,
     ShortRow,
 )
@@ -120,10 +119,6 @@ class TraceDataset:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def label_counts(self) -> tuple[int, int]:
-        ones = sum(self.labels)
-        return len(self.labels) - ones, ones
-
     def subset(self, indices) -> "TraceDataset":
         return TraceDataset(
             manifest=self.manifest,
@@ -210,26 +205,6 @@ def save_dataset(ds: TraceDataset, csv_path) -> None:
                 value = cells[col.name]
                 row.append(repr(float(value)) if col.kind == "numeric" else value)
             writer.writerow(row)
-
-
-def project_traces(ds: TraceDataset, traces) -> TraceDataset:
-    """Restrict the dataset to features whose trace category is in `traces`."""
-    traces = set(traces)
-    unknown = traces - set(TRACES)
-    if unknown:
-        raise ValueError(f"unknown trace categories: {sorted(unknown)}")
-    kept = tuple(c for c in ds.manifest.columns if c.trace in traces)
-    if not kept:
-        raise EmptySelection("no feature column survives the trace projection")
-    manifest = FeatureManifest(
-        columns=kept,
-        label_column=ds.manifest.label_column,
-        id_column=ds.manifest.id_column,
-        informative=tuple(n for n in ds.manifest.informative if any(c.name == n for c in kept)),
-    )
-    names = {c.name for c in kept}
-    rows = tuple({k: v for k, v in row.items() if k in names} for row in ds.rows)
-    return TraceDataset(manifest, ds.ids, rows, ds.labels)
 
 
 def _allocate(n: int, ratios) -> list[int]:

@@ -51,10 +51,6 @@ class BadRatios(EdysecError):
     pass
 
 
-class EmptySelection(EdysecError):
-    pass
-
-
 # preprocess
 class WrongKind(EdysecError):
     pass
@@ -99,10 +95,6 @@ class ShapeMismatch(EdysecError):
 
 
 class StateMissing(EdysecError):
-    pass
-
-
-class NotContiguous(EdysecError):
     pass
 
 

@@ -7,9 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotContiguous, ShapeMismatch, StateMissing, WidthMismatch
+from .errors import ShapeMismatch, StateMissing, WidthMismatch
 
 BCE_CLAMP = 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 ADAM_CHUNK = 1 << 15  # elements; four arrays and two work buffers fit a 2 MiB L2
 
 
@@ -55,15 +58,25 @@ class NetworkSpec:
 
 @dataclass
 class NetworkParams:
+    """Every weight and bias of a network in one contiguous buffer, `flat`;
+    `weights` and `biases` are per-layer views into it."""
+
     spec: NetworkSpec
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = [], []
+        lo = 0
+        for fan_in, fan_out in self.spec.layer_widths():
+            self.weights.append(self.flat[lo : lo + fan_in * fan_out].reshape(fan_in, fan_out))
+            lo += fan_in * fan_out
+            self.biases.append(self.flat[lo : lo + fan_out])
+            lo += fan_out
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def total(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return NetworkParams(self.spec, self.flat.copy())
 
 
 @dataclass(frozen=True)
@@ -71,9 +84,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 16
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     patience: int | None = None
 
@@ -107,12 +117,11 @@ def param_count(spec: NetworkSpec) -> int:
 def init_network(spec: NetworkSpec, seed: int = 0) -> NetworkParams:
     """He-uniform weights (bound sqrt(6/fan_in)), zero biases."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in spec.layer_widths():
-        bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return NetworkParams(spec, weights, biases)
+    params = NetworkParams(spec, np.zeros(param_count(spec)))
+    for w in params.weights:
+        bound = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def _sigmoid(z):
@@ -149,106 +158,78 @@ def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng
     return probs, cache
 
 
-def bce_loss(p: float, y: int) -> float:
-    p = min(max(p, BCE_CLAMP), 1.0 - BCE_CLAMP)
-    return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)))
-
-
 def batch_bce(probs: np.ndarray, y: np.ndarray) -> float:
     p = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
     return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1.0 - p)))
 
 
-def backward(params: NetworkParams, cache: dict, y: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of mean batch BCE, honoring the dropout masks used in forward."""
+def backward(params: NetworkParams, cache: dict, y: np.ndarray) -> NetworkParams:
+    """Gradients of mean batch BCE, honoring the dropout masks used in forward,
+    as a NetworkParams of the same spec."""
     for key in ("inputs", "pres", "masks", "probs"):
         if key not in cache:
             raise StateMissing(f"forward cache missing {key!r}")
-    n = len(y)
-    n_hidden = len(params.spec.hidden)
-    grads_w: list = [None] * (n_hidden + 1)
-    grads_b: list = [None] * (n_hidden + 1)
+    grads = NetworkParams(params.spec, np.empty(params.flat.size))  # every view is written below
 
-    delta = ((cache["probs"] - y) / n)[:, None]  # dL/dlogits
-    grads_w[-1] = cache["inputs"][-1].T @ delta
-    grads_b[-1] = delta.sum(axis=0)
+    delta = ((cache["probs"] - y) / len(y))[:, None]  # dL/dlogits
+    np.matmul(cache["inputs"][-1].T, delta, out=grads.weights[-1])
+    delta.sum(axis=0, out=grads.biases[-1])
     da = delta @ params.weights[-1].T
-    for i in reversed(range(n_hidden)):
+    for i in reversed(range(len(params.spec.hidden))):
         if cache["masks"][i] is not None:
             da = da * cache["masks"][i]
         dz = da * (cache["pres"][i] > 0)
-        grads_w[i] = cache["inputs"][i].T @ dz
-        grads_b[i] = dz.sum(axis=0)
+        np.matmul(cache["inputs"][i].T, dz, out=grads.weights[i])
+        dz.sum(axis=0, out=grads.biases[i])
         if i:  # the input gradient of the first layer is never used
             da = dz @ params.weights[i].T
-    return grads_w, grads_b
+    return grads
 
 
 @dataclass
 class AdamState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    """First and second moments, laid out as the `flat` buffer they track."""
+
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def zeros_like(cls, params: NetworkParams) -> "AdamState":
-        return cls(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-            [np.zeros_like(b) for b in params.biases],
-        )
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_step(
-    params: NetworkParams,
-    grads: tuple[list[np.ndarray], list[np.ndarray]],
-    state: AdamState,
-    t: int,
-    cfg: TrainConfig,
-) -> None:
+def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState, t: int, cfg: TrainConfig) -> None:
     """One Adam update of `params` and `state`, in place.
 
-    Each array is walked in flat chunks of ADAM_CHUNK elements so that a chunk's
-    elementwise passes stay in cache. The operation order is fixed, so the
-    weights are the same bits as the textbook expression
+    The flat buffers are walked in chunks of ADAM_CHUNK elements so that a
+    chunk's elementwise passes stay in cache. The operation order is fixed, so
+    the weights are the same bits as the textbook expression
     w -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
     """
-    grads_w, grads_b = grads
-    if len(grads_w) != len(params.weights) or any(
-        g.shape != w.shape for g, w in zip(grads_w, params.weights)
-    ):
+    if grads.spec.layer_widths() != params.spec.layer_widths():
         raise ShapeMismatch("gradient shapes do not match parameters")
-    values = params.weights + params.biases
-    firsts, seconds = state.m_w + state.m_b, state.v_w + state.v_b
-    if not all(a.flags.c_contiguous for a in values + firsts + seconds):
-        # reshape(-1) of such an array is a copy, and the update would be lost
-        raise NotContiguous("Adam updates in place and needs C-contiguous parameters and moments")
-    b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.eps
+    b1, b2, lr = ADAM_BETA1, ADAM_BETA2, cfg.learning_rate
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     buf_t = np.empty(ADAM_CHUNK)
     buf_u = np.empty(ADAM_CHUNK)
-    for value, grad, m_arr, v_arr in zip(values, [*grads_w, *grads_b], firsts, seconds):
-        flat = [a.reshape(-1) for a in (value, grad, m_arr, v_arr)]
-        for lo in range(0, value.size, ADAM_CHUNK):
-            w, g, m, v = (a[lo : lo + ADAM_CHUNK] for a in flat)
-            tmp, den = buf_t[: w.size], buf_u[: w.size]
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=tmp)
-            m += tmp
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=tmp)
-            tmp *= g
-            v += tmp
-            np.divide(m, bc1, out=tmp)
-            tmp *= lr
-            np.divide(v, bc2, out=den)
-            np.sqrt(den, out=den)
-            den += eps
-            tmp /= den
-            w -= tmp
+    for lo in range(0, params.flat.size, ADAM_CHUNK):
+        w, g, m, v = (a[lo : lo + ADAM_CHUNK] for a in (params.flat, grads.flat, state.m, state.v))
+        tmp, den = buf_t[: w.size], buf_u[: w.size]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m += tmp
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(m, bc1, out=tmp)
+        tmp *= lr
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        tmp /= den
+        w -= tmp
 
 
 def _eval_stats(params, X, y):

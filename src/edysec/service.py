@@ -82,6 +82,11 @@ class VerdictHandler(BaseHTTPRequestHandler):
             # a record the artifact cannot score, or an explanation it cannot give
             self._reply(422, {"error": str(exc), "column": getattr(exc, "column", None)})
             return
+        except Exception:
+            self.server.handle_error(self.request, self.client_address)  # prints the traceback
+            self.close_connection = True
+            self._reply(500, {"error": "internal error while scoring the record"})
+            return
         self._reply(200, report.to_dict())
 
 

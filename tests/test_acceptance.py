@@ -205,9 +205,9 @@ def test_a6_gradient_oracle():
             if min(np.abs(z).min() for z in cache["pres"]) > 1e-3:
                 break
         y = rng.integers(0, 2, n).astype(float)
-        ana_w, ana_b = nn.backward(params, cache, y)
+        ana = nn.backward(params, cache, y)
         num_w, num_b = _numeric_grads(params, X, y)
-        for a, b in zip(ana_w + ana_b, num_w + num_b):
+        for a, b in zip(ana.weights + ana.biases, num_w + num_b):
             err = np.abs(a - b) / np.maximum(np.abs(a) + np.abs(b), 1e-4)
             worst = max(worst, float(err.max()))
     record("A6", worst <= 1e-4, f"max relative error = {worst:.2e} over 20 nets")

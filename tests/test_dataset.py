@@ -11,7 +11,6 @@ from edysec.dataset import (
     _allocate,
     generate_synthetic,
     load_dataset,
-    project_traces,
     save_dataset,
     split_dataset,
 )
@@ -111,8 +110,8 @@ class TestSplit:
         all_ids = sorted(splits.train.ids + splits.validation.ids + splits.test.ids)
         assert all_ids == sorted(ds.ids)
         for part in (splits.train, splits.validation, splits.test):
-            neg, pos = part.label_counts()
-            assert abs(neg - pos) <= 1
+            pos = sum(part.labels)
+            assert abs(len(part) - 2 * pos) <= 1
 
     def test_deterministic(self):
         ds = generate_synthetic(100, 2, 2, seed=5)
@@ -130,21 +129,6 @@ class TestSplit:
             split_dataset(ds, ratios=(1.0, -0.5, 0.5))
 
 
-class TestProjectTraces:
-    def test_keeps_only_selected_traces(self):
-        ds = generate_synthetic(40, 3, 3, seed=1)
-        traces = {ds.manifest.column(n).trace for n in ds.manifest.feature_names()}
-        keep = sorted(traces)[:1]
-        out = project_traces(ds, keep)
-        assert all(c.trace in keep for c in out.manifest.columns)
-        assert out.ids == ds.ids and out.labels == ds.labels
-
-    def test_unknown_trace(self):
-        ds = generate_synthetic(40, 1, 1, seed=1)
-        with pytest.raises(ValueError):
-            project_traces(ds, ["NotATrace"])
-
-
 class TestSynthetic:
     def test_shapes_and_ground_truth(self):
         ds = generate_synthetic(
@@ -155,8 +139,8 @@ class TestSynthetic:
         assert len(ds.manifest.feature_names()) == 9
         kinds = [c.kind for c in ds.manifest.columns if c.name.startswith("noise_")]
         assert kinds.count("numeric") == 3
-        neg, pos = ds.label_counts()
-        assert abs(neg - pos) <= 1
+        pos = sum(ds.labels)
+        assert abs(len(ds) - 2 * pos) <= 1
 
     def test_informative_columns_separate_classes(self):
         ds = generate_synthetic(400, 2, 2, seed=11, separation=3.0)

@@ -1,8 +1,30 @@
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from edysec import neuralnet as nn
-from edysec.errors import NotContiguous, ShapeMismatch, StateMissing, WidthMismatch
+from edysec.errors import ShapeMismatch, StateMissing, WidthMismatch
+
+
+@dataclass
+class LayerAdamState:
+    """Per-layer moments, as the reference update below keeps them."""
+
+    m_w: list
+    v_w: list
+    m_b: list
+    v_b: list
+
+    @classmethod
+    def zeros_like(cls, params):
+        return cls(*([np.zeros_like(a) for a in arrays]
+                     for arrays in (params.weights, params.weights, params.biases, params.biases)))
+
+
+REF_CFG = SimpleNamespace(beta1=nn.ADAM_BETA1, beta2=nn.ADAM_BETA2, eps=nn.ADAM_EPS,
+                          learning_rate=nn.TrainConfig().learning_rate)
 
 
 def functional_adam_step(params, grads, state, t, cfg):
@@ -13,7 +35,7 @@ def functional_adam_step(params, grads, state, t, cfg):
     ):
         raise ShapeMismatch("gradient shapes do not match parameters")
     new = params.copy()
-    new_state = nn.AdamState(
+    new_state = LayerAdamState(
         [m.copy() for m in state.m_w], [v.copy() for v in state.v_w],
         [m.copy() for m in state.m_b], [v.copy() for v in state.v_b],
     )
@@ -30,6 +52,11 @@ def functional_adam_step(params, grads, state, t, cfg):
             v_arr += (1.0 - cfg.beta2) * grad * grad
             value -= cfg.learning_rate * (m_arr / bc1) / (np.sqrt(v_arr / bc2) + cfg.eps)
     return new, new_state
+
+
+def scalar_bce(p: float, y: int) -> float:
+    p = min(max(p, nn.BCE_CLAMP), 1.0 - nn.BCE_CLAMP)
+    return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)))
 
 
 def toy_data(n=64, d=4, seed=0):
@@ -50,7 +77,7 @@ class TestSpec:
         spec = nn.NetworkSpec(3, (nn.LayerSpec(5), nn.LayerSpec(2)))
         # 3*5+5 + 5*2+2 + 2*1+1 = 20 + 12 + 3
         assert nn.param_count(spec) == 35
-        assert nn.init_network(spec).total() == 35
+        assert nn.init_network(spec).flat.size == 35
 
     def test_dict_roundtrip(self):
         spec = nn.NetworkSpec.mlp(9)
@@ -61,6 +88,36 @@ class TestSpec:
             nn.LayerSpec(0)
         with pytest.raises(ValueError):
             nn.LayerSpec(4, 1.0)
+
+
+class TestParams:
+    def test_layers_are_views_of_one_buffer(self):
+        params = nn.init_network(nn.NetworkSpec(3, (nn.LayerSpec(5), nn.LayerSpec(2))), seed=2)
+        assert params.flat.flags.c_contiguous and params.flat.size == 35
+        for view in params.weights + params.biases:
+            assert np.shares_memory(view, params.flat)
+        # layout: W0 [0:15], b0 [15:20], W1 [20:30], b1 [30:32], W2 [32:34], b2 [34:35]
+        params.biases[1] += 1.0
+        assert np.array_equal(params.flat[30:32], np.ones(2))
+        params.flat[20] = 9.0
+        assert params.weights[1][0, 0] == 9.0
+
+    def test_copy_shares_no_memory(self):
+        params = nn.init_network(nn.NetworkSpec(3, (nn.LayerSpec(5),)), seed=2)
+        clone = params.copy()
+        assert np.array_equal(clone.flat, params.flat)
+        for a in [clone.flat] + clone.weights + clone.biases:
+            assert not np.shares_memory(a, params.flat)
+
+    def test_init_draws_each_layer_in_order(self):
+        # the artifact bytes depend on this draw order
+        spec = nn.NetworkSpec(7, (nn.LayerSpec(5), nn.LayerSpec(3)))
+        rng = np.random.default_rng(11)
+        params = nn.init_network(spec, seed=11)
+        for i, (fan_in, fan_out) in enumerate(spec.layer_widths()):
+            bound = np.sqrt(6.0 / fan_in)
+            assert np.array_equal(params.weights[i], rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            assert np.array_equal(params.biases[i], np.zeros(fan_out))
 
 
 class TestForward:
@@ -94,13 +151,13 @@ class TestForward:
 
 class TestLoss:
     def test_bce_clamps(self):
-        assert nn.bce_loss(0.0, 0) == pytest.approx(-np.log(1 - 1e-7))
-        assert np.isfinite(nn.bce_loss(1.0, 0))
+        assert nn.batch_bce(np.array([0.0]), np.array([0.0])) == pytest.approx(-np.log(1 - 1e-7))
+        assert np.isfinite(nn.batch_bce(np.array([1.0]), np.array([0.0])))
 
     def test_batch_matches_scalar(self):
         probs = np.array([0.2, 0.9, 0.5])
         y = np.array([0.0, 1.0, 1.0])
-        scalar = np.mean([nn.bce_loss(p, int(t)) for p, t in zip(probs, y)])
+        scalar = np.mean([scalar_bce(p, int(t)) for p, t in zip(probs, y)])
         assert nn.batch_bce(probs, y) == pytest.approx(scalar)
 
 
@@ -117,10 +174,10 @@ class TestBackward:
         params = nn.init_network(spec, seed=0)
         probs, cache = nn.forward_batch(params, X, train=True, rng=np.random.default_rng(0))
         before = nn.batch_bce(probs, y)
-        grads_w, grads_b = nn.backward(params, cache, y)
+        grads = nn.backward(params, cache, y)
         for i in range(len(params.weights)):
-            params.weights[i] -= 0.5 * grads_w[i]
-            params.biases[i] -= 0.5 * grads_b[i]
+            params.weights[i] -= 0.5 * grads.weights[i]
+            params.biases[i] -= 0.5 * grads.biases[i]
         after = nn.batch_bce(nn.predict_proba(params, X), y)
         assert after < before
 
@@ -130,7 +187,7 @@ class TestAdam:
         spec = nn.NetworkSpec(4, (nn.LayerSpec(3),))
         params = nn.init_network(spec)
         state = nn.AdamState.zeros_like(params)
-        bad = ([np.zeros((2, 2)), np.zeros((3, 1))], [np.zeros(3), np.zeros(1)])
+        bad = nn.init_network(nn.NetworkSpec(2, (nn.LayerSpec(3),)))
         with pytest.raises(ShapeMismatch):
             nn.adam_step(params, bad, state, 1, nn.TrainConfig())
 
@@ -140,7 +197,7 @@ class TestAdam:
         params = nn.init_network(spec, seed=0)
         snapshot = params.copy()
         state = nn.AdamState.zeros_like(params)
-        grads = ([np.full((2, 1), 0.3)], [np.full(1, -0.7)])
+        grads = nn.NetworkParams(spec, np.array([0.3, 0.3, -0.7]))  # W (2, 1), then b (1,)
         cfg = nn.TrainConfig(learning_rate=1e-3)
         assert nn.adam_step(params, grads, state, 1, cfg) is None
         step = snapshot.weights[0] - params.weights[0]
@@ -148,37 +205,26 @@ class TestAdam:
         assert params.biases[0][0] - snapshot.biases[0][0] == pytest.approx(1e-3, abs=1e-6)
 
     def test_in_place_matches_functional_reference(self):
-        # 500x500 weights span several ADAM_CHUNKs with a ragged last chunk; biases go down to 1 element
+        # 517,001 elements span several ADAM_CHUNKs with a ragged last chunk; biases go down to 1 element
         spec = nn.NetworkSpec.mlp(30)
         assert nn.param_count(spec) == 517_001
-        assert spec.layer_widths()[1][0] * spec.layer_widths()[1][1] % nn.ADAM_CHUNK != 0
+        assert nn.param_count(spec) % nn.ADAM_CHUNK != 0
         params = nn.init_network(spec, seed=4)
-        ref, ref_state = params.copy(), nn.AdamState.zeros_like(params)
+        ref, ref_state = params.copy(), LayerAdamState.zeros_like(params)
         state = nn.AdamState.zeros_like(params)
         cfg = nn.TrainConfig()
+        assert cfg.learning_rate == REF_CFG.learning_rate
         rng = np.random.default_rng(5)
         for t in range(1, 51):
-            grads = ([rng.normal(size=w.shape) for w in params.weights],
-                     [rng.normal(size=b.shape) for b in params.biases])
-            ref, ref_state = functional_adam_step(ref, grads, ref_state, t, cfg)
+            grads = nn.NetworkParams(spec, rng.normal(size=params.flat.size))
+            ref, ref_state = functional_adam_step(ref, (grads.weights, grads.biases), ref_state, t, REF_CFG)
             nn.adam_step(params, grads, state, t, cfg)
         for name in ("weights", "biases"):
             assert all(np.array_equal(a, b) for a, b in zip(getattr(params, name), getattr(ref, name)))
-        for name in ("m_w", "v_w", "m_b", "v_b"):
-            assert all(np.array_equal(a, b) for a, b in zip(getattr(state, name), getattr(ref_state, name)))
-
-    def test_not_contiguous_parameter_is_refused(self):
-        # reshaping a transposed array copies it, so an in-place update would be lost
-        spec = nn.NetworkSpec(3, (nn.LayerSpec(4),))
-        params = nn.init_network(spec, seed=0)
-        params.weights[0] = np.ascontiguousarray(params.weights[0].T).T
-        snapshot = params.copy()
-        state = nn.AdamState.zeros_like(params)
-        grads = ([np.ones(w.shape) for w in params.weights], [np.ones(b.shape) for b in params.biases])
-        with pytest.raises(NotContiguous):
-            nn.adam_step(params, grads, state, 1, nn.TrainConfig())
-        assert all(np.array_equal(a, b) for a, b in zip(params.weights, snapshot.weights))
-        assert all(np.array_equal(a, b) for a, b in zip(params.biases, snapshot.biases))
+        m, v = nn.NetworkParams(spec, state.m), nn.NetworkParams(spec, state.v)
+        for flat, per_layer in ((m.weights, ref_state.m_w), (v.weights, ref_state.v_w),
+                                (m.biases, ref_state.m_b), (v.biases, ref_state.v_b)):
+            assert all(np.array_equal(a, b) for a, b in zip(flat, per_layer))
 
 
 class TestTrain:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import socket
@@ -106,6 +107,38 @@ class TestArtifact:
         path.write_text("definitely not json")
         with pytest.raises(CorruptArtifact):
             art.load_artifact(path)
+
+    @pytest.mark.parametrize("content", ["[1]", '{"payload": 5, "checksum": "x"}', '{"payload": "{}"}'])
+    def test_malformed_wrapper(self, tmp_path, content):
+        path = tmp_path / "m.json"
+        path.write_text(content)
+        with pytest.raises(CorruptArtifact):
+            art.load_artifact(path)
+
+    @pytest.mark.parametrize("defect", ["not an object", "no network", "row weight", "extra layer", "short bias"])
+    def test_malformed_payload_fails_closed(self, run, tmp_path, capsys, defect):
+        ds, res = run
+        payload = res.artifact.to_dict()
+        network = payload["network"]
+        if defect == "not an object":
+            payload = [payload]
+        elif defect == "no network":
+            del payload["network"]
+        elif defect == "row weight":  # would broadcast into every row of the first weight
+            network["weights"][0] = art._encode(res.artifact.params.weights[0][:1])
+        elif defect == "extra layer":
+            network["weights"].append(network["weights"][-1])
+        else:
+            network["biases"][0] = art._encode(res.artifact.params.biases[0][:-1])
+        path, rec = tmp_path / "m.json", tmp_path / "rec.json"
+        text = json.dumps(payload)  # a valid checksum over a tampered payload
+        path.write_text(json.dumps({"checksum": hashlib.sha256(text.encode()).hexdigest(), "payload": text}))
+        with pytest.raises(CorruptArtifact):
+            art.load_artifact(path)
+        rec.write_text(json.dumps({"features": dict(ds.rows[0])}))
+        capsys.readouterr()
+        assert cli.main(["predict", "--artifact", str(path), "--in", str(rec)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_version_guard(self, run, tmp_path):
         _, res = run
@@ -495,6 +528,18 @@ class TestSocket:
             srv.server_close()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+    def test_unexpected_error_is_500_json(self, mixed, ports, monkeypatch):
+        ds, _ = mixed
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(service, "predict_package", broken)
+        body = json.dumps({"features": dict(ds.rows[0])}).encode()
+        status, reply, closed = raw_exchange(ports[0], post_head(str(len(body))) + body)
+        assert status == 500 and "error" in reply and "verdict" not in reply
+        assert closed
 
     def test_non_finite_reply_is_500_json(self, mixed, ports, monkeypatch):
         ds, _ = mixed
