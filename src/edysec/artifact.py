@@ -7,6 +7,7 @@ import base64
 import binascii
 import hashlib
 import json
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -15,7 +16,14 @@ import numpy as np
 from . import explain, featsel
 from . import neuralnet as nn
 from .dataset import FeatureManifest, TraceDataset, parse_cell
-from .errors import CorruptArtifact, MissingFeature, NoBackground, NonFiniteScore, VersionMismatch
+from .errors import (
+    CorruptArtifact,
+    MissingFeature,
+    NoBackground,
+    NonFiniteScore,
+    UnreadableArtifact,
+    VersionMismatch,
+)
 from .preprocess import Preprocessor, ProcessedMatrix
 
 ARTIFACT_VERSION = 1
@@ -44,6 +52,8 @@ class ModelArtifact:
     threshold: float = 0.5
     fingerprint: dict = field(default_factory=dict)  # seed, train config, dataset hash
     background: np.ndarray | None = None  # projected training rows for explanations
+    _plan: explain.ExplanationPlan | None = field(default=None, init=False, repr=False, compare=False)
+    _plan_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def project(self, ds: TraceDataset) -> ProcessedMatrix:
         """The network's input matrix for raw records under the artifact's manifest."""
@@ -61,6 +71,14 @@ class ModelArtifact:
         if self.background is None:
             raise NoBackground("artifact carries no background sample for explanations")
         return self.background
+
+    def explanation_plan(self, groups) -> explain.ExplanationPlan:
+        """The Kernel SHAP plan over the background: built by the first
+        explanation, under a lock, and shared by every later one."""
+        with self._plan_lock:
+            if self._plan is None:
+                self._plan = explain.explanation_plan(self.explanation_background(), groups)
+            return self._plan
 
     def to_dict(self) -> dict:
         return {
@@ -123,7 +141,8 @@ def save_artifact(artifact: ModelArtifact, path) -> None:
 
 
 def load_artifact(path) -> ModelArtifact:
-    """Read, verify and decode an artifact; any malformed part fails closed as CorruptArtifact."""
+    """Read, verify and decode an artifact; a file that cannot be read fails
+    closed as UnreadableArtifact, any malformed part as CorruptArtifact."""
     try:
         with open(path, encoding="utf-8") as fh:
             wrapper = json.load(fh)
@@ -131,6 +150,8 @@ def load_artifact(path) -> ModelArtifact:
         if hashlib.sha256(payload.encode()).hexdigest() != wrapper["checksum"]:
             raise CorruptArtifact("checksum mismatch")
         return ModelArtifact.from_dict(json.loads(payload))
+    except OSError as exc:
+        raise UnreadableArtifact(f"cannot read artifact: {exc}") from exc
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptArtifact(f"malformed artifact: {exc!r}") from exc
 
@@ -177,11 +198,13 @@ def predict_package(
 
     attributions = None
     if explain_verdict:
+        groups = explain.feature_groups(projected)
         attr = explain.kernel_shap(
             artifact.predict_proba,
             projected.X[0],
             artifact.explanation_background(),
-            explain.feature_groups(projected),
+            groups,
+            plan=artifact.explanation_plan(groups),
         )
         attributions = [
             {"feature": f, "phi": p} for f, p in attr.ranked()[:top_k]

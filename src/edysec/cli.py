@@ -4,6 +4,7 @@ stability, explanations, the full pipeline, and the verdict service."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -196,7 +197,10 @@ def cmd_explain(args):
     projected = artifact.project(load_dataset(args.data, manifest))
     background = artifact.explanation_background()
     groups = explain.feature_groups(projected)
-    method = explain.kernel_shap if args.method == "shap" else explain.lime_explain
+    if args.method == "shap":  # one plan for every explained record
+        method = functools.partial(explain.kernel_shap, plan=artifact.explanation_plan(groups))
+    else:
+        method = explain.lime_explain
     count = min(args.count, projected.X.shape[0])
     records = []
     for i in range(count):

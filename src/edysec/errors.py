@@ -134,6 +134,10 @@ class CorruptArtifact(EdysecError):
     pass
 
 
+class UnreadableArtifact(EdysecError):
+    pass
+
+
 class MissingFeature(EdysecError):
     def __init__(self, column):
         self.column = column

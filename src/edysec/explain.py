@@ -14,8 +14,8 @@ from .preprocess import ProcessedMatrix
 
 EXACT_LIMIT = 12
 KERNEL_ENUM_LIMIT = 14
-KERNEL_SAMPLE_BUDGET = 2048  # distinct coalitions evaluated above KERNEL_ENUM_LIMIT features
-KERNEL_BACKGROUND_K = 33  # weighted centroids that stand in for the background when sampling
+KERNEL_SAMPLE_BUDGET = 4096  # distinct coalitions evaluated above KERNEL_ENUM_LIMIT features
+KERNEL_BACKGROUND_K = 10  # weighted centroids that stand in for the background when sampling
 MODEL_BLOCK_ROWS = 100  # rows per model call on the sampled path
 
 
@@ -94,22 +94,28 @@ def summarize_background(background, seed: int = 0) -> tuple[np.ndarray, np.ndar
     return centers[used], np.bincount(labels)[used] / n
 
 
-def _coalition_values(model, x, background, groups, coalitions, weights=None) -> np.ndarray:
-    """v(S) for each row of the boolean `coalitions` matrix (one column per
-    group): the mean model output over the background rows with the columns
-    of the groups in S set to x (interventional masking on whole blocks).
+def _column_masks(groups, coalitions, width: int) -> np.ndarray:
+    """One boolean row per coalition over the processed columns: True where
+    the column's group is in the coalition."""
+    columns = np.zeros((len(coalitions), width), dtype=bool)
+    for j, idx in enumerate(groups.values()):
+        columns[:, idx] = coalitions[:, j : j + 1]
+    return columns
+
+
+def _coalition_values(model, x, background, columns, weights=None) -> np.ndarray:
+    """v(S) for each row of the boolean `columns` masks (see `_column_masks`):
+    the mean model output over the background rows with the masked columns
+    set to x (interventional masking on whole blocks).
 
     Without `weights` each model call covers one coalition over the whole
     background, so exact values do not depend on how rows are batched; with
     them, v(S) is the weighted mean and calls are packed to about
     MODEL_BLOCK_ROWS rows."""
     n, width = background.shape
-    columns = np.zeros((len(coalitions), width), dtype=bool)
-    for j, idx in enumerate(groups.values()):
-        columns[:, idx] = coalitions[:, j : j + 1]
     per_call = 1 if weights is None else max(1, MODEL_BLOCK_ROWS // n)
-    values = np.empty(len(coalitions))
-    for start in range(0, len(coalitions), per_call):
+    values = np.empty(len(columns))
+    for start in range(0, len(columns), per_call):
         block = columns[start : start + per_call]
         rows = np.where(block[:, None, :], x, background).reshape(-1, width)
         out = np.asarray(model(rows), dtype=float).reshape(len(block), n)
@@ -129,7 +135,8 @@ def exact_shapley(model, x, background, groups) -> Attribution:
         raise TooManyFeatures(f"exact enumeration capped at {EXACT_LIMIT} features, got {d}")
     x = np.asarray(x, dtype=float)
     background = np.asarray(background, dtype=float)
-    v = _coalition_values(model, x, background, groups, _all_coalitions(d)).tolist()
+    columns = _column_masks(groups, _all_coalitions(d), background.shape[1])
+    v = _coalition_values(model, x, background, columns).tolist()
 
     fact = [math.factorial(i) for i in range(d + 1)]
     names = list(groups)
@@ -199,23 +206,50 @@ def _sample_coalitions(d: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray
     return np.array(rows, dtype=bool).reshape(-1, d), np.array(weights)
 
 
-def kernel_shap(model, x, background, groups, budget=None, seed: int = 0) -> Attribution:
-    """Weighted least squares over the Shapley kernel with the empty/full
-    coalition constraints enforced exactly.
+@dataclass(frozen=True)
+class ExplanationPlan:
+    """What a Kernel SHAP explanation needs besides the model and the row,
+    built once per (background, groups, budget, seed) by `explanation_plan`
+    and never written after, so concurrent explanations may share it.
 
-    `budget` is "exact" (enumerate every coalition over the full background)
-    or a count of distinct coalitions, chosen by `_sample_coalitions` and
-    evaluated over a KERNEL_BACKGROUND_K-centroid summary of the background.
-    By default coalitions are enumerated up to KERNEL_ENUM_LIMIT features and
-    KERNEL_SAMPLE_BUDGET are sampled above it."""
+    `columns` masks the empty, the full and then each chosen coalition;
+    `last` is the last group's membership of the chosen ones. The sampled
+    path solves with the fixed matrix `solve`; the exact path keeps `lstsq`
+    over the weighted `design`, and with it every bit of its values."""
+
+    names: tuple[str, ...]
+    background: np.ndarray
+    bg_weights: np.ndarray | None  # None: the whole background, one model call per coalition
+    columns: np.ndarray
+    last: np.ndarray
+    design: np.ndarray | None  # exact path only, with its row weights `sw`
+    sw: np.ndarray | None
+    solve: np.ndarray | None  # sampled path only
+
+    def explain(self, model, x) -> Attribution:
+        x = np.asarray(x, dtype=float)
+        v = _coalition_values(model, x, self.background, self.columns, self.bg_weights)
+        base, fx = float(v[0]), float(v[1])
+        y_adj = v[2:] - base - self.last * (fx - base)
+        if self.solve is None:
+            solution = np.linalg.lstsq(self.design, y_adj * self.sw, rcond=None)[0]
+        else:
+            solution = self.solve @ y_adj
+        phi = {name: float(w) for name, w in zip(self.names[:-1], solution)}
+        phi[self.names[-1]] = float((fx - base) - solution.sum())
+        return Attribution(phi=phi, base=base, fx=fx, method="kernel_shap")
+
+
+def explanation_plan(background, groups, budget=None, seed: int = 0) -> ExplanationPlan:
+    """Coalitions, kernel weights, background summary and solve for
+    `kernel_shap`; see there for `budget`. Raises SingularSystem if the
+    coalitions cannot determine every attribution."""
     d = len(groups)
     if d < 2:
         raise ValueError("kernel SHAP needs at least two source features")
     if budget is None:
         budget = "exact" if d <= KERNEL_ENUM_LIMIT else KERNEL_SAMPLE_BUDGET
-    x = np.asarray(x, dtype=float)
     background = np.asarray(background, dtype=float)
-    names = list(groups)
 
     if budget == "exact":
         if d > KERNEL_ENUM_LIMIT:
@@ -224,26 +258,43 @@ def kernel_shap(model, x, background, groups, budget=None, seed: int = 0) -> Att
             )
         z = _all_coalitions(d)[1:-1]
         weights = np.array([_kernel_weight(d, size) for size in z.sum(axis=1).tolist()])
-        bg_weights = None
     else:
         z, weights = _sample_coalitions(d, int(budget), np.random.default_rng(seed))
         background, bg_weights = summarize_background(background, seed=seed)
 
     ends = np.array([np.zeros(d, dtype=bool), np.ones(d, dtype=bool)])
-    v = _coalition_values(model, x, background, groups, np.vstack([ends, z]), bg_weights)
-    base, fx, y = float(v[0]), float(v[1]), v[2:]
-
+    columns = _column_masks(groups, np.vstack([ends, z]), background.shape[1])
     z = z.astype(float)
     # eliminate the last feature via the efficiency constraint
-    y_adj = y - base - z[:, -1] * (fx - base)
-    Z_adj = z[:, :-1] - z[:, -1:]
     sw = np.sqrt(weights)
-    solution, _, rank, _ = np.linalg.lstsq(Z_adj * sw[:, None], y_adj * sw, rcond=None)
-    if rank < d - 1:
+    design = (z[:, :-1] - z[:, -1:]) * sw[:, None]
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps) < d - 1:  # lstsq's rank cut-off
         raise SingularSystem("degenerate coalition sample; increase the budget")
-    phi = {name: float(w) for name, w in zip(names[:-1], solution)}
-    phi[names[-1]] = float((fx - base) - solution.sum())
-    return Attribution(phi=phi, base=base, fx=fx, method="kernel_shap")
+    last = z[:, -1].copy()  # a view would keep all of z alive in the plan
+    if budget == "exact":
+        return ExplanationPlan(tuple(groups), background, None, columns, last, design, sw, None)
+    solve = (vt.T / s) @ (u.T * sw)
+    return ExplanationPlan(tuple(groups), background, bg_weights, columns, last, None, None, solve)
+
+
+def kernel_shap(model, x, background, groups, budget=None, seed: int = 0, plan=None) -> Attribution:
+    """Weighted least squares over the Shapley kernel with the empty/full
+    coalition constraints enforced exactly.
+
+    `budget` is "exact" (enumerate every coalition over the full background)
+    or a count of distinct coalitions, chosen by `_sample_coalitions` and
+    evaluated over a KERNEL_BACKGROUND_K-centroid summary of the background.
+    By default coalitions are enumerated up to KERNEL_ENUM_LIMIT features and
+    KERNEL_SAMPLE_BUDGET are sampled above it.
+
+    `plan`, if given, is `explanation_plan(background, groups, budget, seed)`
+    built earlier; a caller that explains many rows builds it once."""
+    if plan is None:
+        plan = explanation_plan(background, groups, budget, seed)
+    elif plan.names != tuple(groups):
+        raise FeatureMismatch("the explanation plan covers other source features")
+    return plan.explain(model, x)
 
 
 def lime_explain(model, x, background, groups, cfg: ExplainConfig = ExplainConfig()) -> Attribution:

@@ -363,7 +363,8 @@ class BaselineConfig:
 
 def train_baseline(X: np.ndarray, y: np.ndarray, cfg: BaselineConfig = BaselineConfig()) -> nn.NetworkParams:
     spec = nn.NetworkSpec(X.shape[1], (nn.LayerSpec(cfg.hidden_units, 0.0),))
-    params, _ = nn.train(spec, cfg.train_config(), X, np.asarray(y, dtype=float))
+    y = np.asarray(y, dtype=float)
+    params, _ = nn.train(spec, cfg.train_config(), X, y, record_history=False)
     return params
 
 

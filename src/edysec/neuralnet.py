@@ -248,12 +248,18 @@ def train(
     train_y: np.ndarray,
     val_X: np.ndarray | None = None,
     val_y: np.ndarray | None = None,
+    record_history: bool = True,
 ) -> tuple[NetworkParams, TrainHistory]:
     """Seeded mini-batch Adam training; fully deterministic for a fixed config.
 
     With `cfg.patience` and validation rows, training stops once the validation
     loss has not improved for `patience` epochs, and the weights of the epoch
     with the lowest validation loss are returned.
+
+    Each epoch's loss and accuracy on the training and validation rows go into
+    the history. A caller that discards it passes `record_history=False`:
+    those evaluations are then skipped (all but the validation loss that
+    `patience` reads), the history has no epochs, and the weights are the same.
     """
     import time
 
@@ -272,6 +278,7 @@ def train(
     best_val = np.inf
     best = None
     since_best = 0
+    early_stopping = cfg.patience is not None and len(val_y) > 0
     n = len(train_X)
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch, 1]).permutation(n)
@@ -282,10 +289,12 @@ def train(
             grads = backward(params, cache, train_y[idx])
             t += 1
             adam_step(params, grads, state, t, cfg)
-        tr_loss, tr_acc = _eval_stats(params, train_X, train_y)
-        vl_loss, vl_acc = _eval_stats(params, val_X, val_y)
-        history.epochs.append(EpochStats(tr_loss, tr_acc, vl_loss, vl_acc))
-        if cfg.patience is not None and len(val_y):
+        if record_history or early_stopping:
+            vl_loss, vl_acc = _eval_stats(params, val_X, val_y)
+        if record_history:
+            tr_loss, tr_acc = _eval_stats(params, train_X, train_y)
+            history.epochs.append(EpochStats(tr_loss, tr_acc, vl_loss, vl_acc))
+        if early_stopping:
             if vl_loss < best_val - 1e-12:
                 best_val = vl_loss
                 best = params.copy()  # a snapshot: later steps update params in place

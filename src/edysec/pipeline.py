@@ -77,9 +77,12 @@ class PipelineResult:
 MODEL_PRESETS = {"mlp": nn.NetworkSpec.mlp, "nn": nn.NetworkSpec.nn}
 
 
-def train_network(name: str, options: PipelineOptions, seed: int, train_sel, val_sel):
+def train_network(
+    name: str, options: PipelineOptions, seed: int, train_sel, val_sel, record_history: bool = True
+):
     """Train one model preset on projected train/validation matrices under the
-    options' epochs, batch size and learning rate; returns (params, history)."""
+    options' epochs, batch size and learning rate; returns (params, history),
+    the history empty without `record_history` (see `nn.train`)."""
     if name not in MODEL_PRESETS:
         raise ValueError(f"unknown model preset {name!r}")
     spec = MODEL_PRESETS[name](train_sel.X.shape[1])
@@ -89,7 +92,7 @@ def train_network(name: str, options: PipelineOptions, seed: int, train_sel, val
         learning_rate=options.learning_rate,
         seed=seed,
     )
-    return nn.train(spec, cfg, train_sel.X, train_sel.labels, val_sel.X, val_sel.labels)
+    return nn.train(spec, cfg, train_sel.X, train_sel.labels, val_sel.X, val_sel.labels, record_history)
 
 
 def _val_scores(params, val_pm, threshold):
@@ -234,7 +237,7 @@ def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions())
 
 def _train_and_f1(name, options, seed, selected, train_pm, val_pm, test_pm):
     train_sel, val_sel, test_sel = (featsel.project(pm, selected) for pm in (train_pm, val_pm, test_pm))
-    params, _ = train_network(name, options, seed, train_sel, val_sel)
+    params, _ = train_network(name, options, seed, train_sel, val_sel, record_history=False)
     probs = nn.predict_proba(params, test_sel.X)
     cm = metrics.confusion(test_sel.labels, probs, options.threshold)
     return metrics.classification_metrics(cm).f1
@@ -266,8 +269,9 @@ def _explanations(params, test_sel, background, selected, options):
     idx = np.sort(rng.choice(n, size=count, replace=False)) if count else []
 
     model = lambda rows: nn.predict_proba(params, rows)
+    plan = explain.explanation_plan(background, groups, seed=options.seed) if count else None
     explanations = [
-        explain.kernel_shap(model, test_sel.X[i], background, groups, seed=options.seed)
+        explain.kernel_shap(model, test_sel.X[i], background, groups, seed=options.seed, plan=plan)
         for i in idx
     ]
     if explanations:

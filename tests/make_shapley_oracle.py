@@ -1,0 +1,104 @@
+"""Regenerate tests/data/shapley_oracle.json, the reference that the Kernel
+SHAP accuracy gate in tests/test_shapley_oracle.py compares against.
+
+The model is the benchmark's served artifact (perfbench/workloads.py's
+`build_artifact` recipe on its corpus at seed 41): 17 source features, a
+92-wide input, a 500x500x500 MLP and a 100-row background. For three
+held-out records the fixture holds the exact Shapley value of every feature,
+enumerated over all 2^17 coalitions with the whole background, together with
+v(empty) and v(full), which the gate uses to tell whether the fixture still
+describes the model it rebuilds.
+
+    PYTHONPATH=src python tests/make_shapley_oracle.py
+
+takes about 20 minutes on 2 cores (13.1M forward rows, about 7 minutes, per
+record).
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from edysec import artifact, dataset, explain
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = Path(__file__).resolve().parent / "data" / "shapley_oracle.json"
+SEED = 41
+PACKAGES = ("pkg000014", "pkg000016", "pkg000018")  # held out: in the validation and test splits
+COALITIONS_PER_CALL = 32
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def served_case(work: Path):
+    """The served artifact rebuilt in `work`, its feature groups, and the
+    projected input row of each package in PACKAGES."""
+    wl = _workloads()
+    ds = wl.load_corpus(*wl.write_corpus(work, SEED, wl.FULL))
+    held_out = {pkg for pkg, _ in wl.build_artifact(ds, SEED, work / "artifact.json")}
+    if not held_out.issuperset(PACKAGES):
+        raise SystemExit(f"{sorted(set(PACKAGES) - held_out)} are not held out at seed {SEED}")
+    model = artifact.load_artifact(work / "artifact.json")
+    picked = [ds.ids.index(pkg) for pkg in PACKAGES]
+    projected = model.project(dataset.TraceDataset(
+        ds.manifest, PACKAGES, tuple(ds.rows[i] for i in picked), tuple(ds.labels[i] for i in picked)
+    ))
+    return model, explain.feature_groups(projected), dict(zip(PACKAGES, projected.X))
+
+
+def exact_shapley(model, x, background, groups) -> tuple[np.ndarray, float, float]:
+    """phi per group, v(empty) and v(full), by plain enumeration of every
+    coalition over the whole background (independent of explain.py)."""
+    d, width = len(groups), background.shape[1]
+    group_of = np.empty(width, dtype=int)
+    for j, idx in enumerate(groups.values()):
+        group_of[idx] = j
+    codes = np.arange(1 << d)
+    v = np.empty(1 << d)
+    for start in range(0, 1 << d, COALITIONS_PER_CALL):
+        members = (codes[start : start + COALITIONS_PER_CALL, None] >> np.arange(d) & 1).astype(bool)
+        rows = np.where(members[:, group_of][:, None, :], x, background).reshape(-1, width)
+        v[start : start + len(members)] = model(rows).reshape(len(members), -1).mean(axis=1)
+    sizes = np.array([bin(c).count("1") for c in codes])
+    weight = np.array([math.factorial(s) * math.factorial(d - s - 1) / math.factorial(d) for s in range(d)])
+    phi = np.empty(d)
+    for j in range(d):
+        without = codes[(codes >> j & 1) == 0]
+        phi[j] = np.sum(weight[sizes[without]] * (v[without | 1 << j] - v[without]))
+    return phi, float(v[0]), float(v[-1])
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        model, groups, rows = served_case(Path(tmp))
+    background = model.explanation_background()
+    records = []
+    for pkg in PACKAGES:
+        phi, base, fx = exact_shapley(model.predict_proba, rows[pkg], background, groups)
+        records.append({"package": pkg, "phi": phi.tolist(), "base": base, "fx": fx})
+        sys.stderr.write(f"{pkg}: residual {base + phi.sum() - fx:.1e}\n")
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps({
+        "corpus_seed": SEED,
+        "background_rows": len(background),
+        "features": list(groups),
+        "records": records,
+    }, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -271,6 +271,20 @@ class TestTrain:
         assert val_losses[-1] > min(val_losses)  # the last epoch is not the best one
         assert nn.batch_bce(nn.predict_proba(params, val_X), val_y) == min(val_losses)
 
+    def test_unrecorded_history_keeps_the_weights(self):
+        # skipping the per-epoch evaluation changes nothing but the history
+        X, y = toy_data(n=80)
+        rng = np.random.default_rng(9)
+        val_X = rng.normal(size=(40, 4))
+        val_y = rng.integers(0, 2, 40).astype(float)
+        spec = nn.NetworkSpec(4, (nn.LayerSpec(8, 0.2),))
+        for cfg in (nn.TrainConfig(epochs=6, batch_size=8, seed=0),
+                    nn.TrainConfig(epochs=200, batch_size=8, seed=0, patience=3)):
+            kept, history = nn.train(spec, cfg, X, y, val_X, val_y)
+            bare, none = nn.train(spec, cfg, X, y, val_X, val_y, record_history=False)
+            assert np.array_equal(kept.flat, bare.flat)
+            assert history.epochs and not none.epochs
+
     def test_without_patience_last_weights_are_kept(self):
         X, y = toy_data(n=80)
         spec = nn.NetworkSpec(4, (nn.LayerSpec(8),))

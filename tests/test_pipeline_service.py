@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from edysec import artifact as art
-from edysec import cli, pipeline, service
+from edysec import cli, explain, pipeline, service
 from edysec import neuralnet as nn
 from edysec.dataset import generate_synthetic
 from edysec.errors import (
@@ -62,6 +62,10 @@ class TestPipeline:
             assert set(attr.phi) == set(res.chosen.selected)
             assert abs(attr.residual) < 1e-9
         assert set(res.ranking) == set(res.chosen.selected)
+
+    def test_candidates_keep_their_histories(self, run):
+        _, res = run
+        assert [len(h.epochs) for h in res.histories.values()] == [fast_options().epochs]
 
     def test_stability_mode_seeds(self):
         ds = generate_synthetic(160, 2, 1, seed=1)
@@ -161,6 +165,62 @@ class TestArtifact:
         assert rep.attributions is not None and len(rep.attributions) == 2
         assert rep.verdict in ("benign", "malicious")
         assert rep.latency_ms > 0
+
+
+def counted_plans(monkeypatch, delay_s=0.0):
+    """Count the explanation plans built from here on; each build waits
+    `delay_s` first, so that concurrent requests meet while it runs."""
+    built = []
+    build = explain.explanation_plan
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        time.sleep(delay_s)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(explain, "explanation_plan", counting)
+    return built
+
+
+class TestExplanationPlan:
+    def test_plain_verdicts_build_no_plan(self, run, monkeypatch):
+        ds, res = run
+        fresh = dataclasses.replace(res.artifact)  # a copy without a plan yet
+        built = counted_plans(monkeypatch)
+        for row in ds.rows[:3]:
+            art.predict_package(fresh, dict(row))
+        assert built == []
+        art.predict_package(fresh, dict(ds.rows[0]), explain_verdict=True)
+        art.predict_package(fresh, dict(ds.rows[1]), explain_verdict=True)
+        assert len(built) == 1
+
+    def test_concurrent_explained_verdicts_share_one_plan(self, run, monkeypatch):
+        ds, res = run
+        built = counted_plans(monkeypatch, delay_s=0.3)
+        srv = service.make_server(dataclasses.replace(res.artifact), port=0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        replies = [None, None]
+        start = threading.Barrier(2)
+
+        def client(i):
+            start.wait()
+            replies[i] = http(srv.server_address[1], "/v1/analyze", {"features": dict(ds.rows[0]), "explain": True})
+
+        clients = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+        try:
+            for c in clients:
+                c.start()
+            for c in clients:
+                c.join(timeout=30)
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and not any(c.is_alive() for c in clients)
+        assert [status for status, _ in replies] == [200, 200]
+        assert replies[0][1]["attributions"] and replies[0][1]["attributions"] == replies[1][1]["attributions"]
+        assert len(built) == 1
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +419,22 @@ class TestCli:
         rec.write_text("{}")
         missing.write_text("broken")
         assert cli.main(["predict", "--artifact", str(missing), "--in", str(rec)]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "--in", "rec.json"],
+        ["evaluate", "--data", "data.csv"],
+        ["explain", "--data", "data.csv"],
+        ["serve", "--bind", "127.0.0.1:0"],
+    ])
+    def test_missing_artifact(self, trained, tmp_path, capsys, command):
+        out, _ = trained
+        rec = tmp_path / "rec.json"
+        rec.write_text("{}")
+        paths = {"rec.json": str(rec), "data.csv": str(out / "data.csv")}
+        capsys.readouterr()
+        argv = [paths.get(a, a) for a in command] + ["--artifact", str(tmp_path / "missing.json")]
+        assert cli.main(argv) == 2
+        assert "cannot read artifact" in capsys.readouterr().err
 
 
 NUMERIC, TEXT = "inf_0", "noise_1"
