@@ -133,7 +133,7 @@ def cmd_train(args):
     train_sel = featsel.project(train_pm, selected)
     val_sel = featsel.project(val_pm, selected)
     params, history = pipeline.train_network(args.model, options, options.seed, train_sel, val_sel)
-    background = explain.sample_background(train_sel, options.background_size, options.seed)
+    background = explain.sample_background(train_sel, seed=options.seed)
     artifact = ModelArtifact(
         manifest=ds.manifest,
         preprocessor=pre,

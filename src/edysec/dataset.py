@@ -12,11 +12,13 @@ import numpy as np
 from .errors import (
     BadLabel,
     BadNumeric,
+    BadOption,
     BadRatios,
     BadText,
     DuplicateId,
     MissingColumn,
     ShortRow,
+    SingleClass,
 )
 
 KINDS = ("numeric", "categorical", "pattern")
@@ -236,7 +238,7 @@ def split_dataset(
         [i for i, y in enumerate(ds.labels) if y == 1],
     ]
     if any(not g for g in groups):
-        raise ValueError("stratified split needs at least one row per class")
+        raise SingleClass("stratified split needs at least one row per class")
 
     parts: list[list[int]] = [[], [], []]
     for group in groups:
@@ -275,12 +277,12 @@ def generate_synthetic(
     ground-truth informative column names.
     """
     if n < 4:
-        raise ValueError("need n >= 4")
+        raise BadOption(f"need n >= 4 rows, got {n}")
     if d_informative < 1:
-        raise ValueError("need d_informative >= 1")
+        raise BadOption(f"need d_informative >= 1, got {d_informative}")
     kinds = dict(kinds or {"numeric": 1.0})
     if any(k not in KINDS for k in kinds):
-        raise ValueError(f"unknown kinds in {kinds}")
+        raise BadOption(f"unknown kinds in {kinds}")
 
     rng = np.random.default_rng(seed)
     labels = np.array(([0, 1] * ((n + 1) // 2))[:n])

@@ -5,6 +5,10 @@ class EdysecError(Exception):
     pass
 
 
+class BadOption(EdysecError):
+    """A setting outside its valid range."""
+
+
 # dataset
 class MissingColumn(EdysecError):
     def __init__(self, column):
@@ -114,6 +118,10 @@ class TooFewScores(EdysecError):
 
 # explain
 class TooManyFeatures(EdysecError):
+    pass
+
+
+class TooFewFeatures(EdysecError):
     pass
 
 

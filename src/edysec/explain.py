@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeatureMismatch, SingularSystem, TooManyFeatures
+from .errors import FeatureMismatch, SingularSystem, TooFewFeatures, TooManyFeatures
 from .preprocess import ProcessedMatrix
 
 EXACT_LIMIT = 12
@@ -17,6 +17,7 @@ KERNEL_ENUM_LIMIT = 14
 KERNEL_SAMPLE_BUDGET = 4096  # distinct coalitions evaluated above KERNEL_ENUM_LIMIT features
 KERNEL_BACKGROUND_K = 10  # weighted centroids that stand in for the background when sampling
 MODEL_BLOCK_ROWS = 100  # rows per model call on the sampled path
+LIME_PERTURBATIONS = 5000  # masked rows per LIME fit, at least 10 per feature
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,6 @@ class Attribution:
             "residual": self.residual,
             "contributions": [{"feature": f, "phi": p} for f, p in self.ranked()],
         }
-
-
-@dataclass(frozen=True)
-class ExplainConfig:
-    lime_perturbations: int = 5000
-    lime_top_k: int | None = None
-    seed: int = 0
 
 
 def feature_groups(pm: ProcessedMatrix) -> dict[str, np.ndarray]:
@@ -246,7 +240,7 @@ def explanation_plan(background, groups, budget=None, seed: int = 0) -> Explanat
     coalitions cannot determine every attribution."""
     d = len(groups)
     if d < 2:
-        raise ValueError("kernel SHAP needs at least two source features")
+        raise TooFewFeatures(f"kernel SHAP needs at least two source features, got {d}")
     if budget is None:
         budget = "exact" if d <= KERNEL_ENUM_LIMIT else KERNEL_SAMPLE_BUDGET
     background = np.asarray(background, dtype=float)
@@ -297,17 +291,18 @@ def kernel_shap(model, x, background, groups, budget=None, seed: int = 0, plan=N
     return plan.explain(model, x)
 
 
-def lime_explain(model, x, background, groups, cfg: ExplainConfig = ExplainConfig()) -> Attribution:
+def lime_explain(model, x, background, groups) -> Attribution:
     """Local surrogate: mask random feature subsets to background values, fit a
-    distance-weighted linear model on the binary mask design."""
+    distance-weighted linear model on the binary mask design. Draws
+    LIME_PERTURBATIONS masks at seed 0."""
     d = len(groups)
+    n_pert = LIME_PERTURBATIONS
+    if 10 * d > n_pert:
+        raise TooManyFeatures(f"LIME covers at most {n_pert // 10} source features, got {d}")
     x = np.asarray(x, dtype=float)
     background = np.asarray(background, dtype=float)
     names = list(groups)
-    n_pert = cfg.lime_perturbations
-    if n_pert < 10 * d:
-        raise ValueError(f"need at least {10 * d} perturbations for {d} features")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
 
     masks = rng.integers(0, 2, size=(n_pert, d))  # 1 = keep the instance value
     bg_idx = rng.integers(0, len(background), size=n_pert)
@@ -325,14 +320,9 @@ def lime_explain(model, x, background, groups, cfg: ExplainConfig = ExplainConfi
     if rank < d + 1:
         raise SingularSystem("degenerate perturbation sample")
 
-    intercept = float(solution[0])
-    coefs = solution[1:]
-    if cfg.lime_top_k is not None and cfg.lime_top_k < d:
-        keep = set(np.argsort(-np.abs(coefs))[: cfg.lime_top_k].tolist())
-        coefs = np.array([c if j in keep else 0.0 for j, c in enumerate(coefs)])
     fx = float(np.asarray(model(x.reshape(1, -1)))[0])
-    phi = {name: float(c) for name, c in zip(names, coefs)}
-    return Attribution(phi=phi, base=intercept, fx=fx, method="lime")
+    phi = {name: float(c) for name, c in zip(names, solution[1:])}
+    return Attribution(phi=phi, base=float(solution[0]), fx=fx, method="lime")
 
 
 def global_importance(attributions: list[Attribution]) -> dict[str, float]:

@@ -4,12 +4,12 @@ objective, and projection of processed matrices onto a selected subset."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import neuralnet as nn
-from .errors import BadK, EmptyResult, LayoutMismatch, UnknownFeature
+from .errors import BadK, BadOption, EmptyResult, LayoutMismatch, SingleClass, UnknownFeature
 from .preprocess import ProcessedMatrix
 
 METHODS = ("anova", "corr", "importance", "pso", "woa")
@@ -48,22 +48,12 @@ class SwarmConfig:
     population: int = 20
     iterations: int = 50
     seed: int = 0
-    # PSO
-    w_start: float = 0.9
-    w_end: float = 0.4
-    c1: float = 2.0
-    c2: float = 2.0
-    v_max: float = 6.0
-    # WOA
-    b: float = 1.0
 
     def __post_init__(self):
         if self.population < 2:
-            raise ValueError("population must be >= 2")
+            raise BadOption("population must be >= 2")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.v_max <= 0:
-            raise ValueError("v_max must be positive")
+            raise BadOption("iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,7 +84,7 @@ def anova_f_scores(pm: ProcessedMatrix, labels=None) -> dict[str, float]:
     summary, names = source_matrix(pm)
     y = np.asarray(pm.labels if labels is None else labels)
     if len(set(y.tolist())) < 2:
-        raise ValueError("both classes must be present")
+        raise SingleClass("both classes must be present")
     g0 = summary[y == 0]
     g1 = summary[y == 1]
     n0, n1 = len(g0), len(g1)
@@ -140,7 +130,7 @@ def select_corr(
     """Keep features with |point-biserial| >= relevance_min, then drop (ascending
     relevance) features too correlated with a kept feature."""
     if not (0.0 <= relevance_min <= 1.0 and 0.0 <= redundancy_max <= 1.0):
-        raise ValueError("thresholds must lie in [0, 1]")
+        raise BadOption("thresholds must lie in [0, 1]")
     summary, names = source_matrix(pm)
     y = np.asarray(pm.labels if labels is None else labels, dtype=float)
     relevance = {
@@ -197,7 +187,7 @@ def select_importance(
     manifest_order: list[str] | None = None,
 ) -> tuple[str, ...]:
     if not (0.0 < threshold_fraction <= 1.0):
-        raise ValueError("threshold_fraction must lie in (0, 1]")
+        raise BadOption("threshold_fraction must lie in (0, 1]")
     names = manifest_order or list(importances)
     top = max(importances.values())
     kept = [name for name in names if importances[name] >= threshold_fraction * top]
@@ -213,6 +203,15 @@ def _sigmoid(v):
 def _repair(mask: np.ndarray, rng) -> None:
     if not mask.any():
         mask[rng.integers(0, len(mask))] = True
+
+
+# Binary PSO: inertia falling linearly from PSO_W_START to PSO_W_END, pulls
+# PSO_C1 toward the personal and PSO_C2 toward the global best, velocities
+# clipped to +-PSO_V_MAX. WOA_B is the whale's log-spiral shape constant.
+PSO_W_START, PSO_W_END = 0.9, 0.4
+PSO_C1 = PSO_C2 = 2.0
+PSO_V_MAX = 6.0
+WOA_B = 1.0
 
 
 def select_bpso(fitness, d_source: int, cfg: SwarmConfig = SwarmConfig()) -> SwarmRun:
@@ -234,15 +233,15 @@ def select_bpso(fitness, d_source: int, cfg: SwarmConfig = SwarmConfig()) -> Swa
     history = [gbest_score]
     for it in range(cfg.iterations):
         frac = it / max(cfg.iterations - 1, 1)
-        w = cfg.w_start + (cfg.w_end - cfg.w_start) * frac
+        w = PSO_W_START + (PSO_W_END - PSO_W_START) * frac
         r1 = rng.random((pop, d))
         r2 = rng.random((pop, d))
         v = (
             w * v
-            + cfg.c1 * r1 * (pbest.astype(float) - x.astype(float))
-            + cfg.c2 * r2 * (gbest.astype(float) - x.astype(float))
+            + PSO_C1 * r1 * (pbest.astype(float) - x.astype(float))
+            + PSO_C2 * r2 * (gbest.astype(float) - x.astype(float))
         )
-        np.clip(v, -cfg.v_max, cfg.v_max, out=v)
+        np.clip(v, -PSO_V_MAX, PSO_V_MAX, out=v)
         x = rng.random((pop, d)) < _sigmoid(v)
         for i in range(pop):
             _repair(x[i], rng)
@@ -299,7 +298,7 @@ def select_bwoa(fitness, d_source: int, cfg: SwarmConfig = SwarmConfig()) -> Swa
             else:
                 l = rng.uniform(-1.0, 1.0)
                 D = np.abs(best_x - x[i])
-                x[i] = D * np.exp(cfg.b * l) * np.cos(2.0 * np.pi * l) + best_x
+                x[i] = D * np.exp(WOA_B * l) * np.cos(2.0 * np.pi * l) + best_x
             np.clip(x[i], -10.0, 10.0, out=x[i])
             mask = binarize(x[i])
             score = fitness(mask)
@@ -314,7 +313,7 @@ def select_bwoa(fitness, d_source: int, cfg: SwarmConfig = SwarmConfig()) -> Swa
 def objective(p_j: float, d_j: int, d_total: int, alpha: float = DEFAULT_ALPHA) -> float:
     """alpha * P + (1 - alpha) * (1 - d/d_total)."""
     if not (0.0 <= alpha <= 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
+        raise BadOption(f"alpha must lie in [0, 1], got {alpha}")
     if not (1 <= d_j <= d_total):
         raise ValueError("d_j must lie in [1, d_total]")
     return alpha * p_j + (1.0 - alpha) * (1.0 - d_j / d_total)
@@ -346,25 +345,20 @@ def project(pm: ProcessedMatrix, selected) -> ProcessedMatrix:
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    hidden_units: int = 64
     epochs: int = 20
-    learning_rate: float = 1e-3
-    batch_size: int = 64
     seed: int = 0
 
-    def train_config(self) -> nn.TrainConfig:
-        return nn.TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-        )
+
+BASELINE_HIDDEN_UNITS = 64
+BASELINE_BATCH_SIZE = 64
 
 
 def train_baseline(X: np.ndarray, y: np.ndarray, cfg: BaselineConfig = BaselineConfig()) -> nn.NetworkParams:
-    spec = nn.NetworkSpec(X.shape[1], (nn.LayerSpec(cfg.hidden_units, 0.0),))
-    y = np.asarray(y, dtype=float)
-    params, _ = nn.train(spec, cfg.train_config(), X, y, record_history=False)
+    """One hidden layer of BASELINE_HIDDEN_UNITS, no dropout, trained at the
+    default learning rate in batches of BASELINE_BATCH_SIZE."""
+    spec = nn.NetworkSpec(X.shape[1], (nn.LayerSpec(BASELINE_HIDDEN_UNITS, 0.0),))
+    train_cfg = nn.TrainConfig(epochs=cfg.epochs, batch_size=BASELINE_BATCH_SIZE, seed=cfg.seed)
+    params, _ = nn.train(spec, train_cfg, X, np.asarray(y, dtype=float), record_history=False)
     return params
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch, StateMissing, WidthMismatch
+from .errors import BadOption, ShapeMismatch, StateMissing, WidthMismatch
 
 BCE_CLAMP = 1e-7
 ADAM_BETA1 = 0.9
@@ -89,11 +89,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise BadOption(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise BadOption(f"batch size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+            raise BadOption(f"learning rate must be positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ from . import explain, featsel, metrics, stability
 from . import neuralnet as nn
 from .artifact import ModelArtifact, dataset_hash
 from .dataset import DatasetSplits, TraceDataset, split_dataset
+from .errors import BadOption
 from .preprocess import Preprocessor, ProcessedMatrix
+
+ANOVA_K = 12  # features the ANOVA selector keeps (all of them if fewer)
 
 
 @dataclass(frozen=True)
@@ -23,11 +26,6 @@ class PipelineOptions:
     seed: int = 0
     alpha: float = featsel.DEFAULT_ALPHA
     selectors: tuple[str, ...] = featsel.METHODS
-    anova_k: int = 12
-    corr_relevance_min: float = 0.1
-    corr_redundancy_max: float = 0.9
-    importance_threshold: float = 0.2
-    importance_repeats: int = 5
     swarm: featsel.SwarmConfig = featsel.SwarmConfig()
     baseline: featsel.BaselineConfig = featsel.BaselineConfig()
     models: tuple[str, ...] = ("mlp", "nn")
@@ -38,7 +36,10 @@ class PipelineOptions:
     stability_mode: str = "seeds"  # "seeds" | "selectors" | "off"
     stability_runs: int = 10
     explain_count: int = 20
-    background_size: int = 100
+
+    def __post_init__(self):
+        if self.explain_count < 0:
+            raise BadOption(f"explain_count must be >= 0, got {self.explain_count}")
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -107,52 +108,35 @@ def run_selectors(
     val_pm: ProcessedMatrix,
     options: PipelineOptions,
 ) -> list[featsel.SelectorResult]:
-    d_total = len(train_pm.source_features())
+    """Each selector's subset, scored by one shared `MaskFitness`, so a subset
+    that two selectors pick is trained once."""
     names = train_pm.source_features()
+    fitness = featsel.MaskFitness(train_pm, val_pm, options.alpha, options.baseline)
     results = []
-
-    def score(selected):
-        return featsel.baseline_validation_accuracy(train_pm, val_pm, selected, options.baseline)
-
-    def result(method, selected, p=None):
-        p = score(selected) if p is None else p
-        return featsel.SelectorResult(
+    for method in options.selectors:
+        if method == "anova":
+            scores = featsel.anova_f_scores(train_pm)
+            selected = featsel.select_anova(scores, min(ANOVA_K, len(names)), names)
+        elif method == "corr":
+            selected = featsel.select_corr(train_pm)
+        elif method == "importance":
+            baseline = featsel.train_baseline(train_pm.X, train_pm.labels, options.baseline)
+            importances = featsel.permutation_importance(baseline, val_pm, seed=options.seed)
+            selected = featsel.select_importance(importances, manifest_order=names)
+        elif method in ("pso", "woa"):
+            runner = featsel.select_bpso if method == "pso" else featsel.select_bwoa
+            mask = runner(fitness, len(names), options.swarm).mask
+            selected = tuple(n for n, bit in zip(names, mask) if bit)
+        else:
+            raise ValueError(f"unknown selector {method!r}")
+        p = fitness.validation_score(np.isin(names, selected))
+        results.append(featsel.SelectorResult(
             method=method,
             selected=tuple(selected),
             d_j=len(selected),
             p_j=p,
-            objective=featsel.objective(p, len(selected), d_total, options.alpha),
-        )
-
-    fitness = None
-    for method in options.selectors:
-        if method == "anova":
-            scores = featsel.anova_f_scores(train_pm)
-            selected = featsel.select_anova(scores, min(options.anova_k, d_total), names)
-            results.append(result("anova", selected))
-        elif method == "corr":
-            selected = featsel.select_corr(
-                train_pm,
-                relevance_min=options.corr_relevance_min,
-                redundancy_max=options.corr_redundancy_max,
-            )
-            results.append(result("corr", selected))
-        elif method == "importance":
-            baseline = featsel.train_baseline(train_pm.X, train_pm.labels, options.baseline)
-            importances = featsel.permutation_importance(
-                baseline, val_pm, repeats=options.importance_repeats, seed=options.seed
-            )
-            selected = featsel.select_importance(importances, options.importance_threshold, names)
-            results.append(result("importance", selected))
-        elif method in ("pso", "woa"):
-            if fitness is None:
-                fitness = featsel.MaskFitness(train_pm, val_pm, options.alpha, options.baseline)
-            runner = featsel.select_bpso if method == "pso" else featsel.select_bwoa
-            run = runner(fitness, d_total, options.swarm)
-            selected = tuple(n for n, bit in zip(names, run.mask) if bit)
-            results.append(result(method, selected, p=fitness.validation_score(run.mask)))
-        else:
-            raise ValueError(f"unknown selector {method!r}")
+            objective=featsel.objective(p, len(selected), len(names), options.alpha),
+        ))
     return results
 
 
@@ -192,7 +176,7 @@ def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions())
         )
         stability_rows = stability.stability_report(table, seed=options.seed)
 
-    background = explain.sample_background(train_sel, options.background_size, options.seed)
+    background = explain.sample_background(train_sel, seed=options.seed)
     explanations, ranking, overlap = _explanations(
         params, test_sel, background, chosen.selected, options
     )

@@ -22,6 +22,8 @@ class ScoreTable:
             raise ValueError("one score row per model required")
         if any(len(row) != len(self.configs) for row in self.scores):
             raise ValueError("every model needs a score for every config")
+        if not self.configs:
+            raise TooFewScores("a stability table needs at least one run")
 
     def row(self, model: str) -> tuple[float, ...]:
         return self.scores[self.models.index(model)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edysec import explain
-from edysec.errors import FeatureMismatch, SingularSystem, TooManyFeatures
+from edysec.errors import FeatureMismatch, SingularSystem, TooFewFeatures, TooManyFeatures
 
 
 def make_groups(d):
@@ -153,7 +153,7 @@ class TestKernelShap:
         assert first != explain.kernel_shap(model, x, bg, groups, budget=600, seed=10)
 
     def test_needs_two_features(self, fixture):
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewFeatures):
             explain.kernel_shap(
                 fixture["model"], fixture["x"][:1], fixture["background"][:, :1], make_groups(1)
             )
@@ -223,27 +223,22 @@ class TestPlan:
 
 class TestLime:
     def test_recovers_linear_signs(self, fixture):
-        cfg = explain.ExplainConfig(lime_perturbations=4000, seed=0)
         attr = explain.lime_explain(
-            fixture["model"], fixture["x"], fixture["background"], fixture["groups"], cfg
+            fixture["model"], fixture["x"], fixture["background"], fixture["groups"]
         )
-        ranked = [name for name, _ in attr.ranked()]
-        assert ranked[0] == "f3"  # largest weight magnitude
+        # a linear model's local effect of keeping x_j is w_j * (x_j - mean(background_j))
+        effect = np.array([1.0, -2.0, 0.5, 3.0]) * (fixture["x"] - fixture["background"].mean(axis=0))
+        names = list(fixture["groups"])
+        assert [np.sign(attr.phi[n]) for n in names] == list(np.sign(effect))
+        assert [name for name, _ in attr.ranked()] == [names[j] for j in np.argsort(-np.abs(effect))]
         assert attr.method == "lime"
 
-    def test_top_k_zeroes_rest(self, fixture):
-        cfg = explain.ExplainConfig(lime_perturbations=4000, lime_top_k=2, seed=0)
-        attr = explain.lime_explain(
-            fixture["model"], fixture["x"], fixture["background"], fixture["groups"], cfg
-        )
-        assert sum(1 for v in attr.phi.values() if v != 0.0) == 2
-
-    def test_perturbation_floor(self, fixture):
-        cfg = explain.ExplainConfig(lime_perturbations=10, seed=0)
-        with pytest.raises(ValueError):
-            explain.lime_explain(
-                fixture["model"], fixture["x"], fixture["background"], fixture["groups"], cfg
-            )
+    def test_perturbation_floor(self):
+        # 10 perturbations per feature: 5000 cover 500 features, not 501
+        d = explain.LIME_PERTURBATIONS // 10 + 1
+        model = linear_model(np.ones(d))
+        with pytest.raises(TooManyFeatures):
+            explain.lime_explain(model, np.ones(d), np.zeros((2, d)), make_groups(d))
 
 
 class TestGlobal:

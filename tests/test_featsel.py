@@ -3,7 +3,7 @@ import pytest
 
 from edysec import featsel
 from edysec.dataset import generate_synthetic, split_dataset
-from edysec.errors import BadK, EmptyResult, LayoutMismatch, UnknownFeature
+from edysec.errors import BadK, BadOption, EmptyResult, LayoutMismatch, UnknownFeature
 from edysec.preprocess import Preprocessor
 
 
@@ -150,7 +150,7 @@ class TestObjective:
     def test_bounds(self):
         with pytest.raises(ValueError):
             featsel.objective(0.9, 0, 36)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadOption):
             featsel.objective(0.9, 1, 36, alpha=1.5)
 
     def test_choose_selector_tiebreak(self):

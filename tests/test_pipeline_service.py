@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -15,7 +16,7 @@ import pytest
 from edysec import artifact as art
 from edysec import cli, explain, pipeline, service
 from edysec import neuralnet as nn
-from edysec.dataset import generate_synthetic
+from edysec.dataset import generate_synthetic, load_dataset
 from edysec.errors import (
     CorruptArtifact,
     EdysecError,
@@ -352,8 +353,6 @@ class TestCli:
         ]) == 0
         capsys.readouterr()
 
-        import csv
-
         with open(out / "data.csv") as fh:
             reader = csv.DictReader(fh)
             row = next(reader)
@@ -419,6 +418,66 @@ class TestCli:
         rec.write_text("{}")
         missing.write_text("broken")
         assert cli.main(["predict", "--artifact", str(missing), "--in", str(rec)]) == 2
+
+    # argv with DATA for the corpus's --data/--manifest, ONE_CLASS for its
+    # malicious rows only and OUT for a path nothing may be written to
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--rows", "2", "--informative", "1", "--noise", "1", "--out", "OUT"],
+        ["train", "DATA", "--epochs", "0", "--artifact", "OUT"],
+        ["train", "DATA", "--batch", "0", "--artifact", "OUT"],
+        ["train", "DATA", "--lr", "0", "--artifact", "OUT"],
+        ["select", "DATA", "--methods", "anova", "--alpha", "1.5"],
+        ["stability", "DATA", "--runs", "0"],
+        ["pipeline", "DATA", "--explain-count", "-1", "--out", "OUT"],
+        ["pipeline", "ONE_CLASS", "--methods", "anova", "--out", "OUT"],
+    ])
+    def test_out_of_range_values_exit_2(self, trained, tmp_path, capsys, argv):
+        out, _ = trained
+        manifest = ["--manifest", str(out / "manifest.json")]
+        with open(out / "data.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        one_class = tmp_path / "one_class.csv"
+        with open(one_class, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *(r for r in rows if r[header.index("label")] == "1")])
+        placeholders = {
+            "DATA": ["--data", str(out / "data.csv"), *manifest],
+            "ONE_CLASS": ["--data", str(one_class), *manifest],
+            "OUT": [str(tmp_path / "out")],
+        }
+        capsys.readouterr()
+        assert cli.main([part for a in argv for part in placeholders.get(a, [a])]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_one_feature_artifact_cannot_be_explained(self, trained, tmp_path, capsys):
+        out, _ = trained
+        features, model, rec = tmp_path / "features.json", tmp_path / "one.json", tmp_path / "rec.json"
+        features.write_text('["inf_0"]')
+        assert cli.main([
+            "train", "--data", str(out / "data.csv"), "--manifest", str(out / "manifest.json"),
+            "--model", "nn", "--epochs", "1", "--features", str(features), "--artifact", str(model),
+        ]) == 0
+        ds = load_dataset(out / "data.csv", art.load_artifact(model).manifest)
+        rec.write_text(json.dumps({"features": dict(ds.rows[0])}))
+        capsys.readouterr()
+        assert cli.main(["predict", "--artifact", str(model), "--in", str(rec), "--explain"]) == 2
+        assert "two source features" in capsys.readouterr().err
+        assert cli.main(["explain", "--artifact", str(model), "--data", str(out / "data.csv")]) == 2
+        assert "two source features" in capsys.readouterr().err
+
+        server = service.make_server(art.load_artifact(model), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            port = server.server_address[1]
+            status, body = http(port, "/v1/analyze", {"features": dict(ds.rows[0]), "explain": True})
+            assert status == 422 and "two source features" in body["error"] and "verdict" not in body
+            assert http(port, "/v1/analyze", {"features": dict(ds.rows[0])})[0] == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
     @pytest.mark.parametrize("command", [
         ["predict", "--in", "rec.json"],

@@ -78,3 +78,7 @@ class TestReport:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             ScoreTable(("a",), ("c1", "c2"), ((0.5,),))
+
+    def test_no_runs_is_too_few_scores(self):
+        with pytest.raises(TooFewScores):
+            ScoreTable(("a", "b"), (), ((), ()))
