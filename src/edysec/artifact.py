@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import explain, featsel
+from . import explain
 from . import neuralnet as nn
 from .dataset import FeatureManifest, TraceDataset, parse_cell
 from .errors import (
@@ -27,6 +27,8 @@ from .errors import (
 from .preprocess import Preprocessor, ProcessedMatrix
 
 ARTIFACT_VERSION = 1
+
+VERDICT_TOP_K = 5  # attributions an explained verdict carries, largest |phi| first
 
 
 def _encode(arr: np.ndarray) -> dict:
@@ -55,9 +57,16 @@ class ModelArtifact:
     _plan: explain.ExplanationPlan | None = field(default=None, init=False, repr=False, compare=False)
     _plan_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # Only the selected features are transformed, in manifest order (the
+        # network's column order). A preprocessor fitted on every feature, as
+        # callers pass it and older artifacts stored it, is pruned here.
+        order = self.manifest.feature_names()
+        self.preprocessor = self.preprocessor.select(sorted(self.selected, key=order.index))
+
     def project(self, ds: TraceDataset) -> ProcessedMatrix:
-        """The network's input matrix for raw records under the artifact's manifest."""
-        return featsel.project(self.preprocessor.transform(ds), self.selected)
+        """The network's input matrix for raw records."""
+        return self.preprocessor.transform(ds)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Malicious-class probabilities for rows of the input matrix; a
@@ -188,9 +197,8 @@ def predict_package(
     record: dict,
     package: str = "package",
     explain_verdict: bool = False,
-    top_k: int = 5,
 ) -> VerdictReport:
-    """Transform, project, score, threshold; optionally attach SHAP attributions."""
+    """Transform, score, threshold; optionally attach SHAP attributions."""
     started = time.perf_counter()
     projected = artifact.project(_record_to_dataset(artifact, package, record))
     probability = float(artifact.predict_proba(projected.X)[0])
@@ -207,7 +215,7 @@ def predict_package(
             plan=artifact.explanation_plan(groups),
         )
         attributions = [
-            {"feature": f, "phi": p} for f, p in attr.ranked()[:top_k]
+            {"feature": f, "phi": p} for f, p in attr.ranked()[:VERDICT_TOP_K]
         ]
     latency_ms = (time.perf_counter() - started) * 1000.0
     return VerdictReport(package, probability, verdict, attributions, latency_ms)

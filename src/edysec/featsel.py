@@ -68,15 +68,10 @@ class SwarmRun:
 def source_matrix(pm: ProcessedMatrix) -> tuple[np.ndarray, list[str]]:
     """One scalar summary column per source feature: numeric features pass
     through; text features collapse to the L2 norm of their processed block."""
-    names = pm.source_features()
-    out = np.zeros((pm.X.shape[0], len(names)))
-    for j, name in enumerate(names):
-        cols = pm.feature_columns(name)
-        if len(cols) == 1 and pm.column_map[cols[0]][1] == "numeric":
-            out[:, j] = pm.X[:, cols[0]]
-        else:
-            out[:, j] = np.linalg.norm(pm.X[:, cols], axis=1)
-    return out, names
+    out = np.zeros((pm.X.shape[0], len(pm.layout)))
+    for j, (_, kind, cols) in enumerate(pm.spans()):
+        out[:, j] = pm.X[:, cols.start] if kind == "numeric" else np.linalg.norm(pm.X[:, cols], axis=1)
+    return out, pm.source_features()
 
 
 def anova_f_scores(pm: ProcessedMatrix, labels=None) -> dict[str, float]:
@@ -332,10 +327,10 @@ def project(pm: ProcessedMatrix, selected) -> ProcessedMatrix:
     unknown = selected - set(pm.source_features())
     if unknown:
         raise UnknownFeature(f"unknown source features: {sorted(unknown)}")
-    cols = [i for i, (src, _) in enumerate(pm.column_map) if src in selected]
+    cols = [i for name, _, span in pm.spans() if name in selected for i in range(span.start, span.stop)]
     return ProcessedMatrix(
         X=pm.X[:, cols],
-        column_map=tuple(pm.column_map[i] for i in cols),
+        layout=tuple(entry for entry in pm.layout if entry[0] in selected),
         labels=pm.labels,
         ids=pm.ids,
     )

@@ -85,7 +85,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
     seed: int = 0
-    patience: int | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -252,14 +251,10 @@ def train(
 ) -> tuple[NetworkParams, TrainHistory]:
     """Seeded mini-batch Adam training; fully deterministic for a fixed config.
 
-    With `cfg.patience` and validation rows, training stops once the validation
-    loss has not improved for `patience` epochs, and the weights of the epoch
-    with the lowest validation loss are returned.
-
     Each epoch's loss and accuracy on the training and validation rows go into
     the history. A caller that discards it passes `record_history=False`:
-    those evaluations are then skipped (all but the validation loss that
-    `patience` reads), the history has no epochs, and the weights are the same.
+    those evaluations are then skipped, the history has no epochs, and the
+    weights are the same.
     """
     import time
 
@@ -275,10 +270,6 @@ def train(
     state = AdamState.zeros_like(params)
     history = TrainHistory()
     t = 0
-    best_val = np.inf
-    best = None
-    since_best = 0
-    early_stopping = cfg.patience is not None and len(val_y) > 0
     n = len(train_X)
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch, 1]).permutation(n)
@@ -289,22 +280,12 @@ def train(
             grads = backward(params, cache, train_y[idx])
             t += 1
             adam_step(params, grads, state, t, cfg)
-        if record_history or early_stopping:
-            vl_loss, vl_acc = _eval_stats(params, val_X, val_y)
         if record_history:
+            vl_loss, vl_acc = _eval_stats(params, val_X, val_y)
             tr_loss, tr_acc = _eval_stats(params, train_X, train_y)
             history.epochs.append(EpochStats(tr_loss, tr_acc, vl_loss, vl_acc))
-        if early_stopping:
-            if vl_loss < best_val - 1e-12:
-                best_val = vl_loss
-                best = params.copy()  # a snapshot: later steps update params in place
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= cfg.patience:
-                    break
     history.wall_time_s = time.perf_counter() - started
-    return (params if best is None else best), history
+    return params, history
 
 
 def predict_proba(params: NetworkParams, X: np.ndarray) -> np.ndarray:

@@ -40,6 +40,8 @@ class PipelineOptions:
     def __post_init__(self):
         if self.explain_count < 0:
             raise BadOption(f"explain_count must be >= 0, got {self.explain_count}")
+        if self.stability_mode == "seeds" and self.stability_runs < 2:  # caught before any training
+            raise BadOption(f"stability needs at least two runs, got {self.stability_runs}")
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -1,4 +1,5 @@
-"""Preprocessing: z-score numeric columns, per-column TF-IDF for text columns, assembly."""
+"""Preprocessing: z-score numeric columns, per-column TF-IDF for text columns,
+and the column layout of the processed matrix."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import TraceDataset
-from .errors import RowMismatch, UnknownColumn, WrongKind
+from .errors import RowMismatch, UnknownColumn, UnknownFeature, WrongKind
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -36,15 +37,20 @@ def fit_scaler(train: TraceDataset) -> ScalerParams:
     return ScalerParams(means, stds)
 
 
+def _kinds(ds: TraceDataset) -> dict[str, str]:
+    """Column name -> "numeric" or "text" under the dataset's manifest."""
+    return {c.name: "numeric" if c.kind == "numeric" else "text" for c in ds.manifest.columns}
+
+
 def apply_scaler(params: ScalerParams, ds: TraceDataset) -> np.ndarray:
-    """Scaled numeric block, columns in manifest order. sigma=0 columns map to 0."""
-    names = ds.manifest.numeric_columns()
-    for name in names:
-        if name not in params.means:
-            raise UnknownColumn(name)
-    out = np.zeros((len(ds), len(names)))
-    for j, name in enumerate(names):
-        mu, sigma = params.means[name], params.stds[name]
+    """Scaled numeric block, columns in fitted order. sigma=0 columns map to 0;
+    a fitted column the dataset lacks, or has as text, is refused."""
+    kinds = _kinds(ds)
+    out = np.zeros((len(ds), len(params.means)))
+    for j, (name, mu) in enumerate(params.means.items()):
+        if kinds.get(name) != "numeric":
+            raise UnknownColumn(f"{name}: fitted as numeric, not a numeric column of the dataset")
+        sigma = params.stds[name]
         values = np.array([row[name] for row in ds.rows], dtype=float)
         if sigma > 0:
             out[:, j] = (values - mu) / sigma
@@ -101,13 +107,13 @@ def transform_text(vec: TextVectorizer, cell: str) -> np.ndarray:
 @dataclass(frozen=True)
 class ProcessedMatrix:
     X: np.ndarray  # n x d_tilde, float64
-    column_map: tuple[tuple[str, str], ...]  # (source feature name, block kind) per column
+    layout: tuple[tuple[str, str, int], ...]  # (source feature, "numeric" | "text", width), in column order
     labels: np.ndarray
     ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.X.ndim != 2 or self.X.shape[1] != len(self.column_map):
-            raise RowMismatch("column_map width does not match matrix")
+        if self.X.ndim != 2 or self.X.shape[1] != sum(width for _, _, width in self.layout):
+            raise RowMismatch("layout width does not match matrix")
         if self.X.shape[0] != len(self.labels):
             raise RowMismatch("labels do not align with rows")
 
@@ -116,46 +122,20 @@ class ProcessedMatrix:
         return self.X.shape[1]
 
     def source_features(self) -> list[str]:
-        seen: list[str] = []
-        for name, _ in self.column_map:
-            if name not in seen:
-                seen.append(name)
-        return seen
+        return [name for name, _, _ in self.layout]
+
+    def spans(self):
+        """(source feature, kind, column slice) per source feature, in column order."""
+        start = 0
+        for name, kind, width in self.layout:
+            yield name, kind, slice(start, start + width)
+            start += width
 
     def feature_columns(self, name: str) -> np.ndarray:
-        cols = np.array([i for i, (src, _) in enumerate(self.column_map) if src == name])
-        if cols.size == 0:
-            raise UnknownColumn(name)
-        return cols
-
-
-def assemble(
-    numeric_block: np.ndarray,
-    numeric_names: list[str],
-    text_blocks: list[tuple[str, np.ndarray]],
-    labels,
-    ids=(),
-) -> ProcessedMatrix:
-    """Concatenate numeric columns then each text column's vocabulary block."""
-    n = numeric_block.shape[0] if numeric_block.size else (
-        text_blocks[0][1].shape[0] if text_blocks else len(labels)
-    )
-    blocks = []
-    column_map: list[tuple[str, str]] = []
-    if numeric_block.shape[1] != len(numeric_names):
-        raise RowMismatch("numeric block width does not match names")
-    if numeric_names:
-        if numeric_block.shape[0] != n:
-            raise RowMismatch("numeric block rows misaligned")
-        blocks.append(numeric_block)
-        column_map.extend((name, "numeric") for name in numeric_names)
-    for name, block in text_blocks:
-        if block.shape[0] != n:
-            raise RowMismatch(f"text block {name} rows misaligned")
-        blocks.append(block)
-        column_map.extend((name, "text") for _ in range(block.shape[1]))
-    X = np.hstack(blocks) if blocks else np.zeros((n, 0))
-    return ProcessedMatrix(X, tuple(column_map), np.asarray(labels, dtype=int), tuple(ids))
+        for src, _, cols in self.spans():
+            if src == name:
+                return np.arange(cols.start, cols.stop)
+        raise UnknownColumn(name)
 
 
 @dataclass(frozen=True)
@@ -175,17 +155,33 @@ class Preprocessor:
         return cls(scaler, vectorizers)
 
     def transform(self, ds: TraceDataset) -> ProcessedMatrix:
-        numeric_names = ds.manifest.numeric_columns()
-        numeric = apply_scaler(self.scaler, ds)
-        text_blocks = []
-        for name in ds.manifest.text_columns():
-            vec = self.vectorizers.get(name)
-            if vec is None:
-                raise UnknownColumn(name)
-            block = np.vstack([transform_text(vec, row[name]) for row in ds.rows]) \
-                if len(ds) else np.zeros((0, len(vec.vocabulary)))
-            text_blocks.append((name, block))
-        return assemble(numeric, numeric_names, text_blocks, ds.labels, ds.ids)
+        """The fitted columns in fit order: the scaled numerics, then each
+        vocabulary block. Dataset columns it was not fitted on are ignored."""
+        layout = [(name, "numeric", 1) for name in self.scaler.means]
+        blocks = [apply_scaler(self.scaler, ds)]
+        kinds = _kinds(ds)
+        for name, vec in self.vectorizers.items():
+            if kinds.get(name) != "text":
+                raise UnknownColumn(f"{name}: fitted as text, not a text column of the dataset")
+            width = len(vec.vocabulary)
+            blocks.append(
+                np.vstack([transform_text(vec, row[name]) for row in ds.rows]) if len(ds) else np.zeros((0, width))
+            )
+            if width:  # a column whose training cells held no token adds no feature
+                layout.append((name, "text", width))
+        return ProcessedMatrix(np.hstack(blocks), tuple(layout), np.asarray(ds.labels, dtype=int), tuple(ds.ids))
+
+    def select(self, names) -> "Preprocessor":
+        """The fitted state of the named features only, in the order named."""
+        names = list(names)
+        unknown = set(names) - set(self.scaler.means) - set(self.vectorizers)
+        if unknown:
+            raise UnknownFeature(f"not fitted: {sorted(unknown)}")
+        numeric = [name for name in names if name in self.scaler.means]
+        return Preprocessor(
+            ScalerParams({n: self.scaler.means[n] for n in numeric}, {n: self.scaler.stds[n] for n in numeric}),
+            {name: self.vectorizers[name] for name in names if name in self.vectorizers},
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -10,6 +10,9 @@ from scipy.stats import rankdata
 
 from .errors import TooFewScores
 
+CI_LEVEL = 0.95
+BOOTSTRAP_RESAMPLES = 100_000
+
 
 @dataclass(frozen=True)
 class ScoreTable:
@@ -22,8 +25,8 @@ class ScoreTable:
             raise ValueError("one score row per model required")
         if any(len(row) != len(self.configs) for row in self.scores):
             raise ValueError("every model needs a score for every config")
-        if not self.configs:
-            raise TooFewScores("a stability table needs at least one run")
+        if len(self.configs) < 2:
+            raise TooFewScores("a stability table needs at least two runs")
 
     def row(self, model: str) -> tuple[float, ...]:
         return self.scores[self.models.index(model)]
@@ -54,21 +57,20 @@ def sample_std(scores) -> float:
     """Divide-by-(n-1) standard deviation; the convention the report uses."""
     scores = np.asarray(scores, dtype=float)
     if scores.size < 2:
-        return 0.0
+        raise TooFewScores("a standard deviation needs at least two scores")
     return float(scores.std(ddof=1))
 
 
-def bootstrap_ci(scores, level: float = 0.95, resamples: int = 100_000, seed: int = 0):
-    """Percentile bootstrap of the mean, deterministic per seed."""
+def bootstrap_ci(scores, seed: int = 0):
+    """CI_LEVEL percentile bootstrap of the mean over BOOTSTRAP_RESAMPLES
+    resamples, deterministic per seed."""
     scores = np.asarray(scores, dtype=float)
     if scores.size < 2:
         raise TooFewScores("bootstrap needs at least two scores")
-    if resamples < 1000:
-        raise ValueError("use at least 1000 resamples")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, scores.size, size=(resamples, scores.size))
+    idx = rng.integers(0, scores.size, size=(BOOTSTRAP_RESAMPLES, scores.size))
     means = scores[idx].mean(axis=1)
-    lo = (1.0 - level) / 2.0
+    lo = (1.0 - CI_LEVEL) / 2.0
     return float(np.quantile(means, lo)), float(np.quantile(means, 1.0 - lo))
 
 
@@ -82,12 +84,7 @@ def average_rank(table: ScoreTable) -> dict[str, float]:
     return {model: float(r) for model, r in zip(table.models, avg)}
 
 
-def stability_report(
-    table: ScoreTable,
-    level: float = 0.95,
-    resamples: int = 100_000,
-    seed: int = 0,
-) -> list[StabilityRow]:
+def stability_report(table: ScoreTable, seed: int = 0) -> list[StabilityRow]:
     """One row per model, sorted by mean descending then average rank ascending."""
     ranks = average_rank(table)
     rows = []
@@ -95,8 +92,8 @@ def stability_report(
         scores = np.asarray(table.row(model), dtype=float)
         mean = float(scores.mean())
         std = sample_std(scores)
-        if scores.size >= 2 and np.ptp(scores) > 0:
-            lo, hi = bootstrap_ci(scores, level=level, resamples=resamples, seed=seed)
+        if np.ptp(scores) > 0:
+            lo, hi = bootstrap_ci(scores, seed=seed)
         else:
             lo = hi = mean
         rows.append(

@@ -53,7 +53,7 @@ class TestAnova:
         from edysec.preprocess import ProcessedMatrix
 
         X = np.column_stack([np.ones(10), np.arange(10.0)])
-        pm = ProcessedMatrix(X, (("a", "numeric"), ("b", "numeric")), np.array([0, 1] * 5))
+        pm = ProcessedMatrix(X, (("a", "numeric", 1), ("b", "numeric", 1)), np.array([0, 1] * 5))
         scores = featsel.anova_f_scores(pm)
         assert scores["a"] == 0.0
 
@@ -72,7 +72,7 @@ class TestCorr:
         a = y + rng.normal(0, 0.1, 100)
         b = a + rng.normal(0, 0.01, 100)  # near-duplicate, slightly weaker
         X = np.column_stack([a, b])
-        pm = ProcessedMatrix(X, (("a", "numeric"), ("b", "numeric")), y)
+        pm = ProcessedMatrix(X, (("a", "numeric", 1), ("b", "numeric", 1)), y)
         selected = featsel.select_corr(pm, relevance_min=0.1, redundancy_max=0.9)
         assert len(selected) == 1
 

@@ -248,29 +248,6 @@ class TestTrain:
         c, _ = nn.train(spec, nn.TrainConfig(epochs=5, batch_size=8, seed=43), X, y)
         assert not all(np.array_equal(x, z) for x, z in zip(a.weights, c.weights))
 
-    def test_patience_stops_early(self):
-        # validation labels are pure noise, so val loss rises as training fits
-        X, y = toy_data(n=80)
-        rng = np.random.default_rng(9)
-        val_X = rng.normal(size=(40, 4))
-        val_y = rng.integers(0, 2, 40).astype(float)
-        spec = nn.NetworkSpec(4, (nn.LayerSpec(8),))
-        cfg = nn.TrainConfig(epochs=200, batch_size=8, seed=0, patience=3)
-        _, history = nn.train(spec, cfg, X, y, val_X, val_y)
-        assert len(history.epochs) < 200
-
-    def test_patience_restores_best_weights(self):
-        X, y = toy_data(n=80)
-        rng = np.random.default_rng(9)
-        val_X = rng.normal(size=(40, 4))
-        val_y = rng.integers(0, 2, 40).astype(float)
-        spec = nn.NetworkSpec(4, (nn.LayerSpec(8),))
-        cfg = nn.TrainConfig(epochs=200, batch_size=8, seed=0, patience=3)
-        params, history = nn.train(spec, cfg, X, y, val_X, val_y)
-        val_losses = [h.val_loss for h in history.epochs]
-        assert val_losses[-1] > min(val_losses)  # the last epoch is not the best one
-        assert nn.batch_bce(nn.predict_proba(params, val_X), val_y) == min(val_losses)
-
     def test_unrecorded_history_keeps_the_weights(self):
         # skipping the per-epoch evaluation changes nothing but the history
         X, y = toy_data(n=80)
@@ -278,12 +255,11 @@ class TestTrain:
         val_X = rng.normal(size=(40, 4))
         val_y = rng.integers(0, 2, 40).astype(float)
         spec = nn.NetworkSpec(4, (nn.LayerSpec(8, 0.2),))
-        for cfg in (nn.TrainConfig(epochs=6, batch_size=8, seed=0),
-                    nn.TrainConfig(epochs=200, batch_size=8, seed=0, patience=3)):
-            kept, history = nn.train(spec, cfg, X, y, val_X, val_y)
-            bare, none = nn.train(spec, cfg, X, y, val_X, val_y, record_history=False)
-            assert np.array_equal(kept.flat, bare.flat)
-            assert history.epochs and not none.epochs
+        cfg = nn.TrainConfig(epochs=6, batch_size=8, seed=0)
+        kept, history = nn.train(spec, cfg, X, y, val_X, val_y)
+        bare, none = nn.train(spec, cfg, X, y, val_X, val_y, record_history=False)
+        assert np.array_equal(kept.flat, bare.flat)
+        assert history.epochs and not none.epochs
 
     def test_without_patience_last_weights_are_kept(self):
         X, y = toy_data(n=80)

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from edysec import artifact as art
-from edysec import cli, explain, pipeline, service
+from edysec import cli, explain, featsel, pipeline, service
 from edysec import neuralnet as nn
-from edysec.dataset import generate_synthetic, load_dataset
+from edysec.dataset import TraceDataset, generate_synthetic, load_dataset, save_dataset
 from edysec.errors import (
     CorruptArtifact,
     EdysecError,
@@ -26,6 +26,7 @@ from edysec.errors import (
     VersionMismatch,
 )
 from edysec.featsel import BaselineConfig, SwarmConfig
+from edysec.preprocess import Preprocessor
 
 
 def fast_options(**overrides):
@@ -162,8 +163,9 @@ class TestArtifact:
 
     def test_explained_verdict(self, run):
         ds, res = run
-        rep = art.predict_package(res.artifact, dict(ds.rows[0]), explain_verdict=True, top_k=2)
-        assert rep.attributions is not None and len(rep.attributions) == 2
+        rep = art.predict_package(res.artifact, dict(ds.rows[0]), explain_verdict=True)
+        assert rep.attributions is not None
+        assert len(rep.attributions) == min(art.VERDICT_TOP_K, len(res.artifact.selected))
         assert rep.verdict in ("benign", "malicious")
         assert rep.latency_ms > 0
 
@@ -430,6 +432,8 @@ class TestCli:
         ["stability", "DATA", "--runs", "0"],
         ["pipeline", "DATA", "--explain-count", "-1", "--out", "OUT"],
         ["pipeline", "ONE_CLASS", "--methods", "anova", "--out", "OUT"],
+        ["stability", "DATA", "--runs", "1"],
+        ["pipeline", "DATA", "--runs", "1", "--out", "OUT"],
     ])
     def test_out_of_range_values_exit_2(self, trained, tmp_path, capsys, argv):
         out, _ = trained
@@ -682,3 +686,89 @@ class TestSocket:
         monkeypatch.setattr(service, "predict_package", lambda *a, **k: report)
         status, body = http(ports[0], "/v1/analyze", {"features": dict(ds.rows[0])})
         assert status == 500 and "verdict" not in body
+
+
+@pytest.fixture(scope="module")
+def subset(tmp_path_factory):
+    """An artifact over three of four features, fitted on a corpus whose
+    manifest lists the columns in reverse, so its column order is not the
+    alphabetical order a saved artifact's keys come back in; its preprocessor
+    as fitted on every feature; and the artifact saved."""
+    generated = generate_synthetic(120, 2, 2, kinds={"numeric": 0.5, "pattern": 0.5}, seed=4)
+    manifest = dataclasses.replace(generated.manifest, columns=generated.manifest.columns[::-1])
+    ds = TraceDataset(manifest, generated.ids, generated.rows, generated.labels)
+    selected = (TEXT, NUMERIC, "inf_1")  # unselected: the numeric noise_0
+    pre = Preprocessor.fit(ds)
+    train_sel = featsel.project(pre.transform(ds), selected)
+    spec = nn.NetworkSpec(train_sel.width, (nn.LayerSpec(8),))
+    params, _ = nn.train(spec, nn.TrainConfig(epochs=2, seed=0), train_sel.X, train_sel.labels)
+    artifact = art.ModelArtifact(
+        manifest=ds.manifest, preprocessor=pre, selected=selected,
+        selector_provenance={"method": "manual"}, params=params,
+        background=train_sel.X[:10],
+    )
+    path = tmp_path_factory.mktemp("subset") / "model.json"
+    art.save_artifact(artifact, path)
+    return ds, pre, artifact, path
+
+
+class TestPrunedPreprocessor:
+    """The artifact keeps only the selected features' preprocessing."""
+
+    def test_saved_preprocessor_holds_the_selected(self, subset):
+        ds, pre, artifact, path = subset
+        saved = json.loads(json.loads(path.read_text())["payload"])["preprocessor"]
+        assert set(saved["scaler"]["means"]) | set(saved["vectorizers"]) == set(artifact.selected)
+        loaded = art.load_artifact(path)
+        expect = featsel.project(pre.transform(ds), artifact.selected)
+        assert np.array_equal(loaded.project(ds).X, expect.X)
+        assert loaded.project(ds).layout == expect.layout
+
+    def test_full_preprocessor_payload_loads(self, subset, tmp_path):
+        ds, pre, artifact, _ = subset
+        payload = artifact.to_dict()
+        payload["preprocessor"] = pre.to_dict()  # as saved before pruning
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({"checksum": hashlib.sha256(text.encode()).hexdigest(), "payload": text}))
+        loaded = art.load_artifact(path)
+        fitted = loaded.preprocessor
+        assert set(fitted.scaler.means) | set(fitted.vectorizers) == set(artifact.selected)
+        for row in ds.rows[:20]:
+            a = art.predict_package(artifact, dict(row), explain_verdict=True)
+            b = art.predict_package(loaded, dict(row), explain_verdict=True)
+            assert a.probability == b.probability and a.attributions == b.attributions
+
+    def test_column_order_follows_the_fit_not_the_dataset_manifest(self, subset):
+        ds, _, artifact, _ = subset
+        reordered = dataclasses.replace(ds.manifest, columns=ds.manifest.columns[::-1])
+        other = TraceDataset(reordered, ds.ids, ds.rows, ds.labels)
+        assert np.array_equal(artifact.project(other).X, artifact.project(ds).X)
+
+    def test_evaluate_refuses_a_manifest_without_a_selected_feature(self, subset, tmp_path, capsys):
+        ds, _, _, path = subset
+        data, manifest = tmp_path / "data.csv", tmp_path / "manifest.json"
+        save_dataset(ds, data)
+        columns = tuple(c for c in ds.manifest.columns if c.name != NUMERIC)
+        dataclasses.replace(ds.manifest, columns=columns, informative=()).save(manifest)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--artifact", str(path), "--data", str(data), "--manifest", str(manifest)]) == 2
+        assert NUMERIC in capsys.readouterr().err
+
+    def test_served_record_still_needs_an_unselected_feature(self, subset):
+        ds, _, artifact, _ = subset
+        server = service.make_server(artifact, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            port = server.server_address[1]
+            record = dict(ds.rows[0])
+            assert http(port, "/v1/analyze", {"features": record})[0] == 200
+            del record["noise_0"]
+            status, body = http(port, "/v1/analyze", {"features": record})
+            assert status == 422 and body["column"] == "noise_0"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from edysec import featsel
 from edysec.dataset import FeatureColumn, FeatureManifest, TraceDataset, generate_synthetic
-from edysec.errors import RowMismatch, UnknownColumn, WrongKind
+from edysec.errors import RowMismatch, UnknownColumn, UnknownFeature, WrongKind
 from edysec.preprocess import (
     Preprocessor,
     ScalerParams,
@@ -56,9 +58,10 @@ class TestScaler:
         assert np.all(out[:, 0] == 0.0)
 
     def test_unknown_column(self):
-        params = ScalerParams({}, {})
+        # extra dataset columns are ignored; a fitted column the dataset lacks is refused
+        assert apply_scaler(ScalerParams({}, {}), text_dataset()).shape == (4, 0)
         with pytest.raises(UnknownColumn):
-            apply_scaler(params, text_dataset())
+            apply_scaler(ScalerParams({"nope": 0.0}, {"nope": 1.0}), text_dataset())
 
 
 class TestTextVectorizer:
@@ -99,8 +102,7 @@ class TestProcessedMatrix:
         assert pm.source_features() == ["count", "paths"]
         assert list(pm.feature_columns("count")) == [0]
         assert len(pm.feature_columns("paths")) == len(vec.vocabulary)
-        assert pm.column_map[0] == ("count", "numeric")
-        assert pm.column_map[1][1] == "text"
+        assert pm.layout == (("count", "numeric", 1), ("paths", "text", len(vec.vocabulary)))
 
     def test_unknown_feature_columns(self):
         pm = Preprocessor.fit(text_dataset()).transform(text_dataset())
@@ -126,6 +128,33 @@ class TestPreprocessorState:
         a = pre.transform(ds)
         b = again.transform(ds)
         assert np.array_equal(a.X, b.X)
+
+    def test_select_matches_projection(self):
+        ds = generate_synthetic(
+            120, 3, 6, kinds={"numeric": 0.4, "categorical": 0.3, "pattern": 0.3}, seed=5
+        )
+        pre = Preprocessor.fit(ds)
+        names = [n for n in ds.manifest.feature_names() if n in ("inf_1", "noise_1", "noise_3", "noise_5")]
+        assert {ds.manifest.column(n).kind for n in names} >= {"numeric", "categorical", "pattern"}
+        picked = pre.select(names).transform(ds)
+        projected = featsel.project(pre.transform(ds), names)
+        assert np.array_equal(picked.X, projected.X)
+        assert picked.layout == projected.layout
+        with pytest.raises(UnknownFeature):
+            pre.select(["nope"])
+
+    def test_missing_or_rekinded_fitted_column_is_refused(self):
+        ds = text_dataset()
+        pre = Preprocessor.fit(ds)
+        count, paths = ds.manifest.columns
+        for columns in (
+            (count,),
+            (count, dataclasses.replace(paths, kind="numeric")),
+            (dataclasses.replace(count, kind="categorical"), paths),
+        ):
+            manifest = dataclasses.replace(ds.manifest, columns=columns)
+            with pytest.raises(UnknownColumn):
+                pre.transform(TraceDataset(manifest, ds.ids, ds.rows, ds.labels))
 
     def test_fit_on_train_only(self):
         ds = generate_synthetic(

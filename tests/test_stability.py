@@ -26,7 +26,8 @@ class TestStd:
         assert sample_std(scores) == pytest.approx(np.std(scores, ddof=1))
 
     def test_single_score(self):
-        assert sample_std([0.5]) == 0.0
+        with pytest.raises(TooFewScores):
+            sample_std([0.5])
 
 
 class TestBootstrap:
@@ -62,7 +63,7 @@ class TestRanks:
 
 class TestReport:
     def test_rows_sorted_and_consistent(self):
-        rows = stability_report(table(), resamples=1000, seed=0)
+        rows = stability_report(table(), seed=0)
         means = [r.mean for r in rows]
         assert means == sorted(means, reverse=True)
         for r in rows:
@@ -70,7 +71,7 @@ class TestReport:
             assert r.ci_low <= r.mean <= r.ci_high
 
     def test_render(self):
-        rows = stability_report(table(), resamples=1000, seed=0)
+        rows = stability_report(table(), seed=0)
         text = render_table(rows)
         assert "Mean F1" in text and "Stability" in text
         assert text.count("\n") == len(rows) + 2
@@ -82,3 +83,7 @@ class TestReport:
     def test_no_runs_is_too_few_scores(self):
         with pytest.raises(TooFewScores):
             ScoreTable(("a", "b"), (), ((), ()))
+
+    def test_one_run_is_too_few_scores(self):
+        with pytest.raises(TooFewScores):
+            ScoreTable(("a", "b"), ("c1",), ((0.9,), (0.8,)))
