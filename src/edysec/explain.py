@@ -9,13 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _allocate
 from .errors import FeatureMismatch, SingularSystem, TooFewFeatures, TooManyFeatures
 from .preprocess import ProcessedMatrix
 
 EXACT_LIMIT = 12
 KERNEL_ENUM_LIMIT = 14
-KERNEL_SAMPLE_BUDGET = 4096  # distinct coalitions evaluated above KERNEL_ENUM_LIMIT features
-KERNEL_BACKGROUND_K = 10  # weighted centroids that stand in for the background when sampling
+KERNEL_SAMPLE_BUDGET = 20480  # (coalition, centroid) forward rows sampled above KERNEL_ENUM_LIMIT features
+KERNEL_BACKGROUND_K = 16  # weighted centroids that stand in for the background, each with its own sample
 MODEL_BLOCK_ROWS = 100  # rows per model call on the sampled path
 LIME_PERTURBATIONS = 5000  # masked rows per LIME fit, at least 10 per feature
 
@@ -97,23 +98,14 @@ def _column_masks(groups, coalitions, width: int) -> np.ndarray:
     return columns
 
 
-def _coalition_values(model, x, background, columns, weights=None) -> np.ndarray:
+def _coalition_values(model, x, background, columns) -> np.ndarray:
     """v(S) for each row of the boolean `columns` masks (see `_column_masks`):
     the mean model output over the background rows with the masked columns
-    set to x (interventional masking on whole blocks).
-
-    Without `weights` each model call covers one coalition over the whole
-    background, so exact values do not depend on how rows are batched; with
-    them, v(S) is the weighted mean and calls are packed to about
-    MODEL_BLOCK_ROWS rows."""
-    n, width = background.shape
-    per_call = 1 if weights is None else max(1, MODEL_BLOCK_ROWS // n)
+    set to x (interventional masking on whole blocks). One model call per
+    coalition, so the values do not depend on how rows are batched."""
     values = np.empty(len(columns))
-    for start in range(0, len(columns), per_call):
-        block = columns[start : start + per_call]
-        rows = np.where(block[:, None, :], x, background).reshape(-1, width)
-        out = np.asarray(model(rows), dtype=float).reshape(len(block), n)
-        values[start : start + len(block)] = out.mean(axis=1) if weights is None else out @ weights
+    for i, mask in enumerate(columns):
+        values[i] = np.asarray(model(np.where(mask, x, background)), dtype=float).mean()
     return values
 
 
@@ -201,37 +193,87 @@ def _sample_coalitions(d: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray
 
 
 @dataclass(frozen=True)
-class ExplanationPlan:
-    """What a Kernel SHAP explanation needs besides the model and the row,
-    built once per (background, groups, budget, seed) by `explanation_plan`
-    and never written after, so concurrent explanations may share it.
-
-    `columns` masks the empty, the full and then each chosen coalition;
-    `last` is the last group's membership of the chosen ones. The sampled
-    path solves with the fixed matrix `solve`; the exact path keeps `lstsq`
-    over the weighted `design`, and with it every bit of its values."""
+class ExactPlan:
+    """Kernel SHAP over every coalition and the whole background, built by
+    `explanation_plan` and never written after. `columns` masks every coalition
+    in bit order (empty first, full last), `last` is the last group's membership
+    of the proper ones, and the solve is `lstsq` over the weighted `design`."""
 
     names: tuple[str, ...]
     background: np.ndarray
-    bg_weights: np.ndarray | None  # None: the whole background, one model call per coalition
     columns: np.ndarray
     last: np.ndarray
-    design: np.ndarray | None  # exact path only, with its row weights `sw`
-    sw: np.ndarray | None
-    solve: np.ndarray | None  # sampled path only
+    design: np.ndarray
+    sw: np.ndarray
 
     def explain(self, model, x) -> Attribution:
         x = np.asarray(x, dtype=float)
-        v = _coalition_values(model, x, self.background, self.columns, self.bg_weights)
-        base, fx = float(v[0]), float(v[1])
-        y_adj = v[2:] - base - self.last * (fx - base)
-        if self.solve is None:
-            solution = np.linalg.lstsq(self.design, y_adj * self.sw, rcond=None)[0]
-        else:
-            solution = self.solve @ y_adj
+        v = _coalition_values(model, x, self.background, self.columns)
+        base, fx = float(v[0]), float(v[-1])
+        y_adj = v[1:-1] - base - self.last * (fx - base)
+        solution = np.linalg.lstsq(self.design, y_adj * self.sw, rcond=None)[0]
         phi = {name: float(w) for name, w in zip(self.names[:-1], solution)}
         phi[self.names[-1]] = float((fx - base) - solution.sum())
         return Attribution(phi=phi, base=base, fx=fx, method="kernel_shap")
+
+
+@dataclass(frozen=True)
+class StratifiedPlan:
+    """Kernel SHAP stratified by background centroid, built by
+    `explanation_plan` (numeric budget) and never written after.
+
+    Centroid k owns the coalition rows `bits[bounds[k]:bounds[k+1]]`, drawn
+    for it alone, with their kernel weights and the inverse Gram matrix of its
+    weighted design (last feature eliminated). Its game is v_k(S) = f(x on S,
+    c_k elsewhere), so v_k(empty) = f(c_k) and v_k(full) = f(x); the
+    attribution is the weighted sum of the centroids' Kernel SHAP solutions."""
+
+    groups: dict[str, np.ndarray]
+    centers: np.ndarray
+    weights: np.ndarray
+    bits: np.ndarray
+    kernel: np.ndarray
+    bounds: np.ndarray
+    gram_inv: np.ndarray
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(self.groups)
+
+    def explain(self, model, x) -> Attribution:
+        x = np.asarray(x, dtype=float)
+        ends = np.asarray(model(np.vstack([self.centers, x])), dtype=float)
+        bases, fx = ends[:-1], float(ends[-1])
+        owner = np.repeat(np.arange(len(bases)), np.diff(self.bounds))
+        v = np.empty(len(self.bits))
+        for start in range(0, len(v), MODEL_BLOCK_ROWS):  # column masks for one block at a time
+            block = slice(start, start + MODEL_BLOCK_ROWS)
+            masks = _column_masks(self.groups, self.bits[block], self.centers.shape[1])
+            v[block] = model(np.where(masks, x, self.centers[owner[block]]))
+        phi = np.zeros(len(self.groups))
+        for k, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
+            bits = self.bits[lo:hi]
+            y = v[lo:hi] - bases[k] - bits[:, -1] * (fx - bases[k])
+            g = (self.kernel[lo:hi] * y) @ bits  # g[:-1] - g[-1] is D^T (sw * y) for the weighted design D
+            solution = self.gram_inv[k] @ (g[:-1] - g[-1])
+            phi += self.weights[k] * np.append(solution, fx - bases[k] - solution.sum())
+        return Attribution(dict(zip(self.names, phi.tolist())), float(self.weights @ bases), fx, "kernel_shap")
+
+
+ExplanationPlan = ExactPlan | StratifiedPlan
+
+
+def _weighted_design(z: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The design D over coalition rows `z` scaled by sqrt(weight), the last
+    feature eliminated via the efficiency constraint, and (D^T D)^-1. Raises
+    SingularSystem unless D determines every attribution (lstsq's cut-off)."""
+    z = z.astype(float)
+    design = (z[:, :-1] - z[:, -1:]) * np.sqrt(weights)[:, None]
+    _, s, vt = np.linalg.svd(design, full_matrices=False)
+    full_rank = design.shape[1]
+    if len(s) < full_rank or np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps) < full_rank:
+        raise SingularSystem("degenerate coalition sample; increase the budget")
+    return design, (vt.T / s**2) @ vt
 
 
 def explanation_plan(background, groups, budget=None, seed: int = 0) -> ExplanationPlan:
@@ -245,31 +287,24 @@ def explanation_plan(background, groups, budget=None, seed: int = 0) -> Explanat
         budget = "exact" if d <= KERNEL_ENUM_LIMIT else KERNEL_SAMPLE_BUDGET
     background = np.asarray(background, dtype=float)
 
-    if budget == "exact":
-        if d > KERNEL_ENUM_LIMIT:
-            raise TooManyFeatures(
-                f"full coalition enumeration capped at {KERNEL_ENUM_LIMIT} features; pass a numeric budget"
-            )
-        z = _all_coalitions(d)[1:-1]
-        weights = np.array([_kernel_weight(d, size) for size in z.sum(axis=1).tolist()])
-    else:
-        z, weights = _sample_coalitions(d, int(budget), np.random.default_rng(seed))
-        background, bg_weights = summarize_background(background, seed=seed)
-
-    ends = np.array([np.zeros(d, dtype=bool), np.ones(d, dtype=bool)])
-    columns = _column_masks(groups, np.vstack([ends, z]), background.shape[1])
-    z = z.astype(float)
-    # eliminate the last feature via the efficiency constraint
-    sw = np.sqrt(weights)
-    design = (z[:, :-1] - z[:, -1:]) * sw[:, None]
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    if np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps) < d - 1:  # lstsq's rank cut-off
-        raise SingularSystem("degenerate coalition sample; increase the budget")
-    last = z[:, -1].copy()  # a view would keep all of z alive in the plan
-    if budget == "exact":
-        return ExplanationPlan(tuple(groups), background, None, columns, last, design, sw, None)
-    solve = (vt.T / s) @ (u.T * sw)
-    return ExplanationPlan(tuple(groups), background, bg_weights, columns, last, None, None, solve)
+    if budget != "exact":
+        centers, weights = summarize_background(background, seed=seed)
+        rng = np.random.default_rng(seed)
+        samples = [_sample_coalitions(d, 2 * pairs, rng) for pairs in _allocate(int(budget) // 2, weights)]
+        gram_inv = np.array([_weighted_design(z, w)[1] for z, w in samples])
+        bits, kernel = (np.concatenate(part) for part in zip(*samples))
+        bounds = np.cumsum([0] + [len(z) for z, _ in samples])
+        return StratifiedPlan(dict(groups), centers, weights, bits, kernel, bounds, gram_inv)
+    if d > KERNEL_ENUM_LIMIT:
+        raise TooManyFeatures(
+            f"full coalition enumeration capped at {KERNEL_ENUM_LIMIT} features; pass a numeric budget"
+        )
+    every = _all_coalitions(d)
+    z = every[1:-1]
+    weights = np.array([_kernel_weight(d, size) for size in z.sum(axis=1).tolist()])
+    design, _ = _weighted_design(z, weights)
+    columns = _column_masks(groups, every, background.shape[1])
+    return ExactPlan(tuple(groups), background, columns, z[:, -1].astype(float), design, np.sqrt(weights))
 
 
 def kernel_shap(model, x, background, groups, budget=None, seed: int = 0, plan=None) -> Attribution:
@@ -277,10 +312,12 @@ def kernel_shap(model, x, background, groups, budget=None, seed: int = 0, plan=N
     coalition constraints enforced exactly.
 
     `budget` is "exact" (enumerate every coalition over the full background)
-    or a count of distinct coalitions, chosen by `_sample_coalitions` and
-    evaluated over a KERNEL_BACKGROUND_K-centroid summary of the background.
-    By default coalitions are enumerated up to KERNEL_ENUM_LIMIT features and
-    KERNEL_SAMPLE_BUDGET are sampled above it.
+    or a count of forward rows. A numeric budget summarises the background to
+    at most KERNEL_BACKGROUND_K weighted centroids and splits the rows between
+    them by weight; each centroid draws its own distinct coalitions with
+    `_sample_coalitions` (see `StratifiedPlan`). By default coalitions are
+    enumerated up to KERNEL_ENUM_LIMIT features and KERNEL_SAMPLE_BUDGET rows
+    are sampled above it.
 
     `plan`, if given, is `explanation_plan(background, groups, budget, seed)`
     built earlier; a caller that explains many rows builds it once."""

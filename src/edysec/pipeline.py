@@ -18,6 +18,7 @@ from .errors import BadOption
 from .preprocess import Preprocessor, ProcessedMatrix
 
 ANOVA_K = 12  # features the ANOVA selector keeps (all of them if fewer)
+MODEL_PRESETS = {"mlp": nn.NetworkSpec.mlp, "nn": nn.NetworkSpec.nn}
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,18 @@ class PipelineOptions:
     stability_runs: int = 10
     explain_count: int = 20
 
-    def __post_init__(self):
+    def __post_init__(self):  # caught before any selection or training
         if self.explain_count < 0:
             raise BadOption(f"explain_count must be >= 0, got {self.explain_count}")
-        if self.stability_mode == "seeds" and self.stability_runs < 2:  # caught before any training
+        unknown = (set(self.selectors) - set(featsel.METHODS)) | (set(self.models) - set(MODEL_PRESETS))
+        if unknown:
+            raise BadOption(f"unknown selector or model preset: {', '.join(sorted(unknown))}")
+        if self.stability_mode not in ("seeds", "selectors", "off"):
+            raise BadOption(f"unknown stability mode {self.stability_mode!r}")
+        if self.stability_mode == "seeds" and self.stability_runs < 2:
             raise BadOption(f"stability needs at least two runs, got {self.stability_runs}")
+        if self.stability_mode == "selectors" and len(self.selectors) < 2:
+            raise BadOption(f"stability across selectors needs at least two of them, got {len(self.selectors)}")
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -77,17 +85,12 @@ class PipelineResult:
     histories: dict[str, nn.TrainHistory] = field(default_factory=dict)
 
 
-MODEL_PRESETS = {"mlp": nn.NetworkSpec.mlp, "nn": nn.NetworkSpec.nn}
-
-
 def train_network(
     name: str, options: PipelineOptions, seed: int, train_sel, val_sel, record_history: bool = True
 ):
     """Train one model preset on projected train/validation matrices under the
     options' epochs, batch size and learning rate; returns (params, history),
     the history empty without `record_history` (see `nn.train`)."""
-    if name not in MODEL_PRESETS:
-        raise ValueError(f"unknown model preset {name!r}")
     spec = MODEL_PRESETS[name](train_sel.X.shape[1])
     cfg = nn.TrainConfig(
         epochs=options.epochs,
@@ -125,12 +128,10 @@ def run_selectors(
             baseline = featsel.train_baseline(train_pm.X, train_pm.labels, options.baseline)
             importances = featsel.permutation_importance(baseline, val_pm, seed=options.seed)
             selected = featsel.select_importance(importances, manifest_order=names)
-        elif method in ("pso", "woa"):
+        else:
             runner = featsel.select_bpso if method == "pso" else featsel.select_bwoa
             mask = runner(fitness, len(names), options.swarm).mask
             selected = tuple(n for n, bit in zip(names, mask) if bit)
-        else:
-            raise ValueError(f"unknown selector {method!r}")
         p = fitness.validation_score(np.isin(names, selected))
         results.append(featsel.SelectorResult(
             method=method,
@@ -236,10 +237,8 @@ def _stability_table(options, train_pm, val_pm, test_pm, selected, selector_resu
         runs = [
             (f"seed_{r}", selected, options.seed + 1000 * (r + 1)) for r in range(options.stability_runs)
         ]
-    elif options.stability_mode == "selectors":
-        runs = [(res.method, res.selected, options.seed) for res in selector_results]
     else:
-        raise ValueError(f"unknown stability mode {options.stability_mode!r}")
+        runs = [(res.method, res.selected, options.seed) for res in selector_results]
     scores = tuple(
         tuple(_train_and_f1(name, options, seed, subset, train_pm, val_pm, test_pm) for _, subset, seed in runs)
         for name in options.models

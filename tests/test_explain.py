@@ -110,7 +110,7 @@ class TestKernelShap:
 
     @pytest.mark.parametrize("d, explicit", [(14, "exact"), (15, explain.KERNEL_SAMPLE_BUDGET)])
     def test_default_budget(self, d, explicit):
-        # exact enumeration up to KERNEL_ENUM_LIMIT features, KERNEL_SAMPLE_BUDGET sampled coalitions above
+        # exact enumeration up to KERNEL_ENUM_LIMIT features, KERNEL_SAMPLE_BUDGET sampled rows above
         rng = np.random.default_rng(d)
         w = rng.normal(size=d)
         model = lambda rows: np.tanh(rows @ w)
@@ -129,15 +129,16 @@ class TestKernelShap:
 
     def test_sampled_converges_to_exact(self):
         # a 10-row background passes through the summary, so the error is the sampler's alone;
-        # bounds are twice the worst relative L2 error seen over 6 models x 8 seeds
-        # (0.0235 at KERNEL_SAMPLE_BUDGET = 4096 coalitions, 0.0117 at 8192)
+        # bounds are twice the worst relative L2 error seen over 6 models x 8 seeds when the 10
+        # rows shared 4096 (0.0235) or 8192 (0.0117) coalitions; each row now draws that many of
+        # its own, so the budgets, in forward rows, are 10 times those counts
         d = 16
         rng = np.random.default_rng(0)
         W1, w2 = rng.normal(size=(d, 8)) / 2, rng.normal(size=8)
         model = lambda rows: np.tanh(rows @ W1) @ w2
         x, bg = rng.normal(size=d), rng.normal(size=(10, d))
         ref = exact_phi(model, x, bg)
-        for budget, bound in [(explain.KERNEL_SAMPLE_BUDGET, 0.047), (8192, 0.025)]:
+        for budget, bound in [(40_960, 0.047), (81_920, 0.025)]:
             for seed in range(3):
                 attr = explain.kernel_shap(model, x, bg, make_groups(d), budget=budget, seed=seed)
                 phi = np.array(list(attr.phi.values()))
@@ -148,9 +149,9 @@ class TestKernelShap:
         w = rng.normal(size=16)
         model = lambda rows: np.tanh(rows @ w)
         x, bg, groups = rng.normal(size=16), rng.normal(size=(50, 16)), make_groups(16)
-        first = explain.kernel_shap(model, x, bg, groups, budget=600, seed=9)
-        assert first == explain.kernel_shap(model, x, bg, groups, budget=600, seed=9)
-        assert first != explain.kernel_shap(model, x, bg, groups, budget=600, seed=10)
+        first = explain.kernel_shap(model, x, bg, groups, budget=6_000, seed=9)
+        assert first == explain.kernel_shap(model, x, bg, groups, budget=6_000, seed=9)
+        assert first != explain.kernel_shap(model, x, bg, groups, budget=6_000, seed=10)
 
     def test_needs_two_features(self, fixture):
         with pytest.raises(TooFewFeatures):
@@ -195,7 +196,7 @@ def tanh_case(d, width, rows, seed):
 class TestPlan:
     @pytest.mark.parametrize("d, width, rows", [(5, 8, 12), (17, 20, 100)])
     def test_reused_plan_matches_a_fresh_build(self, d, width, rows):
-        # exact path at d = 5, sampled path (summary, 4096 coalitions, fixed solve) at d = 17
+        # exact path at d = 5, sampled path (16 centroids, each with its own coalitions) at d = 17
         model, groups, xs, bg = tanh_case(d, width, rows, seed=d)
         plan = explain.explanation_plan(bg, groups, seed=3)
         for x in xs:
@@ -219,6 +220,49 @@ class TestPlan:
         _, groups, _, bg = tanh_case(17, 17, 20, seed=0)
         with pytest.raises(SingularSystem):
             explain.explanation_plan(bg, groups, budget=2)
+
+    def test_too_small_a_share_is_refused_when_built(self):
+        # 600 rows over the 16 centroids of a 50-row background leave some centroid
+        # fewer than the 15 coalitions its 16 attributions need
+        _, groups, _, bg = tanh_case(16, 16, 50, seed=0)
+        with pytest.raises(SingularSystem):
+            explain.explanation_plan(bg, groups, budget=600)
+
+    def test_shares_follow_the_weights_and_sum_to_the_budget(self):
+        _, groups, _, bg = tanh_case(17, 20, 100, seed=1)
+        plan = explain.explanation_plan(bg, groups)
+        shares = np.diff(plan.bounds)
+        assert len(plan.centers) == explain.KERNEL_BACKGROUND_K
+        assert shares.sum() == len(plan.bits) == explain.KERNEL_SAMPLE_BUDGET
+        assert np.all(shares % 2 == 0)  # complement pairs
+        assert np.abs(shares - plan.weights * explain.KERNEL_SAMPLE_BUDGET).max() <= 2
+
+    def test_one_row_background_covering_every_coalition_is_exact(self):
+        # one centroid whose share holds all 2^d - 2 proper coalitions enumerates them
+        d = 6
+        model, groups, xs, bg = tanh_case(d, 9, 1, seed=6)
+        exact = explain.exact_shapley(model, xs[0], bg, groups)
+        sampled = explain.kernel_shap(model, xs[0], bg, groups, budget=(1 << d) - 2)
+        assert sampled.phi == pytest.approx(exact.phi, abs=1e-12)
+        assert (sampled.base, sampled.fx) == pytest.approx((exact.base, exact.fx), abs=1e-12)
+
+    def test_base_is_the_weighted_centroid_value(self):
+        model, groups, xs, bg = tanh_case(17, 20, 100, seed=2)
+        plan = explain.explanation_plan(bg, groups)
+        for x in xs:
+            attr = explain.kernel_shap(model, x, bg, groups, plan=plan)
+            assert attr.base == pytest.approx(plan.weights @ model(plan.centers), abs=1e-12)
+            assert attr.fx == pytest.approx(model(x[None, :])[0], abs=1e-12)
+            assert abs(attr.residual) <= 1e-9
+
+    def test_plan_stays_small(self):
+        # the served shape (17 features, 92 columns): 20,480 x 17 coalition bits (348 kB),
+        # one kernel weight per row (164 kB), 16 inverse Gram matrices of 16 x 16 (33 kB),
+        # 16 centroids of 92 columns (12 kB) and the groups' column indices: about 557 kB
+        _, groups, _, bg = tanh_case(17, 92, 100, seed=3)
+        plan = explain.explanation_plan(bg, groups)
+        arrays = [plan.centers, plan.weights, plan.bits, plan.kernel, plan.bounds, plan.gram_inv]
+        assert sum(a.nbytes for a in [*arrays, *plan.groups.values()]) <= 560_000
 
 
 class TestLime:

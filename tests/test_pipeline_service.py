@@ -18,6 +18,7 @@ from edysec import cli, explain, featsel, pipeline, service
 from edysec import neuralnet as nn
 from edysec.dataset import TraceDataset, generate_synthetic, load_dataset, save_dataset
 from edysec.errors import (
+    BadOption,
     CorruptArtifact,
     EdysecError,
     MissingFeature,
@@ -452,6 +453,28 @@ class TestCli:
         assert cli.main([part for a in argv for part in placeholders.get(a, [a])]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_one_selector_stability_is_refused_before_selection(self, trained, tmp_path, capsys, monkeypatch):
+        # stability across selectors needs at least two of them; that is known from the options
+        out, _ = trained
+        selections = []
+        monkeypatch.setattr(pipeline, "run_selectors", lambda *a, **k: selections.append(a))
+        capsys.readouterr()
+        assert cli.main([
+            "pipeline", "--data", str(out / "data.csv"), "--manifest", str(out / "manifest.json"),
+            "--methods", "anova", "--mode", "selectors", "--out", str(tmp_path / "out"),
+            "--artifact", str(tmp_path / "model.json"),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert selections == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("change", [
+        {"stability_mode": "bootstrap"}, {"selectors": ("anova", "lasso")}, {"models": ("mlp", "cnn")},
+        {"stability_mode": "selectors", "selectors": ("anova",)}, {"stability_runs": 1},
+    ])
+    def test_options_refuse_what_cannot_run(self, change):
+        with pytest.raises(BadOption):
+            pipeline.PipelineOptions(**change)
 
     def test_one_feature_artifact_cannot_be_explained(self, trained, tmp_path, capsys):
         out, _ = trained

@@ -13,10 +13,16 @@ import pytest
 from edysec import explain
 
 ORACLE = Path(__file__).resolve().parent / "make_shapley_oracle.py"
-# Mean relative L2 error over the three records. 33 centroids x 2048
-# coalitions erred 0.109 at seed 0; 10 x 4096 errs 0.068.
+# Mean relative L2 error over the three records. At seed 0, 33 centroids x
+# 2048 shared coalitions erred 0.109, 10 x 4096 shared coalitions 0.068, and
+# 16 centroids with their own samples over 20,480 rows err 0.054.
 MAX_MEAN_ERROR = 0.090
 MIN_TOP5_OVERLAP = 4
+# The median of that error over seeds 0-4: 0.0769 when the 10 centroids share
+# 4096 coalitions, 0.0607 when 16 centroids each draw their own (measured with
+# tests/explain_frontier.py). The bound sits halfway, so a shared sample fails it.
+MAX_MEDIAN_ERROR = 0.069
+MEDIAN_SEEDS = range(5)
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +44,20 @@ def test_kernel_shap_against_exact_shapley(oracle, tmp_path):
     stale = "fixture stale: regenerate it with tests/make_shapley_oracle.py"
     assert fixture["features"] == list(groups), stale
     base = float(model.predict_proba(background).mean())
-    errors = []
     for record in fixture["records"]:
-        x = rows[record["package"]]
-        fx = float(model.predict_proba(x[None, :])[0])
+        fx = float(model.predict_proba(rows[record["package"]][None, :])[0])
         assert abs(base - record["base"]) <= 1e-9 and abs(fx - record["fx"]) <= 1e-9, stale
 
-        attr = explain.kernel_shap(model.predict_proba, x, background, groups)
-        phi, exact = np.array([attr.phi[f] for f in fixture["features"]]), np.array(record["phi"])
-        errors.append(float(np.linalg.norm(phi - exact) / np.linalg.norm(exact)))
-        assert len(top5(phi) & top5(exact)) >= MIN_TOP5_OVERLAP, record["package"]
-    assert np.mean(errors) <= MAX_MEAN_ERROR, errors
+    mean_errors = []
+    for seed in MEDIAN_SEEDS:
+        errors = []
+        for record in fixture["records"]:
+            attr = explain.kernel_shap(model.predict_proba, rows[record["package"]], background, groups, seed=seed)
+            phi, exact = np.array([attr.phi[f] for f in fixture["features"]]), np.array(record["phi"])
+            errors.append(float(np.linalg.norm(phi - exact) / np.linalg.norm(exact)))
+            if seed == 0:  # the seed every served explanation uses
+                assert len(top5(phi) & top5(exact)) >= MIN_TOP5_OVERLAP, record["package"]
+        if seed == 0:
+            assert np.mean(errors) <= MAX_MEAN_ERROR, errors
+        mean_errors.append(float(np.mean(errors)))
+    assert np.median(mean_errors) <= MAX_MEDIAN_ERROR, mean_errors
