@@ -20,6 +20,7 @@ from .errors import (
     CorruptArtifact,
     MissingFeature,
     NoBackground,
+    NonFiniteInput,
     NonFiniteScore,
     UnreadableArtifact,
     VersionMismatch,
@@ -29,6 +30,7 @@ from .preprocess import Preprocessor, ProcessedMatrix
 ARTIFACT_VERSION = 1
 
 VERDICT_TOP_K = 5  # attributions an explained verdict carries, largest |phi| first
+SERVED_DTYPE = np.float32  # an artifact stores float64 weights and scores in float32
 
 
 def _encode(arr: np.ndarray) -> dict:
@@ -54,6 +56,7 @@ class ModelArtifact:
     threshold: float = 0.5
     fingerprint: dict = field(default_factory=dict)  # seed, train config, dataset hash
     background: np.ndarray | None = None  # projected training rows for explanations
+    _served: nn.NetworkParams | None = field(default=None, init=False, repr=False, compare=False)
     _plan: explain.ExplanationPlan | None = field(default=None, init=False, repr=False, compare=False)
     _plan_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
@@ -63,15 +66,26 @@ class ModelArtifact:
         # callers pass it and older artifacts stored it, is pruned here.
         order = self.manifest.feature_names()
         self.preprocessor = self.preprocessor.select(sorted(self.selected, key=order.index))
+        with np.errstate(over="ignore"):
+            self._served = nn.NetworkParams(self.params.spec, self.params.flat.astype(SERVED_DTYPE))
+        if not np.isfinite(self._served.flat).all():
+            raise CorruptArtifact("a network weight is not finite in float32")
 
     def project(self, ds: TraceDataset) -> ProcessedMatrix:
         """The network's input matrix for raw records."""
         return self.preprocessor.transform(ds)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Malicious-class probabilities for rows of the input matrix; a
-        non-finite score is rejected, never thresholded."""
-        probs = nn.predict_proba(self.params, X)
+        """Malicious-class probabilities for rows of the input matrix, scored
+        in SERVED_DTYPE and returned as float64. A row that is not finite in
+        SERVED_DTYPE is refused before the forward pass, and a non-finite
+        score is rejected, never thresholded."""
+        with np.errstate(over="ignore"):
+            X = np.asarray(X, dtype=SERVED_DTYPE)
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise NonFiniteInput(f"input row {int(np.argmin(finite))} is not finite in float32")
+        probs = nn.predict_proba(self._served, X).astype(float)
         if not np.isfinite(probs).all():
             raise NonFiniteScore("the network produced a non-finite probability")
         return probs

@@ -209,7 +209,7 @@ def save_dataset(ds: TraceDataset, csv_path) -> None:
             writer.writerow(row)
 
 
-def _allocate(n: int, ratios) -> list[int]:
+def allocate(n: int, ratios) -> list[int]:
     """Largest-remainder allocation of n items over the ratios."""
     exact = [n * r for r in ratios]
     counts = [int(math.floor(e)) for e in exact]
@@ -244,7 +244,7 @@ def split_dataset(
     for group in groups:
         perm = rng.permutation(len(group))
         shuffled = [group[i] for i in perm]
-        counts = _allocate(len(group), ratios)
+        counts = allocate(len(group), ratios)
         start = 0
         for part, count in zip(parts, counts):
             part.extend(shuffled[start : start + count])
@@ -295,7 +295,7 @@ def generate_synthetic(
 
     # noise column kinds by largest-remainder over the requested fractions
     kind_order = [k for k in KINDS if k in kinds]
-    noise_counts = _allocate(d_noise, [kinds[k] for k in kind_order]) if d_noise else []
+    noise_counts = allocate(d_noise, [kinds[k] for k in kind_order]) if d_noise else []
     noise_kinds: list[str] = []
     for k, count in zip(kind_order, noise_counts):
         noise_kinds.extend([k] * count)

@@ -160,5 +160,9 @@ class NoBackground(EdysecError):
     pass
 
 
+class NonFiniteInput(EdysecError):
+    pass
+
+
 class NonFiniteScore(EdysecError):
     pass

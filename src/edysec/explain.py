@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _allocate
+from .dataset import allocate
 from .errors import FeatureMismatch, SingularSystem, TooFewFeatures, TooManyFeatures
 from .preprocess import ProcessedMatrix
 
@@ -290,7 +290,7 @@ def explanation_plan(background, groups, budget=None, seed: int = 0) -> Explanat
     if budget != "exact":
         centers, weights = summarize_background(background, seed=seed)
         rng = np.random.default_rng(seed)
-        samples = [_sample_coalitions(d, 2 * pairs, rng) for pairs in _allocate(int(budget) // 2, weights)]
+        samples = [_sample_coalitions(d, 2 * pairs, rng) for pairs in allocate(int(budget) // 2, weights)]
         gram_inv = np.array([_weighted_design(z, w)[1] for z, w in samples])
         bits, kernel = (np.concatenate(part) for part in zip(*samples))
         bounds = np.cumsum([0] + [len(z) for z, _ in samples])

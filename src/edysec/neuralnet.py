@@ -133,11 +133,12 @@ def _sigmoid(z):
 
 
 def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng=None) -> tuple[np.ndarray, dict]:
-    """Probabilities for a batch plus the cache backward() needs."""
+    """Probabilities for a batch plus the cache backward() needs, computed in
+    the dtype of `params.flat` (the input is cast to it)."""
     if X.shape[1] != params.spec.input_width:
         raise WidthMismatch(f"expected width {params.spec.input_width}, got {X.shape[1]}")
     inputs, pres, masks = [], [], []
-    a = X
+    a = np.asarray(X, dtype=params.flat.dtype)
     for i, layer in enumerate(params.spec.hidden):
         inputs.append(a)
         z = a @ params.weights[i] + params.biases[i]
@@ -145,7 +146,7 @@ def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng
         mask = None
         if train and layer.dropout > 0.0:
             keep = 1.0 - layer.dropout
-            mask = (rng.random(h.shape) < keep) / keep
+            mask = (rng.random(h.shape) < keep) / params.flat.dtype.type(keep)
             h = h * mask
         pres.append(z)
         masks.append(mask)
@@ -164,12 +165,13 @@ def batch_bce(probs: np.ndarray, y: np.ndarray) -> float:
 
 def backward(params: NetworkParams, cache: dict, y: np.ndarray) -> NetworkParams:
     """Gradients of mean batch BCE, honoring the dropout masks used in forward,
-    as a NetworkParams of the same spec."""
+    as a NetworkParams of the same spec and dtype."""
     for key in ("inputs", "pres", "masks", "probs"):
         if key not in cache:
             raise StateMissing(f"forward cache missing {key!r}")
-    grads = NetworkParams(params.spec, np.empty(params.flat.size))  # every view is written below
+    grads = NetworkParams(params.spec, np.empty_like(params.flat))  # every view is written below
 
+    y = np.asarray(y, dtype=params.flat.dtype)
     delta = ((cache["probs"] - y) / len(y))[:, None]  # dL/dlogits
     np.matmul(cache["inputs"][-1].T, delta, out=grads.weights[-1])
     delta.sum(axis=0, out=grads.biases[-1])
@@ -210,8 +212,8 @@ def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState, t: 
     b1, b2, lr = ADAM_BETA1, ADAM_BETA2, cfg.learning_rate
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    buf_t = np.empty(ADAM_CHUNK)
-    buf_u = np.empty(ADAM_CHUNK)
+    buf_t = np.empty(ADAM_CHUNK, dtype=params.flat.dtype)
+    buf_u = np.empty_like(buf_t)
     for lo in range(0, params.flat.size, ADAM_CHUNK):
         w, g, m, v = (a[lo : lo + ADAM_CHUNK] for a in (params.flat, grads.flat, state.m, state.v))
         tmp, den = buf_t[: w.size], buf_u[: w.size]
@@ -289,8 +291,9 @@ def train(
 
 
 def predict_proba(params: NetworkParams, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
+    """Probabilities in the dtype of `params.flat`."""
+    X = np.asarray(X, dtype=params.flat.dtype)
     if X.shape[0] == 0:
-        return np.zeros(0)
+        return np.zeros(0, dtype=params.flat.dtype)
     probs, _ = forward_batch(params, X)
     return probs

@@ -106,7 +106,7 @@ def transform_text(vec: TextVectorizer, cell: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProcessedMatrix:
-    X: np.ndarray  # n x d_tilde, float64
+    X: np.ndarray  # n x d_tilde, float64; an artifact scores it in float32
     layout: tuple[tuple[str, str, int], ...]  # (source feature, "numeric" | "text", width), in column order
     labels: np.ndarray
     ids: tuple[str, ...] = ()

@@ -8,7 +8,7 @@ from edysec.dataset import (
     FeatureColumn,
     FeatureManifest,
     TraceDataset,
-    _allocate,
+    allocate,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -101,8 +101,8 @@ class TestManifest:
 
 class TestSplit:
     def test_allocate_largest_remainder(self):
-        assert _allocate(10, (0.7, 0.15, 0.15)) == [7, 2, 1]
-        assert _allocate(14271, (0.7, 0.15, 0.15)) == [9990, 2141, 2140]
+        assert allocate(10, (0.7, 0.15, 0.15)) == [7, 2, 1]
+        assert allocate(14271, (0.7, 0.15, 0.15)) == [9990, 2141, 2140]
 
     def test_partition_and_stratification(self):
         ds = generate_synthetic(200, 2, 2, seed=5)

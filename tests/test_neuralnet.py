@@ -227,6 +227,62 @@ class TestAdam:
             assert all(np.array_equal(a, b) for a, b in zip(flat, per_layer))
 
 
+
+def as_dtype(params, dtype):
+    return nn.NetworkParams(params.spec, params.flat.astype(dtype))
+
+
+class TestDtype:
+    """The network code computes in the dtype of `params.flat`."""
+
+    SPEC = nn.NetworkSpec(12, (nn.LayerSpec(32, 0.2), nn.LayerSpec(16, 0.1)))
+
+    def step(self, dtype):
+        """One seeded training step from the same initial weights."""
+        X, _ = toy_data(d=12)
+        y = (X[:, 0] + X[:, 1] > 0).astype(int)
+        params = as_dtype(nn.init_network(self.SPEC, seed=3), dtype)
+        state = nn.AdamState.zeros_like(params)
+        probs, cache = nn.forward_batch(params, X, train=True, rng=np.random.default_rng(1))
+        grads = nn.backward(params, cache, y)
+        nn.adam_step(params, grads, state, 1, nn.TrainConfig())
+        return probs, cache, grads, params, state
+
+    def test_float32_stays_float32(self):
+        probs, cache, grads, params, state = self.step(np.float32)
+        arrays = [probs, grads.flat, params.flat, state.m, state.v, *cache["inputs"], *cache["pres"], *cache["masks"]]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        assert all(m is not None for m in cache["masks"])
+        X, _ = toy_data(d=12)
+        assert nn.predict_proba(params, X).dtype == np.float32
+        assert nn.predict_proba(params, X[:0]).dtype == np.float32
+
+    def test_float32_step_agrees_with_float64(self):
+        # the same dropout draws in both; float32 rounding moves every value by less than 1e-6
+        ref, low = self.step(np.float64), self.step(np.float32)
+        for a, b in zip(ref[1]["masks"], low[1]["masks"]):
+            assert np.array_equal(a > 0, b > 0)
+        for a, b in ((ref[0], low[0]), (ref[2].flat, low[2].flat), (ref[3].flat, low[3].flat),
+                     (ref[4].m, low[4].m), (ref[4].v, low[4].v)):
+            assert np.abs(a - b).max() < 1e-6
+
+    def test_float32_adam_matches_float32_reference(self):
+        # float64 work buffers would round some of these 517,001 updates differently
+        spec = nn.NetworkSpec.mlp(30)
+        params = as_dtype(nn.init_network(spec, seed=4), np.float32)
+        ref, ref_state = params.copy(), LayerAdamState.zeros_like(params)
+        state = nn.AdamState.zeros_like(params)
+        rng = np.random.default_rng(5)
+        for t in range(1, 11):
+            grads = nn.NetworkParams(spec, rng.normal(size=params.flat.size).astype(np.float32))
+            ref, ref_state = functional_adam_step(ref, (grads.weights, grads.biases), ref_state, t, REF_CFG)
+            nn.adam_step(params, grads, state, t, nn.TrainConfig())
+        assert params.flat.dtype == state.m.dtype == state.v.dtype == np.float32
+        assert np.array_equal(params.flat, ref.flat)
+        m = nn.NetworkParams(spec, state.m)
+        assert all(np.array_equal(a, b) for a, b in zip(m.weights, ref_state.m_w))
+
+
 class TestTrain:
     def test_learns_separable_data(self):
         X, y = toy_data(n=200)

@@ -1,3 +1,4 @@
+import base64
 import csv
 import dataclasses
 import hashlib
@@ -23,6 +24,7 @@ from edysec.errors import (
     EdysecError,
     MissingFeature,
     NoBackground,
+    NonFiniteInput,
     NonFiniteScore,
     VersionMismatch,
 )
@@ -87,6 +89,16 @@ class TestPipeline:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def save_with_weight(artifact, value, path):
+    """Save `artifact` with its first weight set to `value`, under a valid checksum."""
+    payload = artifact.to_dict()
+    first = art._decode(payload["network"]["weights"][0]).copy()
+    first.flat[0] = value
+    payload["network"]["weights"][0] = art._encode(first)
+    text = json.dumps(payload)
+    path.write_text(json.dumps({"checksum": hashlib.sha256(text.encode()).hexdigest(), "payload": text}))
+
+
 class TestArtifact:
     def test_roundtrip_predictions(self, run, tmp_path):
         ds, res = run
@@ -146,6 +158,34 @@ class TestArtifact:
         capsys.readouterr()
         assert cli.main(["predict", "--artifact", str(path), "--in", str(rec)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_scores_in_float32_close_to_float64(self, run):
+        ds, res = run
+        X = res.artifact.project(ds).X
+        served = res.artifact.predict_proba(X)
+        reference = nn.predict_proba(res.artifact.params, X)
+        assert served.dtype == np.float64 and np.array_equal(served, served.astype(np.float32))
+        assert np.abs(served - reference).max() <= 1e-6
+        threshold = res.artifact.threshold
+        assert np.array_equal(served >= threshold, reference >= threshold)
+
+    def test_stores_float64_weights(self, run):
+        _, res = run
+        network = res.artifact.to_dict()["network"]
+        layers = [layer for pair in zip(network["weights"], network["biases"]) for layer in pair]
+        stored = b"".join(base64.b64decode(layer["data"]) for layer in layers)
+        assert stored == res.artifact.params.flat.astype("<f8").tobytes()
+
+    def test_weight_beyond_float32_is_corrupt(self, run, tmp_path):
+        _, res = run
+        path = tmp_path / "m.json"
+        save_with_weight(res.artifact, 1e39, path)
+        with pytest.raises(CorruptArtifact):
+            art.load_artifact(path)
+        params = res.artifact.params.copy()
+        params.flat[0] = 1e39  # finite in float64
+        with pytest.raises(CorruptArtifact):
+            dataclasses.replace(res.artifact, params=params)
 
     def test_version_guard(self, run, tmp_path):
         _, res = run
@@ -522,6 +562,24 @@ class TestCli:
         assert cli.main(argv) == 2
         assert "cannot read artifact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["predict", "--in", "rec.json"],
+        ["evaluate", "--data", "data.csv"],
+        ["explain", "--data", "data.csv"],
+        ["serve", "--bind", "127.0.0.1:0"],
+    ])
+    def test_weight_beyond_float32_exits_2(self, trained, tmp_path, capsys, command):
+        out, model = trained
+        rec, path = tmp_path / "rec.json", tmp_path / "m.json"
+        loaded = art.load_artifact(model)
+        save_with_weight(loaded, -1e39, path)
+        rows = load_dataset(out / "data.csv", loaded.manifest).rows
+        rec.write_text(json.dumps({"features": dict(rows[0])}))
+        paths = {"rec.json": str(rec), "data.csv": str(out / "data.csv")}
+        capsys.readouterr()
+        assert cli.main([paths.get(a, a) for a in command] + ["--artifact", str(path)]) == 2
+        assert "not finite in float32" in capsys.readouterr().err
+
 
 NUMERIC, TEXT = "inf_0", "noise_1"
 
@@ -603,6 +661,23 @@ class TestHostileInput:
         rec.write_text(json.dumps({"features": with_cell(ds, NUMERIC, "nan")}))
         assert cli.main(["predict", "--artifact", str(path), "--in", str(rec)]) == 2
         assert NUMERIC in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, 1e300, "-1e300"])
+    def test_cell_beyond_float32(self, mixed, ports, tmp_path, capsys, value):
+        # finite as parsed and as processed in float64, infinite once cast to float32
+        ds, artifact = mixed
+        assert NUMERIC in artifact.selected
+        record = with_cell(ds, NUMERIC, value)
+        with pytest.raises(NonFiniteInput):
+            art.predict_package(artifact, record)
+        status, body = http(ports[0], "/v1/analyze", {"features": record})
+        assert status == 422 and "not finite in float32" in body["error"] and "verdict" not in body
+        path, rec = tmp_path / "m.json", tmp_path / "rec.json"
+        art.save_artifact(artifact, path)
+        rec.write_text(json.dumps({"features": record}))
+        capsys.readouterr()
+        assert cli.main(["predict", "--artifact", str(path), "--in", str(rec)]) == 2
+        assert "not finite in float32" in capsys.readouterr().err
 
     def test_numeric_string_scores_as_number(self, mixed):
         ds, artifact = mixed
