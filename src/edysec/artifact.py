@@ -20,7 +20,6 @@ from .errors import (
     CorruptArtifact,
     MissingFeature,
     NoBackground,
-    NonFiniteInput,
     NonFiniteScore,
     UnreadableArtifact,
     VersionMismatch,
@@ -30,7 +29,6 @@ from .preprocess import Preprocessor, ProcessedMatrix
 ARTIFACT_VERSION = 1
 
 VERDICT_TOP_K = 5  # attributions an explained verdict carries, largest |phi| first
-SERVED_DTYPE = np.float32  # an artifact stores float64 weights and scores in float32
 
 
 def _encode(arr: np.ndarray) -> dict:
@@ -56,7 +54,6 @@ class ModelArtifact:
     threshold: float = 0.5
     fingerprint: dict = field(default_factory=dict)  # seed, train config, dataset hash
     background: np.ndarray | None = None  # projected training rows for explanations
-    _served: nn.NetworkParams | None = field(default=None, init=False, repr=False, compare=False)
     _plan: explain.ExplanationPlan | None = field(default=None, init=False, repr=False, compare=False)
     _plan_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
@@ -66,10 +63,12 @@ class ModelArtifact:
         # callers pass it and older artifacts stored it, is pruned here.
         order = self.manifest.feature_names()
         self.preprocessor = self.preprocessor.select(sorted(self.selected, key=order.index))
+        # The network scores in NETWORK_DTYPE: trained weights are in it
+        # already, and weights loaded as float64 are cast once, here.
         with np.errstate(over="ignore"):
-            self._served = nn.NetworkParams(self.params.spec, self.params.flat.astype(SERVED_DTYPE))
-        if not np.isfinite(self._served.flat).all():
-            raise CorruptArtifact("a network weight is not finite in float32")
+            self.params = nn.NetworkParams(self.params.spec, self.params.flat.astype(nn.NETWORK_DTYPE, copy=False))
+        if not np.isfinite(self.params.flat).all():
+            raise CorruptArtifact(f"a network weight is not finite in {self.params.flat.dtype}")
 
     def project(self, ds: TraceDataset) -> ProcessedMatrix:
         """The network's input matrix for raw records."""
@@ -77,15 +76,10 @@ class ModelArtifact:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Malicious-class probabilities for rows of the input matrix, scored
-        in SERVED_DTYPE and returned as float64. A row that is not finite in
-        SERVED_DTYPE is refused before the forward pass, and a non-finite
-        score is rejected, never thresholded."""
-        with np.errstate(over="ignore"):
-            X = np.asarray(X, dtype=SERVED_DTYPE)
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise NonFiniteInput(f"input row {int(np.argmin(finite))} is not finite in float32")
-        probs = nn.predict_proba(self._served, X).astype(float)
+        in nn.NETWORK_DTYPE and returned as float64. A row that is not finite
+        there is refused before the forward pass (NonFiniteInput), and a
+        non-finite score is rejected, never thresholded."""
+        probs = nn.predict_proba(self.params, X).astype(float)
         if not np.isfinite(probs).all():
             raise NonFiniteScore("the network produced a non-finite probability")
         return probs

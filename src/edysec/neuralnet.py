@@ -7,13 +7,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadOption, ShapeMismatch, StateMissing, WidthMismatch
+from .errors import BadOption, NonFiniteInput, ShapeMismatch, StateMissing, WidthMismatch
 
 BCE_CLAMP = 1e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_CHUNK = 1 << 15  # elements; four arrays and two work buffers fit a 2 MiB L2
+ADAM_CHUNK_BYTES = 256 << 10  # per array: four walked arrays, two work buffers and a mask fit a 2 MiB L2
+# Trained and served networks compute in float32. Weights are drawn, and stored
+# in artifacts, as float64; a float32 value survives that storage exactly.
+NETWORK_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,12 @@ def backward(params: NetworkParams, cache: dict, y: np.ndarray) -> NetworkParams
     grads = NetworkParams(params.spec, np.empty_like(params.flat))  # every view is written below
 
     y = np.asarray(y, dtype=params.flat.dtype)
-    delta = ((cache["probs"] - y) / len(y))[:, None]  # dL/dlogits
+    diff = cache["probs"] - y
+    # A row predicted within BCE_CLAMP of its label adds no gradient: batch_bce
+    # is flat there, and its p - y (as small as a subnormal p) would carry
+    # subnormals through every matmul below.
+    diff[np.abs(diff) < BCE_CLAMP] = 0.0
+    delta = (diff / len(y))[:, None]  # dL/dlogits
     np.matmul(cache["inputs"][-1].T, delta, out=grads.weights[-1])
     delta.sum(axis=0, out=grads.biases[-1])
     da = delta @ params.weights[-1].T
@@ -202,28 +210,46 @@ class AdamState:
 def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState, t: int, cfg: TrainConfig) -> None:
     """One Adam update of `params` and `state`, in place.
 
-    The flat buffers are walked in chunks of ADAM_CHUNK elements so that a
-    chunk's elementwise passes stay in cache. The operation order is fixed, so
-    the weights are the same bits as the textbook expression
-    w -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
+    The flat buffers are walked in chunks of ADAM_CHUNK_BYTES per array, so
+    that a chunk's elementwise passes stay in cache. The operation order is
+    fixed, so the weights are the same bits as the textbook expression
+    w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with one exception: a
+    moment below its floor is set to zero after its update.
+
+    Without the floors, a weight whose gradient stays zero (a dead ReLU unit)
+    keeps its `m` subnormal for good, since k·0.9 rounds back to k ulps for
+    small k, and every pass over a subnormal pays a microcode assist. The
+    floors keep `m`, `v`, their decays and `m / bc1 · lr` normal. A flushed
+    `m` would have moved its weight by less than lr·|m|/(bc1·eps): at the
+    default learning rate and late in training, about 1e-30 in float32.
     """
     if grads.spec.layer_widths() != params.spec.layer_widths():
         raise ShapeMismatch("gradient shapes do not match parameters")
     b1, b2, lr = ADAM_BETA1, ADAM_BETA2, cfg.learning_rate
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    buf_t = np.empty(ADAM_CHUNK, dtype=params.flat.dtype)
+    tiny = float(np.finfo(params.flat.dtype).tiny)
+    m_floor = tiny / (b1 * min(lr, 1.0))
+    v_floor = tiny / b2
+    chunk = ADAM_CHUNK_BYTES // params.flat.itemsize
+    buf_t = np.empty(chunk, dtype=params.flat.dtype)
     buf_u = np.empty_like(buf_t)
-    for lo in range(0, params.flat.size, ADAM_CHUNK):
-        w, g, m, v = (a[lo : lo + ADAM_CHUNK] for a in (params.flat, grads.flat, state.m, state.v))
-        tmp, den = buf_t[: w.size], buf_u[: w.size]
+    buf_k = np.empty(chunk, dtype=bool)
+    for lo in range(0, params.flat.size, chunk):
+        w, g, m, v = (a[lo : lo + chunk] for a in (params.flat, grads.flat, state.m, state.v))
+        tmp, den, keep = buf_t[: w.size], buf_u[: w.size], buf_k[: w.size]
         m *= b1
         np.multiply(g, 1.0 - b1, out=tmp)
         m += tmp
+        np.abs(m, out=tmp)
+        np.greater_equal(tmp, m_floor, out=keep)
+        m *= keep  # branch-free: a masked store mispredicts on mixed masks
         v *= b2
         np.multiply(g, 1.0 - b2, out=tmp)
         tmp *= g
         v += tmp
+        np.greater_equal(v, v_floor, out=keep)
+        v *= keep
         np.divide(m, bc1, out=tmp)
         tmp *= lr
         np.divide(v, bc2, out=den)
@@ -251,7 +277,8 @@ def train(
     val_y: np.ndarray | None = None,
     record_history: bool = True,
 ) -> tuple[NetworkParams, TrainHistory]:
-    """Seeded mini-batch Adam training; fully deterministic for a fixed config.
+    """Seeded mini-batch Adam training in NETWORK_DTYPE; fully deterministic
+    for a fixed config.
 
     Each epoch's loss and accuracy on the training and validation rows go into
     the history. A caller that discards it passes `record_history=False`:
@@ -264,11 +291,12 @@ def train(
         raise WidthMismatch("training matrix width does not match spec")
     if val_X is None:
         val_X, val_y = train_X[:0], train_y[:0]
-    train_y = np.asarray(train_y, dtype=float)
     val_y = np.asarray(val_y, dtype=float)
 
     started = time.perf_counter()
-    params = init_network(spec, cfg.seed)
+    train_X = _network_input(train_X, NETWORK_DTYPE)
+    train_y = np.asarray(train_y, dtype=NETWORK_DTYPE)
+    params = NetworkParams(spec, init_network(spec, cfg.seed).flat.astype(NETWORK_DTYPE))
     state = AdamState.zeros_like(params)
     history = TrainHistory()
     t = 0
@@ -290,9 +318,22 @@ def train(
     return params, history
 
 
+def _network_input(X: np.ndarray, dtype) -> np.ndarray:
+    """`X` in a network's dtype. A row that is not finite there, as a value
+    finite in float64 but beyond the float32 range, is refused: the forward
+    pass would turn it into a NaN probability."""
+    with np.errstate(over="ignore"):
+        X = np.asarray(X, dtype=dtype)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise NonFiniteInput(f"input row {int(np.argmin(finite))} is not finite in {X.dtype}")
+    return X
+
+
 def predict_proba(params: NetworkParams, X: np.ndarray) -> np.ndarray:
-    """Probabilities in the dtype of `params.flat`."""
-    X = np.asarray(X, dtype=params.flat.dtype)
+    """Probabilities in the dtype of `params.flat`; a row that is not finite
+    in that dtype raises NonFiniteInput."""
+    X = _network_input(X, params.flat.dtype)
     if X.shape[0] == 0:
         return np.zeros(0, dtype=params.flat.dtype)
     probs, _ = forward_batch(params, X)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from edysec import neuralnet as nn
-from edysec.errors import ShapeMismatch, StateMissing, WidthMismatch
+from edysec.errors import NonFiniteInput, ShapeMismatch, StateMissing, WidthMismatch
 
 
 @dataclass
@@ -28,7 +28,8 @@ REF_CFG = SimpleNamespace(beta1=nn.ADAM_BETA1, beta2=nn.ADAM_BETA2, eps=nn.ADAM_
 
 
 def functional_adam_step(params, grads, state, t, cfg):
-    """The copying Adam update that `nn.adam_step` replaced; the in-place one must match it bit for bit."""
+    """The copying Adam update that `nn.adam_step` replaced; the in-place one
+    must match it bit for bit while no moment falls below its floor."""
     grads_w, grads_b = grads
     if len(grads_w) != len(params.weights) or any(
         g.shape != w.shape for g, w in zip(grads_w, params.weights)
@@ -57,6 +58,10 @@ def functional_adam_step(params, grads, state, t, cfg):
 def scalar_bce(p: float, y: int) -> float:
     p = min(max(p, nn.BCE_CLAMP), 1.0 - nn.BCE_CLAMP)
     return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)))
+
+
+def as_dtype(params, dtype):
+    return nn.NetworkParams(params.spec, params.flat.astype(dtype))
 
 
 def toy_data(n=64, d=4, seed=0):
@@ -181,6 +186,23 @@ class TestBackward:
         after = nn.batch_bce(nn.predict_proba(params, X), y)
         assert after < before
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_within_the_clamp_add_no_gradient(self, dtype):
+        X, y = toy_data(n=8)
+        spec = nn.NetworkSpec(4, (nn.LayerSpec(16),))
+        params = as_dtype(nn.init_network(spec, seed=0), dtype)
+        _, cache = nn.forward_batch(params, X)
+        # rows 0-3 within BCE_CLAMP of their label (a subnormal p among them), row 4 just outside
+        y[:5] = [0, 0, 1, 1, 0]
+        cache["probs"][:5] = np.array([1e-40, 5e-8, 1 - 6e-8, 1.0, 3e-7], dtype=dtype)
+        grads = nn.backward(params, cache, y)
+        cache["probs"][:4] = y[:4]
+        exact = nn.backward(params, cache, y)
+        assert np.array_equal(grads.flat, exact.flat)
+        assert np.all((grads.flat == 0) | (np.abs(grads.flat) >= np.finfo(dtype).tiny))
+        cache["probs"][4] = y[4]
+        assert not np.array_equal(nn.backward(params, cache, y).flat, exact.flat)
+
 
 class TestAdam:
     def test_shape_check(self):
@@ -205,10 +227,13 @@ class TestAdam:
         assert params.biases[0][0] - snapshot.biases[0][0] == pytest.approx(1e-3, abs=1e-6)
 
     def test_in_place_matches_functional_reference(self):
-        # 517,001 elements span several ADAM_CHUNKs with a ragged last chunk; biases go down to 1 element
+        # 517,001 elements span several chunks with a ragged last chunk at either
+        # dtype's chunk length (TestDtype steps the float32 one); biases go down to 1 element
         spec = nn.NetworkSpec.mlp(30)
         assert nn.param_count(spec) == 517_001
-        assert nn.param_count(spec) % nn.ADAM_CHUNK != 0
+        chunks = [nn.ADAM_CHUNK_BYTES // np.dtype(dtype).itemsize for dtype in (np.float64, np.float32)]
+        assert chunks == [1 << 15, 1 << 16]
+        assert all(nn.param_count(spec) % chunk != 0 for chunk in chunks)
         params = nn.init_network(spec, seed=4)
         ref, ref_state = params.copy(), LayerAdamState.zeros_like(params)
         state = nn.AdamState.zeros_like(params)
@@ -226,10 +251,23 @@ class TestAdam:
                                 (m.biases, ref_state.m_b), (v.biases, ref_state.v_b)):
             assert all(np.array_equal(a, b) for a, b in zip(flat, per_layer))
 
-
-
-def as_dtype(params, dtype):
-    return nn.NetworkParams(params.spec, params.flat.astype(dtype))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_moments_below_their_floor_become_zero(self, dtype):
+        # zero gradients from moments just above the smallest normal: without
+        # the floors, m and v would decay into subnormals and the update would underflow
+        spec = nn.NetworkSpec(20, (nn.LayerSpec(50),))
+        params = as_dtype(nn.init_network(spec, seed=0), dtype)
+        tiny, lr = np.finfo(dtype).tiny, nn.TrainConfig().learning_rate
+        rng = np.random.default_rng(0)
+        n = params.flat.size
+        state = nn.AdamState((rng.choice([-1, 1], n) * tiny / lr * 10 ** rng.uniform(0, 6, n)).astype(dtype),
+                             (tiny / nn.ADAM_BETA2 * 10 ** rng.uniform(0, 1, n)).astype(dtype))
+        grads = nn.NetworkParams(spec, np.zeros_like(params.flat))
+        with np.errstate(under="raise"):
+            for t in range(1000, 1300):
+                nn.adam_step(params, grads, state, t, nn.TrainConfig())
+        assert not state.m.any()
+        assert 0 < np.count_nonzero(state.v) < n and state.v.min(initial=np.inf, where=state.v > 0) >= tiny
 
 
 class TestDtype:
@@ -247,6 +285,16 @@ class TestDtype:
         grads = nn.backward(params, cache, y)
         nn.adam_step(params, grads, state, 1, nn.TrainConfig())
         return probs, cache, grads, params, state
+
+    def test_input_beyond_the_dtype_is_refused(self):
+        X, _ = toy_data(d=12)
+        X[3, 5] = 1e39  # finite in float64, infinite in float32
+        params = nn.init_network(self.SPEC, seed=3)
+        assert np.isfinite(nn.predict_proba(params, X)).all()
+        with pytest.raises(NonFiniteInput, match="row 3 is not finite in float32"):
+            nn.predict_proba(as_dtype(params, np.float32), X)
+        with pytest.raises(NonFiniteInput):
+            nn.train(self.SPEC, nn.TrainConfig(epochs=1), X, X[:, 0] > 0)
 
     def test_float32_stays_float32(self):
         probs, cache, grads, params, state = self.step(np.float32)
@@ -294,13 +342,53 @@ class TestTrain:
         assert len(history.epochs) == 60
         assert history.epochs[-1].train_loss < history.epochs[0].train_loss
 
+    def test_trains_in_float32(self, monkeypatch):
+        # the weights are drawn in float64, then cast once: the same units as a float64 draw
+        X, y = toy_data(n=80)
+        spec = nn.NetworkSpec(4, (nn.LayerSpec(8, 0.2),))
+        cfg = nn.TrainConfig(epochs=3, batch_size=8, seed=1)
+        seen, initial = set(), []
+        step = nn.adam_step
+
+        def recording_step(params, grads, state, t, cfg):
+            seen.update(a.dtype for a in (params.flat, grads.flat, state.m, state.v))
+            if t == 1:
+                initial.append(params.flat.copy())
+            step(params, grads, state, t, cfg)
+
+        monkeypatch.setattr(nn, "adam_step", recording_step)
+        params, _ = nn.train(spec, cfg, X, y)
+        assert seen == {np.dtype(np.float32)} and params.flat.dtype == np.float32
+        assert np.array_equal(initial[0], nn.init_network(spec, cfg.seed).flat.astype(np.float32))
+
+    def test_long_run_keeps_moments_normal(self, monkeypatch):
+        # weights that stop getting gradient (dead units, rows fitted within
+        # BCE_CLAMP) have their moments decay past the float32 normal range
+        X, y = toy_data(n=64)
+        spec = nn.NetworkSpec(4, (nn.LayerSpec(32),))
+        cfg = nn.TrainConfig(epochs=150, batch_size=8, learning_rate=0.05, seed=0)
+        last = {}
+        step = nn.adam_step
+
+        def recording_step(params, grads, state, t, cfg):
+            step(params, grads, state, t, cfg)
+            last.update(t=t, m=state.m, v=state.v)
+
+        monkeypatch.setattr(nn, "adam_step", recording_step)
+        nn.train(spec, cfg, X, y, record_history=False)
+        assert last["t"] == 1200
+        tiny = np.finfo(np.float32).tiny
+        for moment in (last["m"], last["v"]):
+            assert not ((moment != 0) & (np.abs(moment) < tiny)).any()
+        assert (last["m"] == 0).any()  # without the floor, these would be subnormal
+
     def test_deterministic(self):
         X, y = toy_data(n=80)
         spec = nn.NetworkSpec(4, (nn.LayerSpec(8, 0.2),))
         cfg = nn.TrainConfig(epochs=5, batch_size=8, seed=42)
         a, _ = nn.train(spec, cfg, X, y)
         b, _ = nn.train(spec, cfg, X, y)
-        assert all(np.array_equal(x, z) for x, z in zip(a.weights, b.weights))
+        assert a.flat.tobytes() == b.flat.tobytes()
         c, _ = nn.train(spec, nn.TrainConfig(epochs=5, batch_size=8, seed=43), X, y)
         assert not all(np.array_equal(x, z) for x, z in zip(a.weights, c.weights))
 

@@ -80,6 +80,18 @@ class TestPipeline:
         assert res.stability_rows is not None
         assert [r.model for r in res.stability_rows] == ["nn"]
 
+    def test_test_cell_beyond_float32_fails_the_run(self, run, tmp_path):
+        # finite in float64 and in the CSV; its z-score is infinite in float32
+        ds, res = run
+        column = next(name for name in res.chosen.selected if name in ds.manifest.numeric_columns())
+        row = ds.ids.index(res.splits.test.ids[0])
+        rows = list(ds.rows)
+        rows[row] = {**rows[row], column: 1e39}
+        path = tmp_path / "data.csv"
+        save_dataset(dataclasses.replace(ds, rows=tuple(rows)), path)
+        with pytest.raises(NonFiniteInput):
+            pipeline.run_pipeline(load_dataset(path, ds.manifest), fast_options())
+
     def test_reports_deterministic(self, run, tmp_path):
         ds, res = run
         a, b = tmp_path / "a", tmp_path / "b"
@@ -105,6 +117,11 @@ class TestArtifact:
         path = tmp_path / "m.json"
         art.save_artifact(res.artifact, path)
         loaded = art.load_artifact(path)
+        # float32-trained weights survive the float64 storage bit for bit
+        assert res.artifact.params.flat.dtype == loaded.params.flat.dtype == np.float32
+        assert np.array_equal(loaded.params.flat, res.artifact.params.flat)
+        X = res.artifact.project(ds).X
+        assert np.array_equal(loaded.predict_proba(X), res.artifact.predict_proba(X))
         for row, pkg in zip(ds.rows[:20], ds.ids[:20]):
             a = art.predict_package(res.artifact, dict(row), package=pkg)
             b = art.predict_package(loaded, dict(row), package=pkg)
@@ -163,7 +180,8 @@ class TestArtifact:
         ds, res = run
         X = res.artifact.project(ds).X
         served = res.artifact.predict_proba(X)
-        reference = nn.predict_proba(res.artifact.params, X)
+        params = res.artifact.params
+        reference = nn.predict_proba(nn.NetworkParams(params.spec, params.flat.astype(np.float64)), X)
         assert served.dtype == np.float64 and np.array_equal(served, served.astype(np.float32))
         assert np.abs(served - reference).max() <= 1e-6
         threshold = res.artifact.threshold
@@ -182,7 +200,7 @@ class TestArtifact:
         save_with_weight(res.artifact, 1e39, path)
         with pytest.raises(CorruptArtifact):
             art.load_artifact(path)
-        params = res.artifact.params.copy()
+        params = nn.NetworkParams(res.artifact.params.spec, res.artifact.params.flat.astype(np.float64))
         params.flat[0] = 1e39  # finite in float64
         with pytest.raises(CorruptArtifact):
             dataclasses.replace(res.artifact, params=params)
