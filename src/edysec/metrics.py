@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .errors import LengthMismatch, SingleClass
+from .errors import LengthMismatch, NonFiniteScore, SingleClass
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,27 @@ def classification_metrics(cm: ConfusionMatrix, auc: float | None = None) -> Met
     )
 
 
+def midranks(values) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share the mean of the ranks
+    they span, so every rank is a whole number or a half.
+
+    Raises NonFiniteScore on NaN or +-inf, which a sort would place silently.
+    """
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteScore("ranks need finite scores")
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(labels, scores) -> float:
-    """Mann-Whitney rank AUC; tied scores contribute one half."""
+    """Mann-Whitney rank AUC; tied scores contribute one half. Raises
+    NonFiniteScore on a NaN or infinite score."""
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=float)
     if len(labels) != len(scores):
@@ -102,6 +120,6 @@ def roc_auc(labels, scores) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("AUC needs both classes present")
-    ranks = rankdata(scores)  # average ranks for ties
+    ranks = midranks(scores)
     rank_sum = float(np.sum(ranks[labels == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import TooFewScores
+from .metrics import midranks
 
 CI_LEVEL = 0.95
 BOOTSTRAP_RESAMPLES = 100_000
@@ -75,11 +75,12 @@ def bootstrap_ci(scores, seed: int = 0):
 
 
 def average_rank(table: ScoreTable) -> dict[str, float]:
-    """Per-config descending ranks with tie-mean, averaged across configs."""
+    """Per-config descending ranks with tie-mean, averaged across configs.
+    Raises NonFiniteScore on a NaN or infinite score."""
     scores = np.asarray(table.scores, dtype=float)
     ranks = np.empty_like(scores)
     for j in range(scores.shape[1]):
-        ranks[:, j] = rankdata(-scores[:, j])
+        ranks[:, j] = midranks(-scores[:, j])
     avg = ranks.mean(axis=1)
     return {model: float(r) for model, r in zip(table.models, avg)}
 

@@ -6,8 +6,9 @@ The model is the benchmark's served artifact (perfbench/workloads.py's
 92-wide input, a 500x500x500 MLP and a 100-row background. For three
 held-out records the fixture holds the exact Shapley value of every feature,
 enumerated over all 2^17 coalitions with the whole background, together with
-v(empty) and v(full), which the gate uses to tell whether the fixture still
-describes the model it rebuilds.
+v(empty) and v(full). The fixture also holds the model's probability on each
+background row; with v(empty) and v(full), the gate uses these to tell
+whether the fixture still describes the model it rebuilds.
 
     PYTHONPATH=src python tests/make_shapley_oracle.py
 
@@ -94,6 +95,7 @@ def main() -> int:
     FIXTURE.write_text(json.dumps({
         "corpus_seed": SEED,
         "background_rows": len(background),
+        "background_probabilities": model.predict_proba(background).tolist(),
         "features": list(groups),
         "records": records,
     }, indent=2) + "\n")

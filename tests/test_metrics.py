@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from edysec.errors import LengthMismatch, SingleClass
-from edysec.metrics import ConfusionMatrix, classification_metrics, confusion, roc_auc
+from edysec.errors import LengthMismatch, NonFiniteScore, SingleClass
+from edysec.metrics import ConfusionMatrix, classification_metrics, confusion, midranks, roc_auc
 
 
 class TestConfusion:
@@ -42,6 +42,21 @@ class TestClassificationMetrics:
         assert r.precision == 1.0 and r.recall == 1.0
 
 
+class TestMidranks:
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([7.0], [1.0]),
+            ([2.0, 2.0, 2.0, 2.0], [2.5, 2.5, 2.5, 2.5]),
+            ([-1.5, -3.0, 0.0, -0.5], [2.0, 1.0, 4.0, 3.0]),
+            ([3, 1, 3, 2, 1, 3], [5.0, 1.5, 5.0, 3.0, 1.5, 5.0]),
+            ([0.5, -2.0, 0.5, -2.0, 9.0, 0.0], [4.5, 1.5, 4.5, 1.5, 6.0, 3.0]),
+        ],
+    )
+    def test_hand_written(self, values, expected):
+        assert midranks(values).tolist() == expected
+
+
 class TestRocAuc:
     def test_perfect_and_reversed(self):
         assert roc_auc([0, 0, 1, 1], [0.1, 0.2, 0.8, 0.9]) == 1.0
@@ -50,6 +65,11 @@ class TestRocAuc:
     def test_ties_count_half(self):
         assert roc_auc([0, 1], [0.5, 0.5]) == 0.5
         assert roc_auc([0, 1, 1], [0.3, 0.3, 0.7]) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score(self, bad):
+        with pytest.raises(NonFiniteScore):
+            roc_auc([0, 1, 1], [0.2, bad, 0.7])
 
     def test_single_class(self):
         with pytest.raises(SingleClass):

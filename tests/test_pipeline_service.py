@@ -5,11 +5,14 @@ import hashlib
 import json
 import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from http.client import HTTPResponse
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +367,15 @@ def trained(tmp_path_factory):
 
 
 class TestCli:
+    def test_import_loads_no_scipy(self):
+        # Importing scipy.stats costs a cold `edysec` process about 1.4 s and 66 MB.
+        code = "import edysec.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("method, name", [("shap", "kernel_shap"), ("lime", "lime")])
     def test_explain(self, trained, capsys, method, name):
         out, model = trained

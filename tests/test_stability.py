@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edysec.errors import TooFewScores
+from edysec.errors import NonFiniteScore, TooFewScores
 from edysec.stability import (
     ScoreTable,
     average_rank,
@@ -59,6 +59,11 @@ class TestRanks:
         ranks = average_rank(table())
         m = 3
         assert sum(ranks.values()) == pytest.approx(m * (m + 1) / 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score(self, bad):
+        with pytest.raises(NonFiniteScore):
+            average_rank(ScoreTable(("a", "b"), ("c1", "c2"), ((0.9, bad), (0.8, 0.7))))
 
 
 class TestReport:
