@@ -135,19 +135,25 @@ def _sigmoid(z):
     return out
 
 
-def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng=None) -> tuple[np.ndarray, dict]:
-    """Probabilities for a batch plus the cache backward() needs, computed in
-    the dtype of `params.flat` (the input is cast to it)."""
+def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng=None) -> tuple[np.ndarray, dict | None]:
+    """Probabilities for a batch, computed in the dtype of `params.flat` (the
+    input is cast to it), plus the cache backward() needs. A scoring pass
+    (`train=False`) keeps no activations: it adds each bias and applies each
+    ReLU in place on the matmul's output, and its cache is None."""
     if X.shape[1] != params.spec.input_width:
         raise WidthMismatch(f"expected width {params.spec.input_width}, got {X.shape[1]}")
     inputs, pres, masks = [], [], []
     a = np.asarray(X, dtype=params.flat.dtype)
     for i, layer in enumerate(params.spec.hidden):
+        z = a @ params.weights[i]
+        z += params.biases[i]
+        if not train:
+            a = np.maximum(z, 0.0, out=z)
+            continue
         inputs.append(a)
-        z = a @ params.weights[i] + params.biases[i]
         h = np.maximum(z, 0.0)
         mask = None
-        if train and layer.dropout > 0.0:
+        if layer.dropout > 0.0:
             keep = 1.0 - layer.dropout
             mask = (rng.random(h.shape) < keep) / params.flat.dtype.type(keep)
             h = h * mask
@@ -157,7 +163,7 @@ def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng
     inputs.append(a)
     logits = a @ params.weights[-1] + params.biases[-1]
     probs = _sigmoid(logits[:, 0])
-    cache = {"inputs": inputs, "pres": pres, "masks": masks, "probs": probs}
+    cache = {"inputs": inputs, "pres": pres, "masks": masks, "probs": probs} if train else None
     return probs, cache
 
 
@@ -169,6 +175,8 @@ def batch_bce(probs: np.ndarray, y: np.ndarray) -> float:
 def backward(params: NetworkParams, cache: dict, y: np.ndarray) -> NetworkParams:
     """Gradients of mean batch BCE, honoring the dropout masks used in forward,
     as a NetworkParams of the same spec and dtype."""
+    if cache is None:
+        raise StateMissing("backward needs a training pass's cache; a scoring pass keeps none")
     for key in ("inputs", "pres", "masks", "probs"):
         if key not in cache:
             raise StateMissing(f"forward cache missing {key!r}")

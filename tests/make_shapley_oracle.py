@@ -20,20 +20,17 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import math
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from edysec import artifact, dataset, explain
+from exact_shapley import exact_shapley
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).resolve().parent / "data" / "shapley_oracle.json"
 SEED = 41
 PACKAGES = ("pkg000014", "pkg000016", "pkg000018")  # held out: in the validation and test splits
-COALITIONS_PER_CALL = 32
 
 
 def _workloads():
@@ -60,37 +57,15 @@ def served_case(work: Path):
     return model, explain.feature_groups(projected), dict(zip(PACKAGES, projected.X))
 
 
-def exact_shapley(model, x, background, groups) -> tuple[np.ndarray, float, float]:
-    """phi per group, v(empty) and v(full), by plain enumeration of every
-    coalition over the whole background (independent of explain.py)."""
-    d, width = len(groups), background.shape[1]
-    group_of = np.empty(width, dtype=int)
-    for j, idx in enumerate(groups.values()):
-        group_of[idx] = j
-    codes = np.arange(1 << d)
-    v = np.empty(1 << d)
-    for start in range(0, 1 << d, COALITIONS_PER_CALL):
-        members = (codes[start : start + COALITIONS_PER_CALL, None] >> np.arange(d) & 1).astype(bool)
-        rows = np.where(members[:, group_of][:, None, :], x, background).reshape(-1, width)
-        v[start : start + len(members)] = model(rows).reshape(len(members), -1).mean(axis=1)
-    sizes = np.array([bin(c).count("1") for c in codes])
-    weight = np.array([math.factorial(s) * math.factorial(d - s - 1) / math.factorial(d) for s in range(d)])
-    phi = np.empty(d)
-    for j in range(d):
-        without = codes[(codes >> j & 1) == 0]
-        phi[j] = np.sum(weight[sizes[without]] * (v[without | 1 << j] - v[without]))
-    return phi, float(v[0]), float(v[-1])
-
-
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         model, groups, rows = served_case(Path(tmp))
     background = model.explanation_background()
     records = []
     for pkg in PACKAGES:
-        phi, base, fx = exact_shapley(model.predict_proba, rows[pkg], background, groups)
-        records.append({"package": pkg, "phi": phi.tolist(), "base": base, "fx": fx})
-        sys.stderr.write(f"{pkg}: residual {base + phi.sum() - fx:.1e}\n")
+        exact = exact_shapley(model.predict_proba, rows[pkg], background, groups)
+        records.append({"package": pkg, "phi": list(exact.phi.values()), "base": exact.base, "fx": exact.fx})
+        sys.stderr.write(f"{pkg}: residual {exact.residual:.1e}\n")
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps({
         "corpus_seed": SEED,

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from edysec import explain
+from edysec import neuralnet as nn
 from edysec.errors import FeatureMismatch, SingularSystem, TooFewFeatures, TooManyFeatures
+from exact_shapley import EXACT_LIMIT, exact_shapley
 
 
 def make_groups(d):
@@ -18,24 +20,6 @@ def linear_model(w, b=0.0):
         return rows @ w + b
 
     return model
-
-
-def exact_phi(model, x, background):
-    """Shapley values of single-column features by plain 2^d enumeration."""
-    d = len(x)
-    codes = np.arange(1 << d)
-    v = np.empty(1 << d)
-    for start in range(0, 1 << d, 1024):
-        masks = (codes[start : start + 1024, None] >> np.arange(d) & 1).astype(bool)
-        rows = np.where(masks[:, None, :], x, background).reshape(-1, d)
-        v[start : start + 1024] = model(rows).reshape(len(masks), -1).mean(axis=1)
-    sizes = np.array([bin(c).count("1") for c in codes])
-    w = np.array([math.factorial(s) * math.factorial(d - s - 1) / math.factorial(d) for s in range(d)])
-    phi = []
-    for j in range(d):
-        out = codes[(codes >> j & 1) == 0]
-        phi.append(np.sum(w[sizes[out]] * (v[out | 1 << j] - v[out])))
-    return np.array(phi)
 
 
 @pytest.fixture
@@ -53,7 +37,7 @@ def fixture():
 class TestExactShapley:
     def test_linear_model_closed_form(self, fixture):
         # for a linear model, phi_j = w_j * (x_j - mean(background_j))
-        attr = explain.exact_shapley(
+        attr = exact_shapley(
             fixture["model"], fixture["x"], fixture["background"], fixture["groups"]
         )
         w = np.array([1.0, -2.0, 0.5, 3.0])
@@ -63,15 +47,15 @@ class TestExactShapley:
             assert attr.phi[name] == pytest.approx(expect[j], abs=1e-10)
 
     def test_local_accuracy(self, fixture):
-        attr = explain.exact_shapley(
+        attr = exact_shapley(
             fixture["model"], fixture["x"], fixture["background"], fixture["groups"]
         )
         assert abs(attr.residual) < 1e-9
 
     def test_feature_cap(self):
-        groups = make_groups(13)
+        d = EXACT_LIMIT + 1
         with pytest.raises(TooManyFeatures):
-            explain.exact_shapley(lambda r: r.sum(axis=1), np.zeros(13), np.zeros((4, 13)), groups)
+            exact_shapley(lambda r: r.sum(axis=1), np.zeros(d), np.zeros((4, d)), make_groups(d))
 
     def test_block_groups(self):
         # two processed columns belonging to one source feature move together
@@ -80,14 +64,14 @@ class TestExactShapley:
         x = rng.normal(size=3)
         bg = rng.normal(size=(8, 3))
         model = linear_model([1.0, 1.0, 1.0])
-        attr = explain.exact_shapley(model, x, bg, groups)
+        attr = exact_shapley(model, x, bg, groups)
         mu = bg.mean(axis=0)
         assert attr.phi["a"] == pytest.approx((x[0] - mu[0]) + (x[1] - mu[1]), abs=1e-10)
 
 
 class TestKernelShap:
     def test_matches_exact_enumeration(self, fixture):
-        exact = explain.exact_shapley(
+        exact = exact_shapley(
             fixture["model"], fixture["x"], fixture["background"], fixture["groups"]
         )
         kernel = explain.kernel_shap(
@@ -98,7 +82,7 @@ class TestKernelShap:
         assert abs(kernel.residual) < 1e-9
 
     def test_sampled_budget_close(self, fixture):
-        exact = explain.exact_shapley(
+        exact = exact_shapley(
             fixture["model"], fixture["x"], fixture["background"], fixture["groups"]
         )
         sampled = explain.kernel_shap(
@@ -137,7 +121,7 @@ class TestKernelShap:
         W1, w2 = rng.normal(size=(d, 8)) / 2, rng.normal(size=8)
         model = lambda rows: np.tanh(rows @ W1) @ w2
         x, bg = rng.normal(size=d), rng.normal(size=(10, d))
-        ref = exact_phi(model, x, bg)
+        ref = np.array(list(exact_shapley(model, x, bg, make_groups(d)).phi.values()))
         for budget, bound in [(40_960, 0.047), (81_920, 0.025)]:
             for seed in range(3):
                 attr = explain.kernel_shap(model, x, bg, make_groups(d), budget=budget, seed=seed)
@@ -241,7 +225,7 @@ class TestPlan:
         # one centroid whose share holds all 2^d - 2 proper coalitions enumerates them
         d = 6
         model, groups, xs, bg = tanh_case(d, 9, 1, seed=6)
-        exact = explain.exact_shapley(model, xs[0], bg, groups)
+        exact = exact_shapley(model, xs[0], bg, groups)
         sampled = explain.kernel_shap(model, xs[0], bg, groups, budget=(1 << d) - 2)
         assert sampled.phi == pytest.approx(exact.phi, abs=1e-12)
         assert (sampled.base, sampled.fx) == pytest.approx((exact.base, exact.fx), abs=1e-12)
@@ -254,6 +238,20 @@ class TestPlan:
             assert attr.base == pytest.approx(plan.weights @ model(plan.centers), abs=1e-12)
             assert attr.fx == pytest.approx(model(x[None, :])[0], abs=1e-12)
             assert abs(attr.residual) <= 1e-9
+
+    def test_block_size_keeps_the_bits(self, monkeypatch):
+        # a float32 MLP scores a row to the same bits in blocks of 100 rows and of 512
+        model, groups, xs, bg = tanh_case(17, 40, 100, seed=4)
+        spec = nn.NetworkSpec(40, (nn.LayerSpec(128), nn.LayerSpec(128)))
+        params = nn.NetworkParams(spec, nn.init_network(spec, seed=4).flat.astype(np.float32))
+        mlp = lambda rows: nn.predict_proba(params, rows)
+        plan = explain.explanation_plan(bg, groups)
+        assert isinstance(plan, explain.StratifiedPlan)
+        attrs = []
+        for rows in (100, 512):
+            monkeypatch.setattr(explain, "MODEL_BLOCK_ROWS", rows)
+            attrs.append([explain.kernel_shap(mlp, x, bg, groups, plan=plan) for x in xs])
+        assert attrs[0] == attrs[1]
 
     def test_plan_stays_small(self):
         # the served shape (17 features, 92 columns): 20,480 x 17 coalition bits (348 kB),

@@ -150,8 +150,21 @@ class TestForward:
         rng = np.random.default_rng(0)
         reps = [nn.forward_batch(params, x, train=True, rng=rng)[1]["inputs"][-1] for _ in range(200)]
         train_mean = np.mean([r.mean() for r in reps])
-        eval_act = nn.forward_batch(params, x)[1]["inputs"][-1].mean()
+        eval_act = np.maximum(x @ params.weights[0] + params.biases[0], 0.0).mean()
         assert train_mean == pytest.approx(eval_act, rel=0.05)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scoring_pass_matches_a_training_pass(self, dtype):
+        # without dropout, both passes compute the same probabilities to the bit
+        X, _ = toy_data(n=200, d=12)
+        spec = nn.NetworkSpec(12, (nn.LayerSpec(64), nn.LayerSpec(32)))
+        params = as_dtype(nn.init_network(spec, seed=7), dtype)
+        params.flat += np.random.default_rng(8).normal(0.0, 0.1, params.flat.size).astype(dtype)  # nonzero biases
+        scored, cache = nn.forward_batch(params, X)
+        assert cache is None
+        trained, train_cache = nn.forward_batch(params, X, train=True, rng=np.random.default_rng(0))
+        assert scored.dtype == dtype and np.array_equal(scored, trained)
+        assert np.array_equal(train_cache["probs"], scored)
 
 
 class TestLoss:
@@ -173,6 +186,13 @@ class TestBackward:
         with pytest.raises(StateMissing):
             nn.backward(params, {"inputs": []}, np.zeros(2))
 
+    def test_scoring_pass_cache_is_refused(self):
+        X, y = toy_data(n=8)
+        params = nn.init_network(nn.NetworkSpec(4, (nn.LayerSpec(3),)))
+        _, cache = nn.forward_batch(params, X)
+        with pytest.raises(StateMissing, match="scoring pass"):
+            nn.backward(params, cache, y)
+
     def test_gradient_descent_reduces_loss(self):
         X, y = toy_data()
         spec = nn.NetworkSpec(4, (nn.LayerSpec(16),))
@@ -191,7 +211,7 @@ class TestBackward:
         X, y = toy_data(n=8)
         spec = nn.NetworkSpec(4, (nn.LayerSpec(16),))
         params = as_dtype(nn.init_network(spec, seed=0), dtype)
-        _, cache = nn.forward_batch(params, X)
+        _, cache = nn.forward_batch(params, X, train=True, rng=np.random.default_rng(0))  # no dropout
         # rows 0-3 within BCE_CLAMP of their label (a subnormal p among them), row 4 just outside
         y[:5] = [0, 0, 1, 1, 0]
         cache["probs"][:5] = np.array([1e-40, 5e-8, 1 - 6e-8, 1.0, 3e-7], dtype=dtype)
