@@ -9,8 +9,8 @@ import json
 import os
 import sys
 
-from . import explain, featsel, metrics, pipeline, service, stability
-from .artifact import ModelArtifact, dataset_hash, load_artifact, predict_package, save_artifact
+from . import explain, featsel, metrics, pipeline, service, stability, workers
+from .artifact import dataset_hash, load_artifact, predict_package, save_artifact
 from .dataset import (
     FeatureManifest,
     generate_synthetic,
@@ -106,7 +106,8 @@ def cmd_select(args):
     _, options, splits, pre = _prepared(args)
     train_pm = pre.transform(splits.train)
     val_pm = pre.transform(splits.validation)
-    results = pipeline.run_selectors(train_pm, val_pm, options)
+    with workers.Pool(pipeline.largest_batch(options)) as pool:
+        results = pipeline.run_selectors(train_pm, val_pm, options, pool)
     chosen = featsel.choose_selector(results)
     _emit({"selectors": [r.to_dict() for r in results], "chosen": chosen.method})
 
@@ -130,23 +131,13 @@ def cmd_train(args):
         selected = _feature_list(args.features)
     else:
         selected = tuple(train_pm.source_features())
-    train_sel = featsel.project(train_pm, selected)
-    val_sel = featsel.project(val_pm, selected)
-    params, history = pipeline.train_network(args.model, options, options.seed, train_sel, val_sel)
-    background = explain.sample_background(train_sel, seed=options.seed)
-    artifact = ModelArtifact(
-        manifest=ds.manifest,
-        preprocessor=pre,
-        selected=selected,
-        selector_provenance={"method": "manual", "d_j": len(selected)},
-        params=params,
-        threshold=options.threshold,
-        fingerprint={
-            "seed": options.seed,
-            "model": args.model,
-            "dataset_sha256": dataset_hash(ds),
-        },
-        background=background,
+    with workers.Pool(1) as pool:
+        [(params, history)], _ = pipeline.train_batch(
+            pool, options, (train_pm, val_pm, None), (args.model,), selected, []
+        )
+    artifact = pipeline.build_artifact(
+        ds, pre, featsel.project(train_pm, selected), selected, params, args.model, options,
+        provenance={"method": "manual", "d_j": len(selected)},
     )
     save_artifact(artifact, args.artifact)
     last = history.epochs[-1]
@@ -178,14 +169,14 @@ def cmd_stability(args):
     train_pm = pre.transform(splits.train)
     val_pm = pre.transform(splits.validation)
     test_pm = pre.transform(splits.test)
-    selector_results = (
-        pipeline.run_selectors(train_pm, val_pm, options)
-        if options.stability_mode == "selectors"
-        else []
-    )
-    table = pipeline._stability_table(
-        options, train_pm, val_pm, test_pm, tuple(train_pm.source_features()), selector_results
-    )
+    with workers.Pool(pipeline.largest_batch(options)) as pool:
+        selector_results = (
+            pipeline.run_selectors(train_pm, val_pm, options, pool)
+            if options.stability_mode == "selectors"
+            else []
+        )
+        runs = pipeline.stability_configs(options, tuple(train_pm.source_features()), selector_results)
+        _, table = pipeline.train_batch(pool, options, (train_pm, val_pm, test_pm), (), None, runs)
     rows = stability.stability_report(table, seed=options.seed)
     sys.stdout.write(stability.render_table(rows))
     _emit([r.display() for r in rows])

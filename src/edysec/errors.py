@@ -1,8 +1,16 @@
 """Exception types shared across the pipeline."""
 
 
+def _rebuild(cls, args, state):
+    exc = cls.__new__(cls)
+    Exception.__init__(exc, *args)
+    exc.__dict__.update(state)
+    return exc
+
+
 class EdysecError(Exception):
-    pass
+    def __reduce__(self):  # a subclass's own __init__ need not accept its message back
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class BadOption(EdysecError):
@@ -165,4 +173,9 @@ class NonFiniteInput(EdysecError):
 
 
 class NonFiniteScore(EdysecError):
+    pass
+
+
+# workers
+class WorkerDied(EdysecError):
     pass

@@ -200,6 +200,13 @@ def _repair(mask: np.ndarray, rng) -> None:
         mask[rng.integers(0, len(mask))] = True
 
 
+def _scores(fitness, masks) -> np.ndarray:
+    """The fitness of each mask, as one batch where the fitness takes batches
+    (`MaskFitness.many`)."""
+    many = getattr(fitness, "many", None)
+    return np.array(many(masks) if many else [fitness(m) for m in masks], dtype=float)
+
+
 # Binary PSO: inertia falling linearly from PSO_W_START to PSO_W_END, pulls
 # PSO_C1 toward the personal and PSO_C2 toward the global best, velocities
 # clipped to +-PSO_V_MAX. WOA_B is the whale's log-spiral shape constant.
@@ -219,7 +226,7 @@ def select_bpso(fitness, d_source: int, cfg: SwarmConfig = SwarmConfig()) -> Swa
     for row in x:
         _repair(row, rng)
     v = rng.uniform(-1.0, 1.0, size=(pop, d))
-    scores = np.array([fitness(row) for row in x])
+    scores = _scores(fitness, x)
     pbest = x.copy()
     pbest_scores = scores.copy()
     g = int(np.argmax(pbest_scores))
@@ -238,9 +245,9 @@ def select_bpso(fitness, d_source: int, cfg: SwarmConfig = SwarmConfig()) -> Swa
         )
         np.clip(v, -PSO_V_MAX, PSO_V_MAX, out=v)
         x = rng.random((pop, d)) < _sigmoid(v)
-        for i in range(pop):
-            _repair(x[i], rng)
-            score = fitness(x[i])
+        for row in x:  # the whole population first, then one batch of evaluations
+            _repair(row, rng)
+        for i, score in enumerate(_scores(fitness, x)):
             if score > pbest_scores[i]:
                 pbest[i] = x[i].copy()
                 pbest_scores[i] = score
@@ -271,7 +278,7 @@ def select_bwoa(fitness, d_source: int, cfg: SwarmConfig = SwarmConfig()) -> Swa
         return np.where(mask, 4.0, -4.0)
 
     masks = [binarize(x[i]) for i in range(pop)]
-    scores = np.array([fitness(m) for m in masks])
+    scores = _scores(fitness, masks)  # one batch; each later move needs the best so far
     best_i = int(np.argmax(scores))
     best_mask = masks[best_i].copy()
     best_score = float(scores[best_i])
@@ -371,29 +378,44 @@ def baseline_validation_accuracy(
 
 
 class MaskFitness:
-    """J_FS fitness over source-feature masks, caching baseline trainings."""
+    """J_FS fitness over source-feature masks, caching baseline trainings.
+    The baselines train in the workers of `pool` (a `workers.Pool`), the
+    uncached masks of one `many` call as one batch."""
 
-    def __init__(self, train_pm, val_pm, alpha=DEFAULT_ALPHA, baseline=BaselineConfig()):
+    def __init__(self, train_pm, val_pm, pool, alpha=DEFAULT_ALPHA, baseline=BaselineConfig()):
         self.train_pm = train_pm
         self.val_pm = val_pm
         self.alpha = alpha
         self.baseline = baseline
+        self.pool = pool
         self.names = train_pm.source_features()
+        self._matrices = (train_pm, val_pm)  # one object, so a worker receives the matrices once
         self._cache: dict[bytes, tuple[float, float]] = {}
+
+    def _train(self, masks) -> None:
+        fresh = {}
+        for mask in masks:
+            key = np.packbits(mask).tobytes()
+            if key not in self._cache:
+                fresh.setdefault(key, tuple(n for n, bit in zip(self.names, mask) if bit))
+        jobs = [(selected, self.baseline) for selected in fresh.values()]
+        ps = self.pool.map(baseline_validation_accuracy, jobs, common=self._matrices)
+        for (key, selected), p in zip(fresh.items(), ps):
+            self._cache[key] = (p, objective(p, len(selected), len(self.names), self.alpha))
 
     def _evaluate(self, mask: np.ndarray) -> tuple[float, float]:
         key = np.packbits(mask).tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        selected = [n for n, bit in zip(self.names, mask) if bit]
-        p = baseline_validation_accuracy(self.train_pm, self.val_pm, selected, self.baseline)
-        j = objective(p, len(selected), len(self.names), self.alpha)
-        self._cache[key] = (p, j)
-        return p, j
+        if key not in self._cache:
+            self._train([mask])
+        return self._cache[key]
 
     def __call__(self, mask: np.ndarray) -> float:
         return self._evaluate(mask)[1]
 
     def validation_score(self, mask: np.ndarray) -> float:
         return self._evaluate(mask)[0]
+
+    def many(self, masks) -> list[float]:
+        """The fitness of each mask."""
+        self._train(masks)
+        return [self(mask) for mask in masks]

@@ -81,6 +81,9 @@ class NetworkParams:
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.spec, self.flat.copy())
 
+    def __reduce__(self):  # pickled as the buffer alone; the views are rebuilt over it
+        return NetworkParams, (self.spec, self.flat)
+
 
 @dataclass(frozen=True)
 class TrainConfig:

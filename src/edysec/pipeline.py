@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import explain, featsel, metrics, stability
+from . import explain, featsel, metrics, stability, workers
 from . import neuralnet as nn
 from .artifact import ModelArtifact, dataset_hash
 from .dataset import DatasetSplits, TraceDataset, split_dataset
@@ -108,15 +108,25 @@ def _val_scores(params, val_pm, threshold):
     return report.accuracy, report.f1
 
 
+def largest_batch(options: PipelineOptions) -> int:
+    """The most jobs any worker batch of a run with these options holds."""
+    swarm = options.swarm.population if {"pso", "woa"} & set(options.selectors) else 1
+    runs = {"seeds": options.stability_runs, "selectors": len(options.selectors), "off": 0}[options.stability_mode]
+    return max(swarm, len(options.models) * (1 + runs))
+
+
 def run_selectors(
     train_pm: ProcessedMatrix,
     val_pm: ProcessedMatrix,
     options: PipelineOptions,
+    pool: workers.Pool,
 ) -> list[featsel.SelectorResult]:
-    """Each selector's subset, scored by one shared `MaskFitness`, so a subset
-    that two selectors pick is trained once."""
+    """Each selector's subset, scored by one shared `MaskFitness` whose
+    baselines train in `pool`, so a subset that two selectors pick is trained
+    once. The importance selector's baseline trains here: its weights are
+    used at once."""
     names = train_pm.source_features()
-    fitness = featsel.MaskFitness(train_pm, val_pm, options.alpha, options.baseline)
+    fitness = featsel.MaskFitness(train_pm, val_pm, pool, options.alpha, options.baseline)
     results = []
     for method in options.selectors:
         if method == "anova":
@@ -143,67 +153,75 @@ def run_selectors(
     return results
 
 
-def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions()) -> PipelineResult:
-    splits = split_dataset(ds, options.ratios, options.seed)
-    pre = Preprocessor.fit(splits.train)
-    train_pm = pre.transform(splits.train)
-    val_pm = pre.transform(splits.validation)
-    test_pm = pre.transform(splits.test)
+def build_artifact(
+    ds, pre, train_sel, selected, params, model, options, provenance, fingerprint=None
+) -> ModelArtifact:
+    """The artifact of a network trained on `train_sel`, the training rows
+    projected onto `selected`: the fitted preprocessor, the selected features,
+    the selector provenance, the weights, the threshold, a fingerprint (seed,
+    model, dataset hash and the `fingerprint` entries) and the explanation
+    background."""
+    return ModelArtifact(
+        manifest=ds.manifest,
+        preprocessor=pre,
+        selected=tuple(selected),
+        selector_provenance=provenance,
+        params=params,
+        threshold=options.threshold,
+        fingerprint={
+            "seed": options.seed, "model": model, "dataset_sha256": dataset_hash(ds), **(fingerprint or {})
+        },
+        background=explain.sample_background(train_sel, seed=options.seed),
+    )
 
-    selector_results = run_selectors(train_pm, val_pm, options)
-    chosen = featsel.choose_selector(selector_results)
+
+def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions()) -> PipelineResult:
+    with workers.Pool(largest_batch(options)) as pool:  # the workers start while the data is prepared
+        splits = split_dataset(ds, options.ratios, options.seed)
+        pre = Preprocessor.fit(splits.train)
+        train_pm = pre.transform(splits.train)
+        val_pm = pre.transform(splits.validation)
+        test_pm = pre.transform(splits.test)
+
+        selector_results = run_selectors(train_pm, val_pm, options, pool)
+        chosen = featsel.choose_selector(selector_results)
+        runs = stability_configs(options, chosen.selected, selector_results)
+        trained, table = train_batch(
+            pool, options, (train_pm, val_pm, test_pm), options.models, chosen.selected, runs
+        )
 
     train_sel = featsel.project(train_pm, chosen.selected)
     val_sel = featsel.project(val_pm, chosen.selected)
     test_sel = featsel.project(test_pm, chosen.selected)
 
-    candidates, trained, histories = [], {}, {}
-    for name in options.models:
-        params, history = train_network(name, options, options.seed, train_sel, val_sel)
+    candidates, histories = [], {}
+    for name, (params, history) in zip(options.models, trained):
         acc, f1 = _val_scores(params, val_sel, options.threshold)
         candidates.append(CandidateScore(name, acc, f1))
-        trained[name] = params
         histories[name] = history
     best = max(candidates, key=lambda c: (c.val_accuracy, c.val_f1))
-    params = trained[best.model]
+    params = trained[options.models.index(best.model)][0]
 
     test_probs = nn.predict_proba(params, test_sel.X)
     cm = metrics.confusion(test_sel.labels, test_probs, options.threshold)
     auc = metrics.roc_auc(test_sel.labels, test_probs)
     report = metrics.classification_metrics(cm, auc=auc)
 
-    stability_rows = None
-    if options.stability_mode != "off":
-        table = _stability_table(
-            options, train_pm, val_pm, test_pm, chosen.selected, selector_results
-        )
-        stability_rows = stability.stability_report(table, seed=options.seed)
+    stability_rows = None if table is None else stability.stability_report(table, seed=options.seed)
 
-    background = explain.sample_background(train_sel, seed=options.seed)
-    explanations, ranking, overlap = _explanations(
-        params, test_sel, background, chosen.selected, options
-    )
-
-    artifact = ModelArtifact(
-        manifest=ds.manifest,
-        preprocessor=pre,
-        selected=chosen.selected,
-        selector_provenance={
+    artifact = build_artifact(
+        ds, pre, train_sel, chosen.selected, params, best.model, options,
+        provenance={
             "method": chosen.method,
             "p_j": chosen.p_j,
             "d_j": chosen.d_j,
             "objective": chosen.objective,
             "alpha": options.alpha,
         },
-        params=params,
-        threshold=options.threshold,
-        fingerprint={
-            "seed": options.seed,
-            "model": best.model,
-            "options": options.to_dict(),
-            "dataset_sha256": dataset_hash(ds),
-        },
-        background=background,
+        fingerprint={"options": options.to_dict()},
+    )
+    explanations, ranking, overlap = _explanations(
+        params, test_sel, artifact.background, chosen.selected, options
     )
     return PipelineResult(
         artifact=artifact,
@@ -222,28 +240,42 @@ def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions())
     )
 
 
-def _train_and_f1(name, options, seed, selected, train_pm, val_pm, test_pm):
-    train_sel, val_sel, test_sel = (featsel.project(pm, selected) for pm in (train_pm, val_pm, test_pm))
-    params, _ = train_network(name, options, seed, train_sel, val_sel, record_history=False)
-    probs = nn.predict_proba(params, test_sel.X)
-    cm = metrics.confusion(test_sel.labels, probs, options.threshold)
+def stability_configs(options, selected, selector_results) -> list[tuple[str, tuple, int]]:
+    """Labelled (feature subset, seed) stability runs: the stability seeds on
+    `selected`, each selector's subset at one seed, or none."""
+    if options.stability_mode == "seeds":
+        return [(f"seed_{r}", selected, options.seed + 1000 * (r + 1)) for r in range(options.stability_runs)]
+    if options.stability_mode == "selectors":
+        return [(res.method, res.selected, options.seed) for res in selector_results]
+    return []
+
+
+def _training(options, train_pm, val_pm, test_pm, name, seed, selected, candidate):
+    """One worker job: a candidate's (params, history) on `selected`, or, for
+    a stability run, the trained network's test F1."""
+    train_sel, val_sel = featsel.project(train_pm, selected), featsel.project(val_pm, selected)
+    params, history = train_network(name, options, seed, train_sel, val_sel, record_history=candidate)
+    if candidate:
+        return params, history
+    test_sel = featsel.project(test_pm, selected)
+    cm = metrics.confusion(test_sel.labels, nn.predict_proba(params, test_sel.X), options.threshold)
     return metrics.classification_metrics(cm).f1
 
 
-def _stability_table(options, train_pm, val_pm, test_pm, selected, selector_results):
-    """Test F1 per model over labelled (feature subset, seed) runs: the
-    stability seeds on `selected`, or each selector's subset at one seed."""
-    if options.stability_mode == "seeds":
-        runs = [
-            (f"seed_{r}", selected, options.seed + 1000 * (r + 1)) for r in range(options.stability_runs)
-        ]
-    else:
-        runs = [(res.method, res.selected, options.seed) for res in selector_results]
-    scores = tuple(
-        tuple(_train_and_f1(name, options, seed, subset, train_pm, val_pm, test_pm) for _, subset, seed in runs)
-        for name in options.models
-    )
-    return stability.ScoreTable(tuple(options.models), tuple(label for label, _, _ in runs), scores)
+def train_batch(pool, options, matrices, models, selected, runs):
+    """The candidate training of each of `models` on `selected`, and every
+    model's stability `runs`, as one batch of jobs in `pool`. `matrices` are
+    the processed (train, validation, test) rows; the test rows are read by
+    stability runs only. Returns the candidates' (params, history) in
+    `models` order, and the stability ScoreTable (None without runs)."""
+    jobs = [(name, options.seed, selected, True) for name in models]
+    jobs += [(name, seed, subset, False) for name in options.models for _, subset, seed in runs]
+    done = pool.map(_training, jobs, common=(options, *matrices))
+    trained, f1 = done[: len(models)], done[len(models):]
+    if not runs:
+        return trained, None
+    scores = tuple(tuple(f1[i : i + len(runs)]) for i in range(0, len(f1), len(runs)))
+    return trained, stability.ScoreTable(tuple(options.models), tuple(label for label, _, _ in runs), scores)
 
 
 def _explanations(params, test_sel, background, selected, options):

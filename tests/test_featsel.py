@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edysec import featsel
+from edysec import featsel, workers
 from edysec.dataset import generate_synthetic, split_dataset
 from edysec.errors import BadK, BadOption, EmptyResult, LayoutMismatch, UnknownFeature
 from edysec.preprocess import Preprocessor
@@ -182,11 +182,12 @@ class TestProject:
 class TestMaskFitness:
     def test_matches_direct_objective(self, matrices):
         train_pm, val_pm = matrices
-        fit = featsel.MaskFitness(train_pm, val_pm, alpha=0.9, baseline=featsel.BaselineConfig(epochs=3))
         mask = np.array([True, True, False, False, False, False])
         p = featsel.baseline_validation_accuracy(
             train_pm, val_pm, ("inf_0", "inf_1"), featsel.BaselineConfig(epochs=3)
         )
         expect = featsel.objective(p, 2, 6, alpha=0.9)
-        assert fit(mask) == pytest.approx(expect)
-        assert fit.validation_score(mask) == pytest.approx(p)
+        with workers.Pool(1) as pool:
+            fit = featsel.MaskFitness(train_pm, val_pm, pool, alpha=0.9, baseline=featsel.BaselineConfig(epochs=3))
+            assert fit(mask) == pytest.approx(expect)
+            assert fit.validation_score(mask) == pytest.approx(p)
