@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from edysec import featsel
 from edysec import neuralnet as nn
 from edysec.errors import NonFiniteInput, ShapeMismatch, StateMissing, WidthMismatch
 
@@ -223,6 +224,29 @@ class TestBackward:
         cache["probs"][4] = y[4]
         assert not np.array_equal(nn.backward(params, cache, y).flat, exact.flat)
 
+    def test_input_gradient_layout_keeps_the_bits(self):
+        # backward computes each float32 input gradient as (W @ dz.T).T, which
+        # must be dz @ W.T bit for bit on the BLAS build at hand: checked against
+        # the chain rule written with dz @ W.T, on the trained presets, at every
+        # batch size a ragged last batch of 16 can have and at a larger batch
+        rng = np.random.default_rng(7)
+        for spec in (nn.NetworkSpec.mlp(92), nn.NetworkSpec.nn(92)):
+            params = as_dtype(nn.init_network(spec, seed=2), np.float32)
+            for batch in (*range(1, 17), 64):
+                X = rng.normal(size=(batch, 92)).astype(np.float32)
+                y = rng.integers(0, 2, batch).astype(np.float32)
+                _, cache = nn.forward_batch(params, X, train=True, rng=rng)
+                got = nn.backward(params, cache, y).weights
+                delta = ((cache["probs"] - y) / batch)[:, None]  # fresh weights fit no row within the clamp
+                want = [cache["inputs"][-1].T @ delta]
+                da = delta @ params.weights[-1].T
+                for i in reversed(range(len(spec.hidden))):
+                    if cache["masks"][i] is not None:
+                        da = da * cache["masks"][i]
+                    dz = da * (cache["pres"][i] > 0)
+                    want.append(cache["inputs"][i].T @ dz)
+                    da = dz @ params.weights[i].T
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in reversed(want)], (spec.hidden, batch)
 
 class TestAdam:
     def test_shape_check(self):
@@ -280,11 +304,12 @@ class TestAdam:
         tiny, lr = np.finfo(dtype).tiny, nn.TrainConfig().learning_rate
         rng = np.random.default_rng(0)
         n = params.flat.size
-        state = nn.AdamState((rng.choice([-1, 1], n) * tiny / lr * 10 ** rng.uniform(0, 6, n)).astype(dtype),
-                             (tiny / nn.ADAM_BETA2 * 10 ** rng.uniform(0, 1, n)).astype(dtype))
+        k = nn.ADAM_FLOOR_EVERY  # drawn above the floors, which allow for k steps of decay
+        state = nn.AdamState((rng.choice([-1, 1], n) * tiny / (nn.ADAM_BETA1 ** k * lr) * 10 ** rng.uniform(0, 6, n)).astype(dtype),
+                             (tiny / nn.ADAM_BETA2 ** k * 10 ** rng.uniform(0, 1, n)).astype(dtype))
         grads = nn.NetworkParams(spec, np.zeros_like(params.flat))
         with np.errstate(under="raise"):
-            for t in range(1000, 1300):
+            for t in range(1001, 1301):  # from a step that does not floor
                 nn.adam_step(params, grads, state, t, nn.TrainConfig())
         assert not state.m.any()
         assert 0 < np.count_nonzero(state.v) < n and state.v.min(initial=np.inf, where=state.v > 0) >= tiny
@@ -383,24 +408,60 @@ class TestTrain:
 
     def test_long_run_keeps_moments_normal(self, monkeypatch):
         # weights that stop getting gradient (dead units, rows fitted within
-        # BCE_CLAMP) have their moments decay past the float32 normal range
+        # BCE_CLAMP) have their moments decay past the float32 normal range;
+        # checked after every step, floor step or not
         X, y = toy_data(n=64)
         spec = nn.NetworkSpec(4, (nn.LayerSpec(32),))
         cfg = nn.TrainConfig(epochs=150, batch_size=8, learning_rate=0.05, seed=0)
-        last = {}
+        tiny = np.finfo(np.float32).tiny
+        last, subnormal = {}, []
         step = nn.adam_step
 
         def recording_step(params, grads, state, t, cfg):
-            step(params, grads, state, t, cfg)
-            last.update(t=t, m=state.m, v=state.v)
+            with np.errstate(under="raise"):
+                step(params, grads, state, t, cfg)
+            if any(((moment != 0) & (np.abs(moment) < tiny)).any() for moment in (state.m, state.v)):
+                subnormal.append(t)
+            last.update(t=t, m=state.m)
 
         monkeypatch.setattr(nn, "adam_step", recording_step)
         nn.train(spec, cfg, X, y, record_history=False)
         assert last["t"] == 1200
-        tiny = np.finfo(np.float32).tiny
-        for moment in (last["m"], last["v"]):
-            assert not ((moment != 0) & (np.abs(moment) < tiny)).any()
+        assert not subnormal
         assert (last["m"] == 0).any()  # without the floor, these would be subnormal
+
+    def test_idle_batches_keep_the_weights(self, monkeypatch):
+        # backward returns an idle batch's zero gradients (every row within
+        # BCE_CLAMP of its label) without backpropagating it; backpropagating
+        # it anyway gives the same weights, and moments that differ at most in
+        # the sign of a zero
+        X, y = toy_data(n=64)
+        X[:, 0] += 2 * (2 * y - 1)  # a margin the network fits within the clamp
+        spec = nn.NetworkSpec(4, (nn.LayerSpec(32, 0.1), nn.LayerSpec(16)))
+        cfg = nn.TrainConfig(epochs=40, batch_size=8, learning_rate=0.05, seed=0)
+        step, backward = nn.adam_step, nn.backward
+        states, idle = [], []
+
+        def recording_step(params, grads, state, t, cfg):
+            step(params, grads, state, t, cfg)
+            if t == cfg.epochs * 8:
+                states.append(state)
+
+        def full_backward(params, cache, y):
+            grads = backward(params, cache, y)
+            if grads.flat.any():
+                return grads
+            idle.append(1)
+            return nn._backprop(params, cache, np.zeros((len(y), 1), dtype=params.flat.dtype))
+
+        monkeypatch.setattr(nn, "adam_step", recording_step)
+        short, _ = nn.train(spec, cfg, X, y, record_history=False)
+        monkeypatch.setattr(nn, "backward", full_backward)
+        full, _ = nn.train(spec, cfg, X, y, record_history=False)
+        assert 100 < len(idle) < cfg.epochs * 8  # idle and busy batches both occur
+        assert short.flat.tobytes() == full.flat.tobytes()
+        for a, b in ((states[0].m, states[1].m), (states[0].v, states[1].v)):
+            assert np.array_equal(a, b)  # -0.0 == 0.0
 
     def test_deterministic(self):
         X, y = toy_data(n=80)
