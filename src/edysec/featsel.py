@@ -195,16 +195,18 @@ def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-np.clip(v, -60, 60)))
 
 
-def _repair(mask: np.ndarray, rng) -> None:
-    if not mask.any():
-        mask[rng.integers(0, len(mask))] = True
+def _sample(v: np.ndarray, rng) -> np.ndarray:
+    """Masks whose bits are drawn with probability sigmoid(v); `_repair` then
+    gives each empty mask one bit."""
+    return _repair(rng.random(v.shape) < _sigmoid(v), rng)
 
 
-def _scores(fitness, masks) -> np.ndarray:
-    """The fitness of each mask, as one batch where the fitness takes batches
-    (`MaskFitness.many`)."""
-    many = getattr(fitness, "many", None)
-    return np.array(many(masks) if many else [fitness(m) for m in masks], dtype=float)
+def _repair(masks: np.ndarray, rng) -> np.ndarray:
+    """`masks` with one random bit set in each empty row, drawn in row order."""
+    for row in masks:
+        if not row.any():
+            row[rng.integers(0, len(row))] = True
+    return masks
 
 
 # Binary PSO: inertia falling linearly from PSO_W_START to PSO_W_END, pulls
@@ -215,6 +217,10 @@ PSO_C1 = PSO_C2 = 2.0
 PSO_V_MAX = 6.0
 WOA_B = 1.0
 
+# Both swarms call `fitness` with their whole (population, d) boolean mask
+# array, once for the initial population and once per iteration, and read
+# one score per row.
+
 
 def select_bpso(fitness, d_source: int, cfg: SwarmConfig = SwarmConfig()) -> SwarmRun:
     """Binary PSO with sigmoid bit sampling; returns the global best mask."""
@@ -222,92 +228,67 @@ def select_bpso(fitness, d_source: int, cfg: SwarmConfig = SwarmConfig()) -> Swa
         raise ValueError("d_source must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     pop, d = cfg.population, d_source
-    x = rng.integers(0, 2, size=(pop, d)).astype(bool)
-    for row in x:
-        _repair(row, rng)
+    x = _repair(rng.integers(0, 2, size=(pop, d)).astype(bool), rng)
     v = rng.uniform(-1.0, 1.0, size=(pop, d))
-    scores = _scores(fitness, x)
-    pbest = x.copy()
-    pbest_scores = scores.copy()
-    g = int(np.argmax(pbest_scores))
-    gbest = pbest[g].copy()
-    gbest_score = float(pbest_scores[g])
-    history = [gbest_score]
-    for it in range(cfg.iterations):
-        frac = it / max(cfg.iterations - 1, 1)
-        w = PSO_W_START + (PSO_W_END - PSO_W_START) * frac
-        r1 = rng.random((pop, d))
-        r2 = rng.random((pop, d))
-        v = (
-            w * v
-            + PSO_C1 * r1 * (pbest.astype(float) - x.astype(float))
-            + PSO_C2 * r2 * (gbest.astype(float) - x.astype(float))
-        )
-        np.clip(v, -PSO_V_MAX, PSO_V_MAX, out=v)
-        x = rng.random((pop, d)) < _sigmoid(v)
-        for row in x:  # the whole population first, then one batch of evaluations
-            _repair(row, rng)
-        for i, score in enumerate(_scores(fitness, x)):
-            if score > pbest_scores[i]:
-                pbest[i] = x[i].copy()
-                pbest_scores[i] = score
-                if score > gbest_score:
-                    gbest = x[i].copy()
-                    gbest_score = float(score)
+    pbest, pbest_scores = x.copy(), np.full(pop, -np.inf)
+    gbest, gbest_score, history = None, -np.inf, []
+    for it in range(cfg.iterations + 1):
+        if it:
+            w = PSO_W_START + (PSO_W_END - PSO_W_START) * ((it - 1) / max(cfg.iterations - 1, 1))
+            r1 = rng.random((pop, d))
+            r2 = rng.random((pop, d))
+            v = (
+                w * v
+                + PSO_C1 * r1 * (pbest.astype(float) - x.astype(float))
+                + PSO_C2 * r2 * (gbest.astype(float) - x.astype(float))
+            )
+            np.clip(v, -PSO_V_MAX, PSO_V_MAX, out=v)
+            x = _sample(v, rng)
+        scores = np.asarray(fitness(x), dtype=float)
+        better = scores > pbest_scores
+        pbest[better], pbest_scores[better] = x[better], scores[better]
+        g = int(np.argmax(pbest_scores))
+        if pbest_scores[g] > gbest_score:
+            gbest, gbest_score = pbest[g].copy(), float(pbest_scores[g])
         history.append(gbest_score)
     return SwarmRun(gbest, gbest_score, tuple(history))
 
 
 def select_bwoa(fitness, d_source: int, cfg: SwarmConfig = SwarmConfig()) -> SwarmRun:
-    """Binary whale optimization: encircling/search and spiral moves on a
-    continuous state, sigmoid bit sampling, elitist best-mask bookkeeping."""
+    """Binary whale optimization, synchronous as in Mirjalili & Lewis, "The
+    Whale Optimization Algorithm", Advances in Engineering Software 95 (2016),
+    Fig. 6: each iteration moves every whale relative to the previous
+    iteration's leader (encircling or search, or the spiral) on a continuous
+    state, samples every mask by sigmoid, scores them as one batch and then
+    updates the leader, keeping the best mask of all evaluations."""
     if d_source < 1:
         raise ValueError("d_source must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     pop, d = cfg.population, d_source
     x = rng.uniform(-1.0, 1.0, size=(pop, d))
-
-    def binarize(row):
-        mask = rng.random(d) < _sigmoid(row)
-        _repair(mask, rng)
-        return mask
-
-    def anchor(mask):
-        # saturate the leader's continuous state so bits sampled near it stay
-        # close to the best mask (flip probability sigmoid(-4) ~ 1.8% per bit)
-        return np.where(mask, 4.0, -4.0)
-
-    masks = [binarize(x[i]) for i in range(pop)]
-    scores = _scores(fitness, masks)  # one batch; each later move needs the best so far
-    best_i = int(np.argmax(scores))
-    best_mask = masks[best_i].copy()
-    best_score = float(scores[best_i])
-    best_x = anchor(best_mask)
-    history = [best_score]
-    for it in range(cfg.iterations):
-        a = 2.0 * (1.0 - it / max(cfg.iterations - 1, 1))
-        for i in range(pop):
-            p = rng.random()
-            if p < 0.5:
-                A = 2.0 * a * rng.random() - a
-                C = 2.0 * rng.random(d)
-                if abs(A) < 1.0:
-                    target = best_x
+    best_mask, best_score, history = None, -np.inf, []
+    for it in range(cfg.iterations + 1):
+        if it:
+            a = 2.0 * (1.0 - (it - 1) / max(cfg.iterations - 1, 1))
+            moved = np.empty_like(x)
+            for i in range(pop):
+                if rng.random() < 0.5:
+                    A = 2.0 * a * rng.random() - a
+                    C = 2.0 * rng.random(d)
+                    target = best_x if abs(A) < 1.0 else x[int(rng.integers(0, pop))]
+                    moved[i] = target - A * np.abs(C * target - x[i])
                 else:
-                    target = x[int(rng.integers(0, pop))]
-                D = np.abs(C * target - x[i])
-                x[i] = target - A * D
-            else:
-                l = rng.uniform(-1.0, 1.0)
-                D = np.abs(best_x - x[i])
-                x[i] = D * np.exp(WOA_B * l) * np.cos(2.0 * np.pi * l) + best_x
-            np.clip(x[i], -10.0, 10.0, out=x[i])
-            mask = binarize(x[i])
-            score = fitness(mask)
-            if score > best_score:
-                best_score = float(score)
-                best_mask = mask.copy()
-                best_x = anchor(best_mask)
+                    l = rng.uniform(-1.0, 1.0)
+                    moved[i] = np.abs(best_x - x[i]) * np.exp(WOA_B * l) * np.cos(2.0 * np.pi * l) + best_x
+            x = np.clip(moved, -10.0, 10.0)
+        masks = _sample(x, rng)
+        scores = np.asarray(fitness(masks), dtype=float)
+        i = int(np.argmax(scores))
+        if scores[i] > best_score:
+            best_mask, best_score = masks[i].copy(), float(scores[i])
+            # saturate the leader's continuous state so bits sampled near it stay
+            # close to the best mask (flip probability sigmoid(-4) ~ 1.8% per bit)
+            best_x = np.where(best_mask, 4.0, -4.0)
         history.append(best_score)
     return SwarmRun(best_mask, best_score, tuple(history))
 
@@ -378,9 +359,9 @@ def baseline_validation_accuracy(
 
 
 class MaskFitness:
-    """J_FS fitness over source-feature masks, caching baseline trainings.
-    The baselines train in the workers of `pool` (a `workers.Pool`), the
-    uncached masks of one `many` call as one batch."""
+    """J_FS fitness of a batch of source-feature masks, caching baseline
+    trainings. A batch's distinct uncached masks train as one batch in the
+    workers of `pool` (a `workers.Pool`)."""
 
     def __init__(self, train_pm, val_pm, pool, alpha=DEFAULT_ALPHA, baseline=BaselineConfig()):
         self.train_pm = train_pm
@@ -392,30 +373,23 @@ class MaskFitness:
         self._matrices = (train_pm, val_pm)  # one object, so a worker receives the matrices once
         self._cache: dict[bytes, tuple[float, float]] = {}
 
-    def _train(self, masks) -> None:
+    def _train(self, masks) -> list[tuple[float, float]]:
+        """Each mask's (P, J), training the masks not seen before."""
+        keys = [np.packbits(mask).tobytes() for mask in masks]
         fresh = {}
-        for mask in masks:
-            key = np.packbits(mask).tobytes()
+        for key, mask in zip(keys, masks):
             if key not in self._cache:
                 fresh.setdefault(key, tuple(n for n, bit in zip(self.names, mask) if bit))
         jobs = [(selected, self.baseline) for selected in fresh.values()]
         ps = self.pool.map(baseline_validation_accuracy, jobs, common=self._matrices)
         for (key, selected), p in zip(fresh.items(), ps):
             self._cache[key] = (p, objective(p, len(selected), len(self.names), self.alpha))
+        return [self._cache[key] for key in keys]
 
-    def _evaluate(self, mask: np.ndarray) -> tuple[float, float]:
-        key = np.packbits(mask).tobytes()
-        if key not in self._cache:
-            self._train([mask])
-        return self._cache[key]
+    def __call__(self, masks) -> np.ndarray:
+        """J of each mask."""
+        return np.array([j for _, j in self._train(masks)])
 
-    def __call__(self, mask: np.ndarray) -> float:
-        return self._evaluate(mask)[1]
-
-    def validation_score(self, mask: np.ndarray) -> float:
-        return self._evaluate(mask)[0]
-
-    def many(self, masks) -> list[float]:
-        """The fitness of each mask."""
-        self._train(masks)
-        return [self(mask) for mask in masks]
+    def validation_score(self, masks) -> np.ndarray:
+        """The baseline's validation accuracy P of each mask."""
+        return np.array([p for p, _ in self._train(masks)])

@@ -292,7 +292,7 @@ def _eval_stats(params, X, y):
         return 0.0, 0.0
     probs = predict_proba(params, X)
     loss = batch_bce(probs, y)
-    acc = float(np.mean((probs >= 0.5) == (y == 1))) if len(y) else 0.0
+    acc = float(np.mean((probs >= 0.5) == (y == 1)))
     return loss, acc
 
 

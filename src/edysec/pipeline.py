@@ -112,7 +112,7 @@ def largest_batch(options: PipelineOptions) -> int:
     """The most jobs any worker batch of a run with these options holds."""
     swarm = options.swarm.population if {"pso", "woa"} & set(options.selectors) else 1
     runs = {"seeds": options.stability_runs, "selectors": len(options.selectors), "off": 0}[options.stability_mode]
-    return max(swarm, len(options.models) * (1 + runs))
+    return max(swarm, len(options.selectors), len(options.models) * (1 + runs))
 
 
 def run_selectors(
@@ -123,11 +123,12 @@ def run_selectors(
 ) -> list[featsel.SelectorResult]:
     """Each selector's subset, scored by one shared `MaskFitness` whose
     baselines train in `pool`, so a subset that two selectors pick is trained
-    once. The importance selector's baseline trains here: its weights are
-    used at once."""
+    once. The subsets are validated as one batch once every selector has
+    picked its own. The importance selector's baseline trains here: its
+    weights are used at once."""
     names = train_pm.source_features()
     fitness = featsel.MaskFitness(train_pm, val_pm, pool, options.alpha, options.baseline)
-    results = []
+    selections = []
     for method in options.selectors:
         if method == "anova":
             scores = featsel.anova_f_scores(train_pm)
@@ -142,15 +143,18 @@ def run_selectors(
             runner = featsel.select_bpso if method == "pso" else featsel.select_bwoa
             mask = runner(fitness, len(names), options.swarm).mask
             selected = tuple(n for n, bit in zip(names, mask) if bit)
-        p = fitness.validation_score(np.isin(names, selected))
-        results.append(featsel.SelectorResult(
+        selections.append(selected)
+    ps = fitness.validation_score(np.array([np.isin(names, selected) for selected in selections])).tolist()
+    return [
+        featsel.SelectorResult(
             method=method,
-            selected=tuple(selected),
+            selected=selected,
             d_j=len(selected),
             p_j=p,
             objective=featsel.objective(p, len(selected), len(names), options.alpha),
-        ))
-    return results
+        )
+        for method, selected, p in zip(options.selectors, selections, ps)
+    ]
 
 
 def build_artifact(

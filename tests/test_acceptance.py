@@ -325,8 +325,8 @@ def test_a9_planted_recovery_and_e2e():
         # swarm recovery against a planted-mask fitness (bits matching ground truth)
         target = np.array([n in informative for n in names])
 
-        def fitness(mask, target=target):
-            return float(np.sum(mask == target))
+        def fitness(masks, target=target):
+            return np.sum(masks == target, axis=1).astype(float)
 
         cfg = SwarmConfig(population=20, iterations=50, seed=seed)
         pso_mask = featsel.select_bpso(fitness, len(names), cfg).mask

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edysec import featsel, workers
+from edysec import featsel, pipeline, workers
 from edysec.dataset import generate_synthetic, split_dataset
 from edysec.errors import BadK, BadOption, EmptyResult, LayoutMismatch, UnknownFeature
 from edysec.preprocess import Preprocessor
@@ -104,8 +104,8 @@ class TestImportance:
 def bit_match(target):
     target = np.asarray(target, dtype=bool)
 
-    def fitness(mask):
-        return float(np.sum(mask == target))
+    def fitness(masks):
+        return np.sum(masks == target, axis=1).astype(float)
 
     return fitness
 
@@ -135,9 +135,22 @@ class TestSwarms:
             assert a.history == b.history
             assert list(a.history) == sorted(a.history)
 
+    @pytest.mark.parametrize("runner", [featsel.select_bpso, featsel.select_bwoa])
+    def test_one_batch_per_iteration(self, runner):
+        calls = []
+
+        def fitness(masks):
+            calls.append(np.array(masks))
+            return np.sum(masks, axis=1).astype(float)
+
+        cfg = featsel.SwarmConfig(population=7, iterations=5, seed=1)
+        runner(fitness, 9, cfg)
+        assert len(calls) == cfg.iterations + 1
+        assert all(c.shape == (7, 9) and c.dtype == bool for c in calls)
+
     def test_never_empty_mask(self):
         cfg = featsel.SwarmConfig(population=6, iterations=5, seed=2)
-        run = featsel.select_bpso(lambda m: -float(m.sum()), 6, cfg)
+        run = featsel.select_bpso(lambda masks: -masks.sum(axis=1).astype(float), 6, cfg)
         assert run.mask.sum() >= 1
 
 
@@ -182,7 +195,7 @@ class TestProject:
 class TestMaskFitness:
     def test_matches_direct_objective(self, matrices):
         train_pm, val_pm = matrices
-        mask = np.array([True, True, False, False, False, False])
+        mask = np.array([[True, True, False, False, False, False]])
         p = featsel.baseline_validation_accuracy(
             train_pm, val_pm, ("inf_0", "inf_1"), featsel.BaselineConfig(epochs=3)
         )
@@ -191,3 +204,44 @@ class TestMaskFitness:
             fit = featsel.MaskFitness(train_pm, val_pm, pool, alpha=0.9, baseline=featsel.BaselineConfig(epochs=3))
             assert fit(mask) == pytest.approx(expect)
             assert fit.validation_score(mask) == pytest.approx(p)
+
+
+class RecordingPool:
+    """Stands in for `workers.Pool`: records the subsets of each `map` and
+    scores a subset by its size."""
+
+    def __init__(self):
+        self.maps = []
+
+    def map(self, fn, jobs, common=()):
+        subsets = [selected for selected, _ in jobs]
+        self.maps.append(subsets)
+        return [len(selected) / 10 for selected in subsets]
+
+
+class TestBatches:
+    def test_mask_fitness_trains_each_distinct_uncached_mask_once(self, matrices):
+        train_pm, val_pm = matrices
+        names = train_pm.source_features()
+        pool = RecordingPool()
+        fit = featsel.MaskFitness(train_pm, val_pm, pool, alpha=0.9)
+        cached, a, b = np.eye(len(names), dtype=bool)[:3]
+        fit(np.array([cached]))
+        scores = fit(np.array([a, cached, b, a]))
+        assert pool.maps == [[(names[0],)], [(names[1],), (names[2],)]]
+        assert scores[0] == scores[3] == featsel.objective(0.1, 1, len(names), alpha=0.9)
+        assert fit.validation_score(np.array([b, a])).tolist() == [0.1, 0.1]
+        assert sum(len(subsets) for subsets in pool.maps) == 3  # nothing trained twice
+
+    def test_run_selectors_validates_the_subsets_as_one_batch(self, matrices):
+        train_pm, val_pm = matrices
+        pool = RecordingPool()
+        options = pipeline.PipelineOptions(
+            selectors=("anova", "corr", "importance"), baseline=featsel.BaselineConfig(epochs=2)
+        )
+        results = pipeline.run_selectors(train_pm, val_pm, options, pool)
+        assert [r.method for r in results] == list(options.selectors)
+        assert len(pool.maps) == 1  # each distinct subset once, in manifest order
+        assert sorted(pool.maps[0]) == sorted({tuple(n for n in train_pm.source_features() if n in r.selected)
+                                               for r in results})
+        assert [r.p_j for r in results] == [r.d_j / 10 for r in results]

@@ -75,6 +75,10 @@ class TestPipeline:
         _, res = run
         assert [len(h.epochs) for h in res.histories.values()] == [fast_options().epochs]
 
+    def test_pool_holds_the_selector_validation_batch(self):
+        # two selectors, one model, no stability: the two subsets are validated at once
+        assert pipeline.largest_batch(fast_options()) == 2
+
     def test_stability_mode_seeds(self):
         ds = generate_synthetic(160, 2, 1, seed=1)
         res = pipeline.run_pipeline(
