@@ -97,6 +97,14 @@ class ModelArtifact:
                 self._plan = explain.explanation_plan(self.explanation_background(), groups)
             return self._plan
 
+    def explain(self, x, groups) -> explain.Attribution:
+        """Kernel SHAP attributions of one row of the input matrix over the
+        source-feature `groups`: `predict_proba` against the background,
+        through the shared plan."""
+        return explain.kernel_shap(
+            self.predict_proba, x, self.explanation_background(), groups, plan=self.explanation_plan(groups)
+        )
+
     def to_dict(self) -> dict:
         return {
             "version": ARTIFACT_VERSION,
@@ -227,14 +235,7 @@ def predict_package(
 
     attributions = None
     if explain_verdict:
-        groups = explain.feature_groups(projected)
-        attr = explain.kernel_shap(
-            artifact.predict_proba,
-            projected.X[0],
-            artifact.explanation_background(),
-            groups,
-            plan=artifact.explanation_plan(groups),
-        )
+        attr = artifact.explain(projected.X[0], explain.feature_groups(projected))
         attributions = [
             {"feature": f, "phi": p} for f, p in attr.ranked()[:VERDICT_TOP_K]
         ]

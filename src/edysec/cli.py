@@ -4,7 +4,6 @@ stability, explanations, the full pipeline, and the verdict service."""
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -186,16 +185,16 @@ def cmd_explain(args):
     artifact = load_artifact(args.artifact)
     manifest = FeatureManifest.load(args.manifest) if args.manifest else artifact.manifest
     projected = artifact.project(load_dataset(args.data, manifest))
-    background = artifact.explanation_background()
     groups = explain.feature_groups(projected)
     if args.method == "shap":  # one plan for every explained record
-        method = functools.partial(explain.kernel_shap, plan=artifact.explanation_plan(groups))
+        method = artifact.explain
     else:
-        method = explain.lime_explain
+        background = artifact.explanation_background()
+        method = lambda x, groups: explain.lime_explain(artifact.predict_proba, x, background, groups)
     count = min(args.count, projected.X.shape[0])
     records = []
     for i in range(count):
-        attr = method(artifact.predict_proba, projected.X[i], background, groups)
+        attr = method(projected.X[i], groups)
         records.append({"package": projected.ids[i] if projected.ids else str(i), **attr.to_dict()})
         if args.per_package:
             sys.stdout.write(json.dumps(records[-1], sort_keys=True) + "\n")

@@ -14,12 +14,12 @@ from .errors import FeatureMismatch, SingularSystem, TooFewFeatures, TooManyFeat
 from .preprocess import ProcessedMatrix
 
 KERNEL_ENUM_LIMIT = 14
-KERNEL_SAMPLE_BUDGET = 20480  # (coalition, centroid) forward rows sampled above KERNEL_ENUM_LIMIT features
+KERNEL_SAMPLE_BUDGET = 20480  # (coalition, centroid) forward rows a sampled plan draws unless told otherwise
 KERNEL_BACKGROUND_K = 16  # weighted centroids that stand in for the background, each with its own sample
-# Rows per model call on the sampled path. The benchmark's explained verdicts
-# (two BLAS threads) took a median 262 / 252 / 244 ms at 256 / 512 / 1024 rows,
-# with a peak RSS of 60.2 / 61.7 / 65.0 MB (100 rows: 380 ms, 59.8 MB). Past 512,
-# a doubling buys about 3% for 3 MB more.
+# Rows per model call, in whole coalitions (at least one) of a centroid's rows.
+# The benchmark's explained verdicts (two BLAS threads) took a median 262 / 252 /
+# 244 ms at 256 / 512 / 1024 rows, with a peak RSS of 60.2 / 61.7 / 65.0 MB (100
+# rows: 380 ms, 59.8 MB). Past 512, a doubling buys about 3% for 3 MB more.
 MODEL_BLOCK_ROWS = 512
 LIME_PERTURBATIONS = 5000  # masked rows per LIME fit, at least 10 per feature
 
@@ -101,22 +101,6 @@ def _column_masks(groups, coalitions, width: int) -> np.ndarray:
     return columns
 
 
-def _coalition_values(model, x, background, columns) -> np.ndarray:
-    """v(S) for each row of the boolean `columns` masks (see `_column_masks`):
-    the mean model output over the background rows with the masked columns
-    set to x (interventional masking on whole blocks). One model call per
-    coalition, so the values do not depend on how rows are batched."""
-    values = np.empty(len(columns))
-    for i, mask in enumerate(columns):
-        values[i] = np.asarray(model(np.where(mask, x, background)), dtype=float).mean()
-    return values
-
-
-def _all_coalitions(d: int) -> np.ndarray:
-    """Every coalition of d groups as a boolean row, in bit order (bit j = group j)."""
-    return (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(bool)
-
-
 def _kernel_weight(d: int, size: int) -> float:
     return (d - 1) / (math.comb(d, size) * size * (d - size))
 
@@ -171,40 +155,18 @@ def _sample_coalitions(d: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray
 
 
 @dataclass(frozen=True)
-class ExactPlan:
-    """Kernel SHAP over every coalition and the whole background, built by
-    `explanation_plan` and never written after. `columns` masks every coalition
-    in bit order (empty first, full last), `last` is the last group's membership
-    of the proper ones, and the solve is `lstsq` over the weighted `design`."""
-
-    names: tuple[str, ...]
-    background: np.ndarray
-    columns: np.ndarray
-    last: np.ndarray
-    design: np.ndarray
-    sw: np.ndarray
-
-    def explain(self, model, x) -> Attribution:
-        x = np.asarray(x, dtype=float)
-        v = _coalition_values(model, x, self.background, self.columns)
-        base, fx = float(v[0]), float(v[-1])
-        y_adj = v[1:-1] - base - self.last * (fx - base)
-        solution = np.linalg.lstsq(self.design, y_adj * self.sw, rcond=None)[0]
-        phi = {name: float(w) for name, w in zip(self.names[:-1], solution)}
-        phi[self.names[-1]] = float((fx - base) - solution.sum())
-        return Attribution(phi=phi, base=base, fx=fx, method="kernel_shap")
-
-
-@dataclass(frozen=True)
-class StratifiedPlan:
+class ExplanationPlan:
     """Kernel SHAP stratified by background centroid, built by
-    `explanation_plan` (numeric budget) and never written after.
+    `explanation_plan` and never written after.
 
-    Centroid k owns the coalition rows `bits[bounds[k]:bounds[k+1]]`, drawn
-    for it alone, with their kernel weights and the inverse Gram matrix of its
-    weighted design (last feature eliminated). Its game is v_k(S) = f(x on S,
-    c_k elsewhere), so v_k(empty) = f(c_k) and v_k(full) = f(x); the
-    attribution is the weighted sum of the centroids' Kernel SHAP solutions."""
+    A centroid is a set of background rows: `centers` has shape (k, r, width),
+    and centroid k's game is v_k(S) = the mean over its r rows of f(x on S,
+    that row elsewhere), so v_k(full) = f(x). Centroid k owns the coalition
+    rows `bits[bounds[k]:bounds[k+1]]`, with their kernel weights and the
+    inverse Gram matrix of its weighted design (last feature eliminated); the
+    attribution is the weighted sum of the centroids' Kernel SHAP solutions.
+    Exact Kernel SHAP is one centroid that holds the whole background, with
+    every proper coalition."""
 
     groups: dict[str, np.ndarray]
     centers: np.ndarray
@@ -220,14 +182,18 @@ class StratifiedPlan:
 
     def explain(self, model, x) -> Attribution:
         x = np.asarray(x, dtype=float)
-        ends = np.asarray(model(np.vstack([self.centers, x])), dtype=float)
-        bases, fx = ends[:-1], float(ends[-1])
+        _, r, width = self.centers.shape
+        # one call for every centroid row and x: float32 scores depend on the batch they are in
+        ends = np.asarray(model(np.vstack([self.centers.reshape(-1, width), x])), dtype=float)
+        bases, fx = ends[:-1].reshape(-1, r).mean(axis=1), float(ends[-1])
         owner = np.repeat(np.arange(len(bases)), np.diff(self.bounds))
         v = np.empty(len(self.bits))
-        for start in range(0, len(v), MODEL_BLOCK_ROWS):  # column masks for one block at a time
-            block = slice(start, start + MODEL_BLOCK_ROWS)
-            masks = _column_masks(self.groups, self.bits[block], self.centers.shape[1])
-            v[block] = model(np.where(masks, x, self.centers[owner[block]]))
+        step = max(1, MODEL_BLOCK_ROWS // r)  # coalitions per model call
+        for start in range(0, len(v), step):  # column masks for one block at a time
+            block = slice(start, start + step)
+            masks = _column_masks(self.groups, self.bits[block], width)[:, None, :]
+            scores = model(np.where(masks, x, self.centers[owner[block]]).reshape(-1, width))
+            v[block] = np.asarray(scores, dtype=float).reshape(-1, r).mean(axis=1)
         phi = np.zeros(len(self.groups))
         for k, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
             bits = self.bits[lo:hi]
@@ -238,64 +204,54 @@ class StratifiedPlan:
         return Attribution(dict(zip(self.names, phi.tolist())), float(self.weights @ bases), fx, "kernel_shap")
 
 
-ExplanationPlan = ExactPlan | StratifiedPlan
-
-
-def _weighted_design(z: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The design D over coalition rows `z` scaled by sqrt(weight), the last
-    feature eliminated via the efficiency constraint, and (D^T D)^-1. Raises
-    SingularSystem unless D determines every attribution (lstsq's cut-off)."""
+def _gram_inverse(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(D^T D)^-1 for the design D over coalition rows `z` scaled by
+    sqrt(weight), the last feature eliminated via the efficiency constraint.
+    Raises SingularSystem unless D determines every attribution (lstsq's
+    cut-off)."""
     z = z.astype(float)
     design = (z[:, :-1] - z[:, -1:]) * np.sqrt(weights)[:, None]
     _, s, vt = np.linalg.svd(design, full_matrices=False)
     full_rank = design.shape[1]
     if len(s) < full_rank or np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps) < full_rank:
         raise SingularSystem("degenerate coalition sample; increase the budget")
-    return design, (vt.T / s**2) @ vt
+    return (vt.T / s**2) @ vt
 
 
 def explanation_plan(background, groups, budget=None, seed: int = 0) -> ExplanationPlan:
-    """Coalitions, kernel weights, background summary and solve for
+    """Coalitions, kernel weights, background centroids and solve for
     `kernel_shap`; see there for `budget`. Raises SingularSystem if the
     coalitions cannot determine every attribution."""
     d = len(groups)
     if d < 2:
         raise TooFewFeatures(f"kernel SHAP needs at least two source features, got {d}")
-    if budget is None:
-        budget = "exact" if d <= KERNEL_ENUM_LIMIT else KERNEL_SAMPLE_BUDGET
     background = np.asarray(background, dtype=float)
-
-    if budget != "exact":
+    rng = np.random.default_rng(seed)
+    if budget is None and d <= KERNEL_ENUM_LIMIT:  # exact: the whole background, every coalition
+        centers, weights = background[None], np.ones(1)
+        samples = [_sample_coalitions(d, (1 << d) - 2, rng)]  # whole tiers, nothing drawn
+    else:
         centers, weights = summarize_background(background, seed=seed)
-        rng = np.random.default_rng(seed)
-        samples = [_sample_coalitions(d, 2 * pairs, rng) for pairs in allocate(int(budget) // 2, weights)]
-        gram_inv = np.array([_weighted_design(z, w)[1] for z, w in samples])
-        bits, kernel = (np.concatenate(part) for part in zip(*samples))
-        bounds = np.cumsum([0] + [len(z) for z, _ in samples])
-        return StratifiedPlan(dict(groups), centers, weights, bits, kernel, bounds, gram_inv)
-    if d > KERNEL_ENUM_LIMIT:
-        raise TooManyFeatures(
-            f"full coalition enumeration capped at {KERNEL_ENUM_LIMIT} features; pass a numeric budget"
-        )
-    every = _all_coalitions(d)
-    z = every[1:-1]
-    weights = np.array([_kernel_weight(d, size) for size in z.sum(axis=1).tolist()])
-    design, _ = _weighted_design(z, weights)
-    columns = _column_masks(groups, every, background.shape[1])
-    return ExactPlan(tuple(groups), background, columns, z[:, -1].astype(float), design, np.sqrt(weights))
+        centers = centers[:, None, :]
+        pairs = allocate((KERNEL_SAMPLE_BUDGET if budget is None else int(budget)) // 2, weights)
+        samples = [_sample_coalitions(d, 2 * share, rng) for share in pairs]
+    gram_inv = np.array([_gram_inverse(z, w) for z, w in samples])
+    bits, kernel = (np.concatenate(part) for part in zip(*samples))
+    bounds = np.cumsum([0] + [len(z) for z, _ in samples])
+    return ExplanationPlan(dict(groups), centers, weights, bits, kernel, bounds, gram_inv)
 
 
 def kernel_shap(model, x, background, groups, budget=None, seed: int = 0, plan=None) -> Attribution:
     """Weighted least squares over the Shapley kernel with the empty/full
     coalition constraints enforced exactly.
 
-    `budget` is "exact" (enumerate every coalition over the full background)
-    or a count of forward rows. A numeric budget summarises the background to
-    at most KERNEL_BACKGROUND_K weighted centroids and splits the rows between
-    them by weight; each centroid draws its own distinct coalitions with
-    `_sample_coalitions` (see `StratifiedPlan`). By default coalitions are
-    enumerated up to KERNEL_ENUM_LIMIT features and KERNEL_SAMPLE_BUDGET rows
-    are sampled above it.
+    With `budget` None and at most KERNEL_ENUM_LIMIT features, the answer is
+    exact: one centroid holds the whole background and enumerates every proper
+    coalition. Otherwise `budget` (KERNEL_SAMPLE_BUDGET by default) counts
+    (coalition, centroid) forward rows: the background is summarised to at most
+    KERNEL_BACKGROUND_K weighted centroids, the rows are split between them by
+    weight, and each centroid draws its own distinct coalitions with
+    `_sample_coalitions` (see `ExplanationPlan`).
 
     `plan`, if given, is `explanation_plan(background, groups, budget, seed)`
     built earlier; a caller that explains many rows builds it once."""

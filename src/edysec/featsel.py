@@ -74,10 +74,10 @@ def source_matrix(pm: ProcessedMatrix) -> tuple[np.ndarray, list[str]]:
     return out, pm.source_features()
 
 
-def anova_f_scores(pm: ProcessedMatrix, labels=None) -> dict[str, float]:
+def anova_f_scores(pm: ProcessedMatrix) -> dict[str, float]:
     """One-way two-group F per source feature over the scalar summaries."""
     summary, names = source_matrix(pm)
-    y = np.asarray(pm.labels if labels is None else labels)
+    y = np.asarray(pm.labels)
     if len(set(y.tolist())) < 2:
         raise SingleClass("both classes must be present")
     g0 = summary[y == 0]
@@ -118,7 +118,6 @@ def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
 
 def select_corr(
     pm: ProcessedMatrix,
-    labels=None,
     relevance_min: float = 0.1,
     redundancy_max: float = 0.9,
 ) -> tuple[str, ...]:
@@ -127,7 +126,7 @@ def select_corr(
     if not (0.0 <= relevance_min <= 1.0 and 0.0 <= redundancy_max <= 1.0):
         raise BadOption("thresholds must lie in [0, 1]")
     summary, names = source_matrix(pm)
-    y = np.asarray(pm.labels if labels is None else labels, dtype=float)
+    y = np.asarray(pm.labels, dtype=float)
     relevance = {
         name: abs(_safe_corr(summary[:, j], y)) for j, name in enumerate(names)
     }
@@ -152,14 +151,13 @@ def select_corr(
 def permutation_importance(
     params: nn.NetworkParams,
     pm: ProcessedMatrix,
-    labels=None,
     repeats: int = 5,
     seed: int = 0,
 ) -> dict[str, float]:
     """Mean accuracy drop when a feature's whole processed block is permuted."""
     if params.spec.input_width != pm.width:
         raise LayoutMismatch("model input width does not match matrix layout")
-    y = np.asarray(pm.labels if labels is None else labels)
+    y = np.asarray(pm.labels)
     rng = np.random.default_rng(seed)
     base_acc = float(np.mean((nn.predict_proba(params, pm.X) >= 0.5) == (y == 1)))
     importances = {}
@@ -330,6 +328,10 @@ def project(pm: ProcessedMatrix, selected) -> ProcessedMatrix:
 class BaselineConfig:
     epochs: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise BadOption("epochs must be >= 1")
 
 
 BASELINE_HIDDEN_UNITS = 64

@@ -54,11 +54,14 @@ class MetricsReport:
 
 
 def confusion(labels, probabilities, threshold: float = 0.5) -> ConfusionMatrix:
-    """Predict malicious iff p >= threshold (inclusive)."""
+    """Predict malicious iff p >= threshold (inclusive). Raises
+    NonFiniteScore on NaN or +-inf, which `>=` would count as benign."""
     labels = np.asarray(labels)
     probabilities = np.asarray(probabilities, dtype=float)
     if len(labels) != len(probabilities) or len(labels) == 0:
         raise LengthMismatch("labels and probabilities must align and be nonempty")
+    if not np.all(np.isfinite(probabilities)):
+        raise NonFiniteScore("a probability is not finite")
     pred = probabilities >= threshold
     pos = labels == 1
     return ConfusionMatrix(

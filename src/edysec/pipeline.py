@@ -39,6 +39,7 @@ class PipelineOptions:
     explain_count: int = 20
 
     def __post_init__(self):  # caught before any selection or training
+        nn.TrainConfig(self.epochs, self.batch_size, self.learning_rate)  # raises BadOption on a bad value
         if self.explain_count < 0:
             raise BadOption(f"explain_count must be >= 0, got {self.explain_count}")
         unknown = (set(self.selectors) - set(featsel.METHODS)) | (set(self.models) - set(MODEL_PRESETS))
@@ -224,9 +225,7 @@ def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions())
         },
         fingerprint={"options": options.to_dict()},
     )
-    explanations, ranking, overlap = _explanations(
-        params, test_sel, artifact.background, chosen.selected, options
-    )
+    explanations, ranking, overlap = _explanations(artifact, test_sel, options)
     return PipelineResult(
         artifact=artifact,
         splits=splits,
@@ -282,20 +281,17 @@ def train_batch(pool, options, matrices, models, selected, runs):
     return trained, stability.ScoreTable(tuple(options.models), tuple(label for label, _, _ in runs), scores)
 
 
-def _explanations(params, test_sel, background, selected, options):
+def _explanations(artifact, test_sel, options):
+    """The artifact's own attributions of `options.explain_count` test rows,
+    drawn at `options.seed`, their global ranking and its selection overlap."""
     groups = explain.feature_groups(test_sel)
     rng = np.random.default_rng(options.seed)
     n = test_sel.X.shape[0]
     count = min(options.explain_count, n)
     idx = np.sort(rng.choice(n, size=count, replace=False)) if count else []
-
-    model = lambda rows: nn.predict_proba(params, rows)
-    plan = explain.explanation_plan(background, groups, seed=options.seed) if count else None
-    explanations = [
-        explain.kernel_shap(model, test_sel.X[i], background, groups, seed=options.seed, plan=plan)
-        for i in idx
-    ]
+    explanations = [artifact.explain(test_sel.X[i], groups) for i in idx]
     if explanations:
+        selected = artifact.selected
         ranking = explain.explanation_ranking(explain.global_importance(explanations))
         overlap = explain.selection_overlap(selected, ranking, min(len(selected), len(ranking)))
     else:

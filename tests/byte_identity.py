@@ -12,9 +12,10 @@ two trees under DIR (a temporary directory by default) as `other/` and
 - `reports/` and `pipeline-artifact.json`: `run_pipeline` on a seeded
   600-row corpus of 36 features (all five selectors, stability over 3 seeds),
   then `emit_reports` and `save_artifact`;
-- `cli/`: the stdout of `edysec evaluate`, `explain` (shap, lime, and the
-  sampled path at 17 features), `stability` (two settings) and `train` (two
-  presets, the artifacts too);
+- `cli/`: the stdout of `edysec evaluate`, `explain` (shap, lime, the
+  sampled path at 17 features and the exact path at 6), `stability` (two
+  settings) and `train` (two presets on 17 features and the `nn` preset on
+  6, the artifacts too);
 - `verdicts.jsonl`: 30 verdicts of the 17-feature artifact, the first 2
   explained, without their latency;
 - `held-out.jsonl`: the verdict on every held-out row of the benchmark's
@@ -43,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SERVED_SEED = 41
 T2_FEATURES = [*(f"inf_{i}" for i in range(6)), *(f"noise_{i}" for i in range(6)),
                "noise_12", "noise_13", "noise_14", "noise_21", "noise_22"]
+T3_FEATURES = [f"inf_{i}" for i in range(6)]  # at most explain.KERNEL_ENUM_LIMIT: exact explanations
 
 
 def _cli(out: Path, name: str, argv: list[str]) -> None:
@@ -84,9 +86,10 @@ def write_outputs(out: Path) -> None:
     a = str(out / "pipeline-artifact.json")
     artifact.save_artifact(result.artifact, a)
 
-    features = out / "features.json"
+    features, exact_features = out / "features.json", out / "features-exact.json"
     features.write_text(json.dumps(T2_FEATURES))
-    t1, t2 = str(out / "t1.json"), str(out / "t2.json")
+    exact_features.write_text(json.dumps(T3_FEATURES))
+    t1, t2, t3 = str(out / "t1.json"), str(out / "t2.json"), str(out / "t3.json")
     _cli(out, "evaluate", ["evaluate", "--artifact", a, "--data", data])
     for method in ("shap", "lime"):
         _cli(out, f"explain-{method}", ["explain", "--artifact", a, "--data", data, "--count", "3", "--method", method])
@@ -99,6 +102,9 @@ def write_outputs(out: Path) -> None:
     _cli(out, "train-mlp", ["train", "--data", data, "--manifest", manifest, "--model", "mlp", "--epochs", "2",
                             "--batch", "64", "--features", str(features), "--artifact", t2])
     _cli(out, "explain-sampled", ["explain", "--artifact", t2, "--data", data, "--count", "1", "--per-package"])
+    _cli(out, "train-exact", ["train", "--data", data, "--manifest", manifest, "--model", "nn", "--epochs", "2",
+                              "--features", str(exact_features), "--artifact", t3])
+    _cli(out, "explain-exact", ["explain", "--artifact", t3, "--data", data, "--count", "2"])
 
     model = artifact.load_artifact(t2)
     with open(out / "verdicts.jsonl", "w", encoding="utf-8") as fh:

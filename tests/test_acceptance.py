@@ -234,7 +234,7 @@ def test_a7_shapley_oracle():
         x = rng.normal(size=d)
         bg = rng.normal(size=(12, d))
         exact = exact_shapley(model, x, bg, groups)
-        kernel = explain.kernel_shap(model, x, bg, groups, budget="exact")
+        kernel = explain.kernel_shap(model, x, bg, groups)
         worst_delta = max(
             worst_delta, max(abs(exact.phi[n] - kernel.phi[n]) for n in groups)
         )

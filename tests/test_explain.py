@@ -74,9 +74,7 @@ class TestKernelShap:
         exact = exact_shapley(
             fixture["model"], fixture["x"], fixture["background"], fixture["groups"]
         )
-        kernel = explain.kernel_shap(
-            fixture["model"], fixture["x"], fixture["background"], fixture["groups"], budget="exact"
-        )
+        kernel = explain.kernel_shap(fixture["model"], fixture["x"], fixture["background"], fixture["groups"])
         for name in fixture["groups"]:
             assert kernel.phi[name] == pytest.approx(exact.phi[name], abs=1e-8)
         assert abs(kernel.residual) < 1e-9
@@ -92,15 +90,23 @@ class TestKernelShap:
         for name in fixture["groups"]:
             assert sampled.phi[name] == pytest.approx(exact.phi[name], abs=0.05)
 
-    @pytest.mark.parametrize("d, explicit", [(14, "exact"), (15, explain.KERNEL_SAMPLE_BUDGET)])
-    def test_default_budget(self, d, explicit):
-        # exact enumeration up to KERNEL_ENUM_LIMIT features, KERNEL_SAMPLE_BUDGET sampled rows above
+    @pytest.mark.parametrize("d, expected", [(14, "exact"), (15, explain.KERNEL_SAMPLE_BUDGET)])
+    def test_default_budget(self, d, expected):
+        # exact up to KERNEL_ENUM_LIMIT features: one centroid that holds the whole background,
+        # with every proper coalition; KERNEL_SAMPLE_BUDGET sampled rows above
         rng = np.random.default_rng(d)
         w = rng.normal(size=d)
         model = lambda rows: np.tanh(rows @ w)
         x, bg, groups = rng.normal(size=d), rng.normal(size=(3, d)), make_groups(d)
-        default = explain.kernel_shap(model, x, bg, groups, seed=5)
-        assert default == explain.kernel_shap(model, x, bg, groups, budget=explicit, seed=5)
+        if expected == "exact":
+            plan = explain.explanation_plan(bg, groups)
+            assert plan.centers.shape == (1, 3, d) and np.array_equal(plan.centers[0], bg)
+            assert plan.weights.tolist() == [1.0] and plan.bounds.tolist() == [0, (1 << d) - 2]
+            sizes = plan.bits.sum(axis=1)
+            assert len(np.unique(plan.bits, axis=0)) == (1 << d) - 2 and 0 < sizes.min() and sizes.max() < d
+        else:
+            default = explain.kernel_shap(model, x, bg, groups, seed=5)
+            assert default == explain.kernel_shap(model, x, bg, groups, budget=expected, seed=5)
 
     def test_sampled_linear_closed_form(self):
         # the summary keeps the background mean, so a linear model stays exact at d = 17
@@ -145,7 +151,7 @@ class TestKernelShap:
 
 
 def reference_exact_kernel_shap(model, x, background, groups):
-    """The exact path as it was before explanation plans: enumerate every
+    """Exact Kernel SHAP as it was computed before explanation plans: enumerate every
     proper coalition, one model call per coalition over the whole background,
     and `lstsq` on the weighted design with the last feature eliminated."""
     d, width = len(groups), background.shape[1]
@@ -188,10 +194,23 @@ class TestPlan:
                 model, x, bg, groups, seed=3
             )
 
-    @pytest.mark.parametrize("d", [2, 7, explain.KERNEL_ENUM_LIMIT])
+    @pytest.mark.parametrize("d", [2, 7, 11, explain.KERNEL_ENUM_LIMIT])
     def test_exact_path_keeps_its_bits(self, d):
+        # one centroid's Gram solve over every coalition matches lstsq to rounding
         model, groups, xs, bg = tanh_case(d, d + 3, 9, seed=d)
-        assert explain.kernel_shap(model, xs[0], bg, groups) == reference_exact_kernel_shap(model, xs[0], bg, groups)
+        attr = explain.kernel_shap(model, xs[0], bg, groups)
+        ref = reference_exact_kernel_shap(model, xs[0], bg, groups)
+        assert max(abs(attr.phi[name] - ref.phi[name]) for name in groups) <= 1e-12
+        assert abs(attr.base - ref.base) <= 1e-14 and abs(attr.fx - ref.fx) <= 1e-14
+
+    def test_exact_path_scores_whole_coalitions_per_call(self):
+        # d = 8 over 100 background rows: one call for the background and x, then
+        # the 254 proper coalitions five at a time (500 rows) in 51 calls
+        model, groups, xs, bg = tanh_case(8, 11, 100, seed=8)
+        calls = []
+        counting = lambda rows: calls.append(len(rows)) or model(rows)
+        explain.kernel_shap(counting, xs[0], bg, groups)
+        assert len(calls) == 52 and max(calls) <= 500
 
     def test_plan_for_other_features_is_refused(self):
         model, groups, xs, bg = tanh_case(4, 4, 5, seed=0)
@@ -246,7 +265,7 @@ class TestPlan:
         params = nn.NetworkParams(spec, nn.init_network(spec, seed=4).flat.astype(np.float32))
         mlp = lambda rows: nn.predict_proba(params, rows)
         plan = explain.explanation_plan(bg, groups)
-        assert isinstance(plan, explain.StratifiedPlan)
+        assert isinstance(plan, explain.ExplanationPlan)
         attrs = []
         for rows in (100, 512):
             monkeypatch.setattr(explain, "MODEL_BLOCK_ROWS", rows)

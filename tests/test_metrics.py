@@ -22,6 +22,12 @@ class TestConfusion:
         with pytest.raises(LengthMismatch):
             confusion([], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability(self, bad):
+        # NaN >= t is False: counted, it would be a benign prediction
+        with pytest.raises(NonFiniteScore):
+            confusion([0, 1, 1], [0.2, bad, 0.7])
+
 
 class TestClassificationMetrics:
     def test_known_values(self):

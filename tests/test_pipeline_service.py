@@ -71,6 +71,23 @@ class TestPipeline:
             assert abs(attr.residual) < 1e-9
         assert set(res.ranking) == set(res.chosen.selected)
 
+    def test_explanations_are_the_artifacts_own(self, monkeypatch):
+        # at a seed other than 0, with more features than KERNEL_ENUM_LIMIT, the report explains
+        # a row as `edysec explain` and /v1/analyze do: through the artifact's own plan
+        ds = generate_synthetic(240, 4, 14, seed=5)
+        names = ds.manifest.feature_names()
+        assert len(names) > explain.KERNEL_ENUM_LIMIT
+        chosen = featsel.SelectorResult("anova", tuple(names), len(names), 1.0, 0.5)
+        monkeypatch.setattr(pipeline, "run_selectors", lambda *a, **k: [chosen])
+        res = pipeline.run_pipeline(ds, fast_options(seed=3, selectors=("anova",), epochs=1))
+        fresh = art.ModelArtifact.from_dict(res.artifact.to_dict())
+        test = fresh.project(res.splits.test)
+        probs = fresh.predict_proba(test.X).tolist()
+        assert len(res.explanations) == 2
+        for attr in res.explanations:
+            x = test.X[probs.index(attr.fx)]
+            assert attr == fresh.explain(x, explain.feature_groups(test))
+
     def test_candidates_keep_their_histories(self, run):
         _, res = run
         assert [len(h.epochs) for h in res.histories.values()] == [fast_options().epochs]
@@ -545,10 +562,39 @@ class TestCli:
     @pytest.mark.parametrize("change", [
         {"stability_mode": "bootstrap"}, {"selectors": ("anova", "lasso")}, {"models": ("mlp", "cnn")},
         {"stability_mode": "selectors", "selectors": ("anova",)}, {"stability_runs": 1},
+        {"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0}, {"learning_rate": -1e-3},
     ])
     def test_options_refuse_what_cannot_run(self, change):
         with pytest.raises(BadOption):
             pipeline.PipelineOptions(**change)
+
+    def test_baseline_needs_an_epoch(self):
+        with pytest.raises(BadOption):
+            BaselineConfig(epochs=0)
+
+    def test_zero_epochs_are_refused_before_selection(self, trained, tmp_path, capsys, monkeypatch):
+        out, _ = trained
+        selections = []
+        monkeypatch.setattr(pipeline, "run_selectors", lambda *a, **k: selections.append(a))
+        capsys.readouterr()
+        assert cli.main([
+            "pipeline", "--data", str(out / "data.csv"), "--manifest", str(out / "manifest.json"),
+            "--epochs", "0", "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert selections == [] and list(tmp_path.iterdir()) == []
+
+    def test_non_finite_probabilities_exit_2(self, tmp_path, capsys):
+        # at a learning rate of 1e10 every MLP probability is NaN; thresholded, all would be benign
+        assert cli.main([
+            "synth", "--rows", "300", "--informative", "3", "--noise", "4", "--seed", "2", "--out", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        assert cli.main([
+            "stability", "--data", str(tmp_path / "data.csv"), "--manifest", str(tmp_path / "manifest.json"),
+            "--runs", "2", "--epochs", "2", "--lr", "1e10", "--models", "mlp", "nn",
+        ]) == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_one_feature_artifact_cannot_be_explained(self, trained, tmp_path, capsys):
         out, _ = trained
