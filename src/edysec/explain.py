@@ -3,7 +3,6 @@ LIME-style local surrogates, and global aggregation."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -105,6 +104,22 @@ def _kernel_weight(d: int, size: int) -> float:
     return (d - 1) / (math.comb(d, size) * size * (d - size))
 
 
+def _tier(d: int, s: int) -> np.ndarray:
+    """Every size-s coalition of d features as a bool row, in
+    `itertools.combinations` order: each member set of size k is extended by
+    every feature after its last, one whole level at a time."""
+    members = np.arange(d)[:, None]
+    for _ in range(s - 1):
+        last = members[:, -1]
+        after = d - 1 - last  # the features after each set's last member
+        starts = np.cumsum(after) - after
+        nxt = np.arange(after.sum()) - np.repeat(starts - last - 1, after)
+        members = np.column_stack([np.repeat(members, after, axis=0), nxt])
+    rows = np.zeros((len(members), d), dtype=bool)
+    rows[np.arange(len(members))[:, None], members] = True
+    return rows
+
+
 def _sample_coalitions(d: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Coalition rows and kernel weights for `budget` distinct coalitions
     (rounded down to even, capped at the 2^d - 2 proper ones).
@@ -126,11 +141,11 @@ def _sample_coalitions(d: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray
         share = pair(s) * mass(s) / sum(pair(t) * mass(t) for t in tiers)
         if left * share < count - 1e-8:
             break
-        for members in itertools.combinations(range(d), s):
-            row = np.zeros(d, dtype=bool)
-            row[list(members)] = True
-            rows.extend([row, ~row] if pair(s) == 2 else [row])
-        weights.extend([_kernel_weight(d, s)] * count)
+        tier = _tier(d, s)
+        if pair(s) == 2:  # each coalition, then its complement
+            tier = np.stack([tier, ~tier], axis=1).reshape(-1, d)
+        rows.append(tier)
+        weights.append(np.full(count, _kernel_weight(d, s)))
         left -= count
         tiers.pop(0)
 
@@ -149,9 +164,9 @@ def _sample_coalitions(d: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray
     counts = np.array(list(draws.values()), dtype=float)
     sizes = sampled.sum(axis=1)
     per_size = np.bincount(sizes, weights=counts, minlength=d)
-    rows.extend(sampled)
-    weights.extend(counts / per_size[sizes] * mass(sizes))
-    return np.array(rows, dtype=bool).reshape(-1, d), np.array(weights)
+    rows.append(sampled)
+    weights.append(counts / per_size[sizes] * mass(sizes))
+    return np.concatenate(rows), np.concatenate(weights)
 
 
 @dataclass(frozen=True)

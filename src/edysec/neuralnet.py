@@ -3,6 +3,7 @@ sigmoid output, BCE loss, Adam, deterministic seeded training."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,9 +177,11 @@ def batch_bce(probs: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1.0 - p)))
 
 
-def backward(params: NetworkParams, cache: dict, y: np.ndarray) -> NetworkParams:
+def backward(params: NetworkParams, cache: dict, y: np.ndarray) -> NetworkParams | None:
     """Gradients of mean batch BCE, honoring the dropout masks used in forward,
-    as a NetworkParams of the same spec and dtype."""
+    as a NetworkParams of the same spec and dtype; None for an idle batch,
+    every row of which is within BCE_CLAMP of its label, so every gradient
+    would be zero (adam_step takes None as that)."""
     if cache is None:
         raise StateMissing("backward needs a training pass's cache; a scoring pass keeps none")
     for key in ("inputs", "pres", "masks", "probs"):
@@ -190,8 +193,8 @@ def backward(params: NetworkParams, cache: dict, y: np.ndarray) -> NetworkParams
     # is flat there, and its p - y (as small as a subnormal p) would carry
     # subnormals through every matmul below.
     diff[np.abs(diff) < BCE_CLAMP] = 0.0
-    if not diff.any():  # an idle batch: backpropagating it would give zeros
-        return NetworkParams(params.spec, np.zeros_like(params.flat))
+    if not diff.any():
+        return None
     return _backprop(params, cache, (diff / len(y))[:, None])
 
 
@@ -216,7 +219,8 @@ def _backprop(params: NetworkParams, cache: dict, delta: np.ndarray) -> NetworkP
 
 @dataclass
 class AdamState:
-    """First and second moments, laid out as the `flat` buffer they track."""
+    """First and second moments without their (1 - β) factors (see
+    adam_step), laid out as the `flat` buffer they track."""
 
     m: np.ndarray
     v: np.ndarray
@@ -226,65 +230,71 @@ class AdamState:
         return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState, t: int, cfg: TrainConfig) -> None:
-    """One Adam update of `params` and `state`, in place.
+def adam_step(params: NetworkParams, grads: NetworkParams | None, state: AdamState, t: int, cfg: TrainConfig) -> None:
+    """One Adam update of `params` and `state`, in place, in Kingma & Ba's
+    efficient form ("Adam", ICLR 2015, §2).
+
+    The moments are kept without their (1 - β) factors, M ← β1·M + g and
+    V ← β2·V + g², and those factors are folded into the step size and the
+    epsilon: w -= α_t·M/(√V + ε̂_t) with α_t = lr·(1-β1)/bc1·√(bc2/(1-β2))
+    and ε̂_t = ε·√(bc2/(1-β2)). This is the textbook lr·m̂/(√v̂ + ε) up to
+    rounding. `grads` None is an idle batch, one whose gradients are all zero:
+    its step only decays the moments, and gives the weights the same bits as
+    zero gradients would.
 
     The flat buffers are walked in chunks of ADAM_CHUNK_BYTES per array, so
-    that a chunk's elementwise passes stay in cache. The operation order is
-    fixed, so the weights are the same bits as the textbook expression
-    w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with one exception: on a
-    step t divisible by ADAM_FLOOR_EVERY, a moment below its floor is set to
-    zero after its update.
+    that a chunk's elementwise passes stay in cache. On a step t divisible by
+    ADAM_FLOOR_EVERY, a moment below its floor is set to zero after its update.
 
     Without the floors, a weight whose gradient stays zero (a dead ReLU unit)
-    keeps its `m` subnormal for good, since k·0.9 rounds back to k ulps for
+    keeps its M subnormal for good, since k·0.9 rounds back to k ulps for
     small k, and every pass over a subnormal pays a microcode assist. The
-    floors keep `m`, `v`, their decays and `m / bc1 · lr` normal. They cost
-    five passes a chunk, so they run once every ADAM_FLOOR_EVERY steps, and
-    their thresholds include the decay of that many steps: a moment that only
-    decays after a floor step stays normal until the next one. A moment that
-    a nonzero gradient makes small between floor steps is flushed up to
-    ADAM_FLOOR_EVERY - 1 steps late, and may be subnormal, as may its
-    `m / bc1 · lr`, for those steps. A flushed `m` would have
-    moved its weight by less than lr·|m|/(bc1·eps): at the default learning
-    rate and late in training, about 3e-30 in float32.
+    floors keep M, V, their decays and α_t·M normal, and α_t·M/den too while
+    den stays below α_t/(lr·(1-β1)), at least 4.8 and about 30 late in
+    training. They cost five passes a chunk, so they run once every
+    ADAM_FLOOR_EVERY steps, and their thresholds include the decay of that
+    many steps: a moment that only decays after a floor step stays normal
+    until the next one. A moment that a nonzero gradient makes small between
+    floor steps is flushed up to ADAM_FLOOR_EVERY - 1 steps late, and may be
+    subnormal, as may its α_t·M/den, for those steps. A flushed M would have
+    moved its weight by less than α_t·|M|/ε̂_t: at the default learning rate
+    and late in training, about 3e-30 in float32.
     """
-    if grads.spec.layer_widths() != params.spec.layer_widths():
+    if grads is not None and grads.spec.layer_widths() != params.spec.layer_widths():
         raise ShapeMismatch("gradient shapes do not match parameters")
     b1, b2, lr = ADAM_BETA1, ADAM_BETA2, cfg.learning_rate
     bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    scale = math.sqrt((1.0 - b2 ** t) / (1.0 - b2))  # a Python float: float32 arrays stay float32
+    alpha = lr * (1.0 - b1) / bc1 * scale
+    eps = ADAM_EPS * scale
     floor = t % ADAM_FLOOR_EVERY == 0
     tiny = float(np.finfo(params.flat.dtype).tiny)
-    m_floor = tiny / (b1 ** ADAM_FLOOR_EVERY * min(lr, 1.0))
+    m_floor = tiny / (b1 ** ADAM_FLOOR_EVERY * min(lr * (1.0 - b1), 1.0))  # α_t >= lr·(1-β1)
     v_floor = tiny / b2 ** ADAM_FLOOR_EVERY
     chunk = ADAM_CHUNK_BYTES // params.flat.itemsize
     buf_t = np.empty(min(chunk, params.flat.size), dtype=params.flat.dtype)
     buf_u = np.empty_like(buf_t)
     for lo in range(0, params.flat.size, chunk):
-        w, g, m, v = (a[lo : lo + chunk] for a in (params.flat, grads.flat, state.m, state.v))
+        w, m, v = (a[lo : lo + chunk] for a in (params.flat, state.m, state.v))
         tmp, den = buf_t[: w.size], buf_u[: w.size]
         m *= b1
-        np.multiply(g, 1.0 - b1, out=tmp)
-        m += tmp
+        v *= b2
+        if grads is not None:
+            g = grads.flat[lo : lo + chunk]
+            m += g
+            np.multiply(g, g, out=tmp)
+            v += tmp
         if floor:
             np.abs(m, out=tmp)
             np.greater_equal(tmp, m_floor, out=den)  # a float mask: den is free until the update
             m *= den  # branch-free: a masked store mispredicts on mixed masks
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=tmp)
-        tmp *= g
-        v += tmp
-        if floor:
             np.greater_equal(v, v_floor, out=den)
             v *= den
-        np.divide(m, bc1, out=tmp)
-        tmp *= lr
-        np.divide(v, bc2, out=den)
-        np.sqrt(den, out=den)
-        den += ADAM_EPS
-        tmp /= den
-        w -= tmp
+        np.sqrt(v, out=den)
+        den += eps
+        np.divide(m, den, out=den)  # in place: a chunk's passes touch one work buffer fewer
+        den *= alpha
+        w -= den
 
 
 def _eval_stats(params, X, y):

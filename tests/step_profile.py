@@ -1,19 +1,21 @@
 """Per-step profile of training on one BLAS thread, as a pipeline worker
-trains: the median forward, backward and Adam time of a step, and the mean
-time of a whole step, for each trained network shape.
+trains: the median forward, backward and Adam time of a step, the median Adam
+time of an idle step (a batch fitted within the clamp, which has no
+gradients), and the mean time of a whole step, for each trained network shape.
 
 The shapes are the `mlp` and `nn` presets at batch 16 (the pipeline's
 default) and the selector baseline (featsel.BASELINE_HIDDEN_UNITS units at
 featsel.BASELINE_BATCH_SIZE), each at input widths 92 (the served 17-feature
 subset), 770 and 1543 (the paper's input widths). Each runs STEPS seeded
 steps of `train`'s loop on random rows and random labels, after WARMUP
-steps that are not timed. Adam's median is a step without its moment
-floors; the mean step includes the floor steps.
+steps that are not timed. Adam's medians are steps without their moment
+floors; the mean step includes the floor steps. STEPS idle steps follow the
+busy ones, from the weights and moments those left.
 
     PYTHONPATH=src python tests/step_profile.py              # every shape
     PYTHONPATH=src python tests/step_profile.py mlp:92 nn:770
 
-All nine shapes take about 12 s on one core.
+All nine shapes take about 17 s on one core.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def profile(preset: str, width: int) -> dict:
     params = nn.NetworkParams(spec, nn.init_network(spec, cfg.seed).flat.astype(nn.NETWORK_DTYPE))
     state = nn.AdamState.zeros_like(params)
     dropout_rng = np.random.default_rng(1)
-    times = {"forward": [], "backward": [], "adam": [], "step": []}
+    times = {"forward": [], "backward": [], "adam": [], "step": [], "idle": []}
     for t in range(1, WARMUP + STEPS + 1):
         idx = rng.integers(0, ROWS, batch)
         t0 = time.perf_counter()
@@ -65,6 +67,10 @@ def profile(preset: str, width: int) -> dict:
         if t > WARMUP:
             for name, ms in zip(times, (t1 - t0, t2 - t1, t3 - t2, t3 - t0)):
                 times[name].append(ms * 1e3)
+    for t in range(WARMUP + STEPS + 1, WARMUP + 2 * STEPS + 1):
+        t0 = time.perf_counter()
+        nn.adam_step(params, None, state, t, cfg)
+        times["idle"].append((time.perf_counter() - t0) * 1e3)
     out = {name: float(np.median(ms)) for name, ms in times.items() if name != "step"}
     out["step"] = float(np.mean(times["step"]))
     return {"preset": preset, "width": width, "batch": batch, "params": params.flat.size, **out}
@@ -75,11 +81,11 @@ def main(argv: list[str]) -> int:
         (p, w) for p in PRESETS for w in WIDTHS
     ]
     print(f"{'preset':>8} {'width':>5} {'batch':>5} {'params':>9} {'forward':>8} {'backward':>8}"
-          f" {'adam':>8} {'step':>8}   (ms; step is the mean, the others medians)")
+          f" {'adam':>8} {'idle':>8} {'step':>8}   (ms; step is the busy mean, the others medians)")
     for preset, width in shapes:
         r = profile(preset, width)
         print(f"{r['preset']:>8} {r['width']:>5} {r['batch']:>5} {r['params']:>9} {r['forward']:>8.3f}"
-              f" {r['backward']:>8.3f} {r['adam']:>8.3f} {r['step']:>8.3f}", flush=True)
+              f" {r['backward']:>8.3f} {r['adam']:>8.3f} {r['idle']:>8.3f} {r['step']:>8.3f}", flush=True)
     return 0
 
 

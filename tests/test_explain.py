@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -183,6 +184,14 @@ def tanh_case(d, width, rows, seed):
     return model, groups, rng.normal(size=(3, width)), rng.normal(size=(rows, width))
 
 
+def itertools_tier(d, s):
+    """The size-s coalitions of d features, one row per itertools combination."""
+    rows = np.zeros((math.comb(d, s), d), dtype=bool)
+    for row, members in zip(rows, itertools.combinations(range(d), s)):
+        row[list(members)] = True
+    return rows
+
+
 class TestPlan:
     @pytest.mark.parametrize("d, width, rows", [(5, 8, 12), (17, 20, 100)])
     def test_reused_plan_matches_a_fresh_build(self, d, width, rows):
@@ -202,6 +211,30 @@ class TestPlan:
         ref = reference_exact_kernel_shap(model, xs[0], bg, groups)
         assert max(abs(attr.phi[name] - ref.phi[name]) for name in groups) <= 1e-12
         assert abs(attr.base - ref.base) <= 1e-14 and abs(attr.fx - ref.fx) <= 1e-14
+
+    def test_exact_plan_enumerates_in_itertools_order(self):
+        # every proper coalition, outermost tier first, in combinations order and
+        # each followed by its complement (an even d's middle tier alone), with
+        # its kernel weight: the same bits as a row-by-row itertools enumeration
+        for d in range(2, explain.KERNEL_ENUM_LIMIT + 1):
+            rows, weights = [], []
+            for s in range(1, d // 2 + 1):
+                tier = itertools_tier(d, s)
+                rows.extend(tier if 2 * s == d else [r for row in tier for r in (row, ~row)])
+                weights += [explain._kernel_weight(d, s)] * (len(rows) - len(weights))
+            bits, kernel = explain._sample_coalitions(d, (1 << d) - 2, np.random.default_rng(0))
+            assert bits.dtype == bool and np.array_equal(bits, np.array(rows)), d
+            assert kernel.tobytes() == np.array(weights).tobytes(), d
+
+    @pytest.mark.parametrize("d, budget", [(17, 1280), (20, 3000), (36, 1500)])
+    def test_sampled_plan_keeps_its_draws(self, d, budget, monkeypatch):
+        # a sampled share enumerates its outer tiers, then draws the rest: the
+        # same rows, weights and draws as with tiers built by itertools
+        got = explain._sample_coalitions(d, budget, np.random.default_rng(d))
+        assert np.array_equal(got[0][: 2 * d].sum(axis=1), [1, d - 1] * d)  # tier 1 enumerated
+        monkeypatch.setattr(explain, "_tier", itertools_tier)
+        want = explain._sample_coalitions(d, budget, np.random.default_rng(d))
+        assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
 
     def test_exact_path_scores_whole_coalitions_per_call(self):
         # d = 8 over 100 background rows: one call for the background and x, then

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -29,8 +30,10 @@ REF_CFG = SimpleNamespace(beta1=nn.ADAM_BETA1, beta2=nn.ADAM_BETA2, eps=nn.ADAM_
 
 
 def functional_adam_step(params, grads, state, t, cfg):
-    """The copying Adam update that `nn.adam_step` replaced; the in-place one
-    must match it bit for bit while no moment falls below its floor."""
+    """A copying, per-layer Adam update in Kingma & Ba's efficient form: the
+    moments without their (1 - beta) factors, folded into alpha_t and eps_t.
+    The in-place `nn.adam_step` must match it bit for bit while no moment
+    falls below its floor."""
     grads_w, grads_b = grads
     if len(grads_w) != len(params.weights) or any(
         g.shape != w.shape for g, w in zip(grads_w, params.weights)
@@ -41,18 +44,19 @@ def functional_adam_step(params, grads, state, t, cfg):
         [m.copy() for m in state.m_w], [v.copy() for v in state.v_w],
         [m.copy() for m in state.m_b], [v.copy() for v in state.v_b],
     )
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    scale = math.sqrt((1.0 - cfg.beta2 ** t) / (1.0 - cfg.beta2))
+    alpha = cfg.learning_rate * (1.0 - cfg.beta1) / (1.0 - cfg.beta1 ** t) * scale
+    eps = cfg.eps * scale
     for i in range(len(new.weights)):
         for value, grad, m_arr, v_arr in (
             (new.weights[i], grads_w[i], new_state.m_w[i], new_state.v_w[i]),
             (new.biases[i], grads_b[i], new_state.m_b[i], new_state.v_b[i]),
         ):
             m_arr *= cfg.beta1
-            m_arr += (1.0 - cfg.beta1) * grad
+            m_arr += grad
             v_arr *= cfg.beta2
-            v_arr += (1.0 - cfg.beta2) * grad * grad
-            value -= cfg.learning_rate * (m_arr / bc1) / (np.sqrt(v_arr / bc2) + cfg.eps)
+            v_arr += grad * grad
+            value -= m_arr / (np.sqrt(v_arr) + eps) * alpha
     return new, new_state
 
 
@@ -224,6 +228,21 @@ class TestBackward:
         cache["probs"][4] = y[4]
         assert not np.array_equal(nn.backward(params, cache, y).flat, exact.flat)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_idle_batch_has_no_gradients(self, dtype):
+        # None only when every row is within BCE_CLAMP of its label; one row
+        # outside it, whichever, gives gradients
+        X, y = toy_data(n=8)
+        params = as_dtype(nn.init_network(nn.NetworkSpec(4, (nn.LayerSpec(16),)), seed=0), dtype)
+        _, cache = nn.forward_batch(params, X, train=True, rng=np.random.default_rng(0))  # no dropout
+        cache["probs"][:] = np.where(y == 1, 1 - 6e-8, 5e-8)
+        assert nn.backward(params, cache, y) is None
+        for row in range(len(y)):
+            probs = cache["probs"].copy()
+            probs[row] = abs(y[row] - 3e-7)
+            grads = nn.backward(params, {**cache, "probs": probs}, y)
+            assert grads is not None and grads.flat.any(), row
+
     def test_input_gradient_layout_keeps_the_bits(self):
         # backward computes each float32 input gradient as (W @ dz.T).T, which
         # must be dz @ W.T bit for bit on the BLAS build at hand: checked against
@@ -295,6 +314,54 @@ class TestAdam:
                                 (m.biases, ref_state.m_b), (v.biases, ref_state.v_b)):
             assert all(np.array_equal(a, b) for a, b in zip(flat, per_layer))
 
+    def test_matches_the_textbook_update(self):
+        # lr·m̂/(√v̂ + ε) with m and v kept as the textbook keeps them, in float64,
+        # over gradients of mixed scale with idle steps among them. The error is
+        # relative to the step that |g| would give: where the signs of g cancel
+        # in m, both forms keep only their rounding of the cancelled terms. The
+        # weights restart at zero each step, so -w is the step's update exactly.
+        spec = nn.NetworkSpec(20, (nn.LayerSpec(50),))
+        params = nn.init_network(spec, seed=0)
+        state = nn.AdamState.zeros_like(params)
+        m, v, size = (np.zeros_like(params.flat) for _ in range(3))
+        b1, b2, eps, lr = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS, 0.01
+        rng = np.random.default_rng(3)
+        for t in range(1, 51):
+            g = np.zeros_like(m) if t % 5 == 0 else rng.normal(size=m.size) * 10 ** rng.uniform(-4, 1, m.size)
+            m = b1 * m + (1 - b1) * g
+            size = b1 * size + (1 - b1) * np.abs(g)
+            v = b2 * v + (1 - b2) * g * g
+            den = np.sqrt(v / (1 - b2 ** t)) + eps
+            want = lr * (m / (1 - b1 ** t)) / den
+            params.flat[:] = 0.0
+            nn.adam_step(params, None if t % 5 == 0 else nn.NetworkParams(spec, g), state, t,
+                         nn.TrainConfig(learning_rate=lr))
+            assert np.all(np.abs(-params.flat - want) <= 1e-12 * lr * (size / (1 - b1 ** t)) / den), t
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_idle_step_matches_zero_gradients(self, dtype):
+        # the decay-only step gives the weights the bits of a step on zero
+        # gradients, floor steps included; the moments differ at most in the
+        # sign of a zero (-0.0 + 0.0 is +0.0)
+        spec = nn.NetworkSpec(20, (nn.LayerSpec(50),))
+        idle = as_dtype(nn.init_network(spec, seed=0), dtype)
+        n = idle.flat.size
+        rng = np.random.default_rng(4)
+        tiny = np.finfo(dtype).tiny
+        m = rng.choice([-1, 1], n) * tiny * 10 ** rng.uniform(0, 12, n)  # across the floor
+        m[:20] = -0.0
+        v = tiny * 10 ** rng.uniform(-1, 6, n)
+        v[20:40] = 0.0
+        state = nn.AdamState(m.astype(dtype), v.astype(dtype))
+        busy, busy_state = idle.copy(), nn.AdamState(state.m.copy(), state.v.copy())
+        zeros = nn.NetworkParams(spec, np.zeros_like(idle.flat))
+        for t in range(101, 126):  # three floor steps
+            nn.adam_step(idle, None, state, t, nn.TrainConfig())
+            nn.adam_step(busy, zeros, busy_state, t, nn.TrainConfig())
+            assert idle.flat.tobytes() == busy.flat.tobytes(), t
+            assert np.array_equal(state.m, busy_state.m) and np.array_equal(state.v, busy_state.v), t
+        assert 40 < np.count_nonzero(state.m == 0) < n and 20 < np.count_nonzero(state.v == 0) < n  # floored
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_moments_below_their_floor_become_zero(self, dtype):
         # zero gradients from moments just above the smallest normal: without
@@ -305,7 +372,8 @@ class TestAdam:
         rng = np.random.default_rng(0)
         n = params.flat.size
         k = nn.ADAM_FLOOR_EVERY  # drawn above the floors, which allow for k steps of decay
-        state = nn.AdamState((rng.choice([-1, 1], n) * tiny / (nn.ADAM_BETA1 ** k * lr) * 10 ** rng.uniform(0, 6, n)).astype(dtype),
+        m_floor = tiny / (nn.ADAM_BETA1 ** k * lr * (1 - nn.ADAM_BETA1))
+        state = nn.AdamState((rng.choice([-1, 1], n) * m_floor * 10 ** rng.uniform(0, 6, n)).astype(dtype),
                              (tiny / nn.ADAM_BETA2 ** k * 10 ** rng.uniform(0, 1, n)).astype(dtype))
         grads = nn.NetworkParams(spec, np.zeros_like(params.flat))
         with np.errstate(under="raise"):
@@ -431,10 +499,10 @@ class TestTrain:
         assert (last["m"] == 0).any()  # without the floor, these would be subnormal
 
     def test_idle_batches_keep_the_weights(self, monkeypatch):
-        # backward returns an idle batch's zero gradients (every row within
-        # BCE_CLAMP of its label) without backpropagating it; backpropagating
-        # it anyway gives the same weights, and moments that differ at most in
-        # the sign of a zero
+        # backward returns None for an idle batch (every row within BCE_CLAMP
+        # of its label) and adam_step only decays the moments; backpropagating
+        # it anyway and stepping on its zero gradients gives the same weights,
+        # and moments that differ at most in the sign of a zero
         X, y = toy_data(n=64)
         X[:, 0] += 2 * (2 * y - 1)  # a margin the network fits within the clamp
         spec = nn.NetworkSpec(4, (nn.LayerSpec(32, 0.1), nn.LayerSpec(16)))
@@ -449,7 +517,7 @@ class TestTrain:
 
         def full_backward(params, cache, y):
             grads = backward(params, cache, y)
-            if grads.flat.any():
+            if grads is not None:
                 return grads
             idle.append(1)
             return nn._backprop(params, cache, np.zeros((len(y), 1), dtype=params.flat.dtype))

@@ -79,14 +79,16 @@ class TestPipeline:
         assert len(names) > explain.KERNEL_ENUM_LIMIT
         chosen = featsel.SelectorResult("anova", tuple(names), len(names), 1.0, 0.5)
         monkeypatch.setattr(pipeline, "run_selectors", lambda *a, **k: [chosen])
-        res = pipeline.run_pipeline(ds, fast_options(seed=3, selectors=("anova",), epochs=1))
+        options = fast_options(seed=3, selectors=("anova",), epochs=1)
+        res = pipeline.run_pipeline(ds, options)
         fresh = art.ModelArtifact.from_dict(res.artifact.to_dict())
         test = fresh.project(res.splits.test)
-        probs = fresh.predict_proba(test.X).tolist()
-        assert len(res.explanations) == 2
-        for attr in res.explanations:
-            x = test.X[probs.index(attr.fx)]
-            assert attr == fresh.explain(x, explain.feature_groups(test))
+        # the test rows the pipeline draws to explain, at the run's seed
+        rng = np.random.default_rng(options.seed)
+        rows = np.sort(rng.choice(len(test.X), size=options.explain_count, replace=False))
+        assert len(res.explanations) == options.explain_count == 2
+        for attr, row in zip(res.explanations, rows):
+            assert attr == fresh.explain(test.X[row], explain.feature_groups(test))
 
     def test_candidates_keep_their_histories(self, run):
         _, res = run
