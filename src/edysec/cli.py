@@ -17,8 +17,7 @@ from .dataset import (
     save_dataset,
     split_dataset,
 )
-from .errors import BadFeatureList, BadRecord, EdysecError
-from .preprocess import Preprocessor
+from .errors import BadFeatureList, BadOption, BadRecord, EdysecError
 
 ARTIFACT_ENV = "EDYSEC_ARTIFACT"
 
@@ -59,21 +58,14 @@ def _options(args) -> pipeline.PipelineOptions:
     return pipeline.PipelineOptions(**kwargs)
 
 
-def _prepared(args):
-    """Shared front half: load, split, fit preprocessing."""
-    ds = _load(args)
-    options = _options(args)
-    splits = split_dataset(ds, options.ratios, options.seed)
-    pre = Preprocessor.fit(splits.train)
-    return ds, options, splits, pre
-
-
 def _bind(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
     return host or "127.0.0.1", int(port)
 
 
 def cmd_synth(args):
+    if not 0.0 <= args.text_fraction <= 1.0:
+        raise BadOption(f"--text-fraction must be in [0, 1], got {args.text_fraction}")
     kinds = {"numeric": 1.0 - args.text_fraction}
     if args.text_fraction > 0:
         kinds["categorical"] = args.text_fraction / 2
@@ -102,10 +94,9 @@ def cmd_split(args):
 
 
 def cmd_select(args):
-    _, options, splits, pre = _prepared(args)
-    train_pm = pre.transform(splits.train)
-    val_pm = pre.transform(splits.validation)
+    ds, options = _load(args), _options(args)
     with workers.Pool(pipeline.largest_batch(options)) as pool:
+        _, _, (train_pm, val_pm, _) = pipeline.prepare(ds, options)
         results = pipeline.run_selectors(train_pm, val_pm, options, pool)
     chosen = featsel.choose_selector(results)
     _emit({"selectors": [r.to_dict() for r in results], "chosen": chosen.method})
@@ -123,19 +114,14 @@ def _feature_list(path: str) -> tuple[str, ...]:
 
 
 def cmd_train(args):
-    ds, options, splits, pre = _prepared(args)
-    train_pm = pre.transform(splits.train)
-    val_pm = pre.transform(splits.validation)
-    if args.features:
-        selected = _feature_list(args.features)
-    else:
-        selected = tuple(train_pm.source_features())
+    ds, options = _load(args), _options(args)
     with workers.Pool(1) as pool:
-        [(params, history)], _ = pipeline.train_batch(
-            pool, options, (train_pm, val_pm, None), (args.model,), selected, []
-        )
+        _, pre, matrices = pipeline.prepare(ds, options)
+        train_pm = matrices[0]
+        selected = _feature_list(args.features) if args.features else tuple(train_pm.source_features())
+        [(params, history)], _ = pipeline.train_batch(pool, options, matrices, (args.model,), selected, [])
     artifact = pipeline.build_artifact(
-        ds, pre, featsel.project(train_pm, selected), selected, params, args.model, options,
+        ds, pre, train_pm, selected, params, args.model, options,
         provenance={"method": "manual", "d_j": len(selected)},
     )
     save_artifact(artifact, args.artifact)
@@ -153,29 +139,22 @@ def cmd_evaluate(args):
     artifact = load_artifact(args.artifact)
     manifest = FeatureManifest.load(args.manifest) if args.manifest else artifact.manifest
     projected = artifact.project(load_dataset(args.data, manifest))
-    probs = artifact.predict_proba(projected.X)
-    cm = metrics.confusion(projected.labels, probs, artifact.threshold)
-    auc = metrics.roc_auc(projected.labels, probs)
-    report = metrics.classification_metrics(cm, auc=auc)
-    _emit({
-        "metrics": report.to_dict(),
-        "confusion": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},
-    })
+    report, cm = metrics.evaluate(projected.labels, artifact.predict_proba(projected.X), artifact.threshold, auc=True)
+    _emit({"metrics": report.to_dict(), "confusion": cm.to_dict()})
 
 
 def cmd_stability(args):
-    _, options, splits, pre = _prepared(args)
-    train_pm = pre.transform(splits.train)
-    val_pm = pre.transform(splits.validation)
-    test_pm = pre.transform(splits.test)
+    ds, options = _load(args), _options(args)
     with workers.Pool(pipeline.largest_batch(options)) as pool:
+        _, _, matrices = pipeline.prepare(ds, options)
+        train_pm, val_pm, _ = matrices
         selector_results = (
             pipeline.run_selectors(train_pm, val_pm, options, pool)
             if options.stability_mode == "selectors"
             else []
         )
         runs = pipeline.stability_configs(options, tuple(train_pm.source_features()), selector_results)
-        _, table = pipeline.train_batch(pool, options, (train_pm, val_pm, test_pm), (), None, runs)
+        _, table = pipeline.train_batch(pool, options, matrices, (), None, runs)
     rows = stability.stability_report(table, seed=options.seed)
     sys.stdout.write(stability.render_table(rows))
     _emit([r.display() for r in rows])
@@ -251,30 +230,38 @@ def cmd_serve(args):
         server.server_close()
 
 
-def cmd_report(args):
-    """Human-readable rollup of a reports directory."""
-    eval_path = os.path.join(args.reports, "evaluation.json")
-    if os.path.exists(eval_path):
-        with open(eval_path, encoding="utf-8") as fh:
-            ev = json.load(fh)
-        d = ev["metrics"]["display"]
-        sys.stdout.write(
-            f"Model {ev['model']} on {ev['features']} features: "
+def _rollup(name: str, text: str) -> str:
+    """The `edysec report` lines of one report file's text."""
+    if name == "stability.txt":
+        return text
+    report = json.loads(text)
+    if name == "evaluation.json":
+        d = report["metrics"]["display"]
+        return (
+            f"Model {report['model']} on {report['features']} features: "
             f"F1 {d['f1']:.2f}, accuracy {d['accuracy']:.2f}, "
             f"FPR {d['fpr_pct']:.2f}%, FNR {d['fnr_pct']:.2f}%\n"
         )
-    stab_path = os.path.join(args.reports, "stability.txt")
-    if os.path.exists(stab_path):
-        with open(stab_path, encoding="utf-8") as fh:
-            sys.stdout.write(fh.read())
-    overlap_path = os.path.join(args.reports, "overlap.json")
-    if os.path.exists(overlap_path):
-        with open(overlap_path, encoding="utf-8") as fh:
-            ov = json.load(fh)
-        sys.stdout.write(
-            f"Selection/explanation overlap: {len(ov['overlap'])} features, "
-            f"Jaccard {ov['jaccard']:.3f}\n"
-        )
+    return f"Selection/explanation overlap: {len(report['overlap'])} features, Jaccard {report['jaccard']:.3f}\n"
+
+
+def cmd_report(args):
+    """Human-readable rollup of a reports directory. Fails closed, printing
+    nothing, on a directory that holds none of the reports and on a report
+    that is not readable JSON with the fields the rollup reads."""
+    names = ("evaluation.json", "stability.txt", "overlap.json")
+    found = [name for name in names if os.path.exists(os.path.join(args.reports, name))]
+    if not found:
+        raise EdysecError(f"{args.reports} holds none of {', '.join(names)}")
+    lines = []
+    for name in found:
+        path = os.path.join(args.reports, name)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines.append(_rollup(name, fh.read()))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise EdysecError(f"cannot read the report {path}: {exc!r}") from exc
+    sys.stdout.write("".join(lines))
 
 
 def _add_data_args(p, manifest_required=True):

@@ -135,8 +135,6 @@ class DatasetSplits:
     train: TraceDataset
     validation: TraceDataset
     test: TraceDataset
-    seed: int
-    ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
 
 
 def _parse_label(raw: str, row: int) -> int:
@@ -251,7 +249,7 @@ def split_dataset(
             start += count
     parts = [sorted(p) for p in parts]
     train, val, test = (ds.subset(p) for p in parts)
-    return DatasetSplits(train, val, test, seed=seed, ratios=ratios)
+    return DatasetSplits(train, val, test)
 
 
 _SYNTH_TOKENS = (
@@ -272,17 +270,21 @@ def generate_synthetic(
 
     Informative columns are numeric, class-conditionally normal with the given
     mean separation (in units of the unit noise std). Noise columns are
-    independent of the label; their kinds follow the `kinds` fractions
-    (default: all numeric). The manifest's `informative` field records the
+    independent of the label; their kinds follow the `kinds` fractions,
+    which are non-negative and sum to 1 (default: all numeric). The manifest's `informative` field records the
     ground-truth informative column names.
     """
     if n < 4:
         raise BadOption(f"need n >= 4 rows, got {n}")
     if d_informative < 1:
         raise BadOption(f"need d_informative >= 1, got {d_informative}")
+    if d_noise < 0:
+        raise BadOption(f"need d_noise >= 0, got {d_noise}")
     kinds = dict(kinds or {"numeric": 1.0})
     if any(k not in KINDS for k in kinds):
         raise BadOption(f"unknown kinds in {kinds}")
+    if any(fraction < 0 for fraction in kinds.values()) or abs(sum(kinds.values()) - 1.0) > 1e-9:
+        raise BadOption(f"kind fractions must be >= 0 and sum to 1, got {kinds}")
 
     rng = np.random.default_rng(seed)
     labels = np.array(([0, 1] * ((n + 1) // 2))[:n])

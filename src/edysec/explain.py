@@ -160,7 +160,7 @@ def _sample_coalitions(d: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray
                 draws[key] = draws.get(key, 0) + 1
             if len(draws) >= left:
                 break
-    sampled = np.array([np.frombuffer(key, dtype=bool) for key in draws], dtype=bool).reshape(-1, d)
+    sampled = np.frombuffer(b"".join(draws), dtype=bool).reshape(-1, d)
     counts = np.array(list(draws.values()), dtype=float)
     sizes = sampled.sum(axis=1)
     per_size = np.bincount(sizes, weights=counts, minlength=d)

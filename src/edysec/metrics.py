@@ -1,4 +1,5 @@
-"""Classification metrics: confusion counts, ratio metrics, rank-based ROC AUC."""
+"""Classification metrics: confusion counts, ratio metrics, rank-based ROC AUC,
+and `evaluate`, the one path from probabilities to a report."""
 
 from __future__ import annotations
 
@@ -19,6 +20,9 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
+
+    def to_dict(self) -> dict:
+        return {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn}
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,14 @@ def classification_metrics(cm: ConfusionMatrix, auc: float | None = None) -> Met
         error_rate=1.0 - accuracy,
         auc=auc,
     )
+
+
+def evaluate(labels, probabilities, threshold: float, auc: bool = False) -> tuple[MetricsReport, ConfusionMatrix]:
+    """The metrics report and confusion matrix of `probabilities` against
+    `labels` at `threshold` (see `confusion`); the report carries the ROC AUC
+    only when `auc` is set."""
+    cm = confusion(labels, probabilities, threshold)
+    return classification_metrics(cm, auc=roc_auc(labels, probabilities) if auc else None), cm
 
 
 def midranks(values) -> np.ndarray:

@@ -114,7 +114,6 @@ class EpochStats:
 @dataclass
 class TrainHistory:
     epochs: list[EpochStats] = field(default_factory=list)
-    wall_time_s: float = 0.0
 
 
 def param_count(spec: NetworkSpec) -> int:
@@ -323,15 +322,12 @@ def train(
     those evaluations are then skipped, the history has no epochs, and the
     weights are the same.
     """
-    import time
-
     if train_X.shape[1] != spec.input_width:
         raise WidthMismatch("training matrix width does not match spec")
     if val_X is None:
         val_X, val_y = train_X[:0], train_y[:0]
     val_y = np.asarray(val_y, dtype=float)
 
-    started = time.perf_counter()
     train_X = _network_input(train_X, NETWORK_DTYPE)
     train_y = np.asarray(train_y, dtype=NETWORK_DTYPE)
     params = NetworkParams(spec, init_network(spec, cfg.seed).flat.astype(NETWORK_DTYPE))
@@ -352,7 +348,6 @@ def train(
             vl_loss, vl_acc = _eval_stats(params, val_X, val_y)
             tr_loss, tr_acc = _eval_stats(params, train_X, train_y)
             history.epochs.append(EpochStats(tr_loss, tr_acc, vl_loss, vl_acc))
-    history.wall_time_s = time.perf_counter() - started
     return params, history
 
 

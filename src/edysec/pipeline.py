@@ -39,7 +39,7 @@ class PipelineOptions:
     explain_count: int = 20
 
     def __post_init__(self):  # caught before any selection or training
-        nn.TrainConfig(self.epochs, self.batch_size, self.learning_rate)  # raises BadOption on a bad value
+        self.train_config(self.seed)  # raises BadOption on a bad value
         if self.explain_count < 0:
             raise BadOption(f"explain_count must be >= 0, got {self.explain_count}")
         unknown = (set(self.selectors) - set(featsel.METHODS)) | (set(self.models) - set(MODEL_PRESETS))
@@ -51,6 +51,10 @@ class PipelineOptions:
             raise BadOption(f"stability needs at least two runs, got {self.stability_runs}")
         if self.stability_mode == "selectors" and len(self.selectors) < 2:
             raise BadOption(f"stability across selectors needs at least two of them, got {len(self.selectors)}")
+
+    def train_config(self, seed: int) -> nn.TrainConfig:
+        """The config of every network the pipeline trains, at `seed`."""
+        return nn.TrainConfig(self.epochs, self.batch_size, self.learning_rate, seed)
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -66,7 +70,6 @@ class CandidateScore:
     model: str
     val_accuracy: float
     val_f1: float
-    test_f1: float | None = None
 
 
 @dataclass
@@ -86,27 +89,14 @@ class PipelineResult:
     histories: dict[str, nn.TrainHistory] = field(default_factory=dict)
 
 
-def train_network(
-    name: str, options: PipelineOptions, seed: int, train_sel, val_sel, record_history: bool = True
-):
-    """Train one model preset on projected train/validation matrices under the
-    options' epochs, batch size and learning rate; returns (params, history),
-    the history empty without `record_history` (see `nn.train`)."""
-    spec = MODEL_PRESETS[name](train_sel.X.shape[1])
-    cfg = nn.TrainConfig(
-        epochs=options.epochs,
-        batch_size=options.batch_size,
-        learning_rate=options.learning_rate,
-        seed=seed,
-    )
-    return nn.train(spec, cfg, train_sel.X, train_sel.labels, val_sel.X, val_sel.labels, record_history)
-
-
-def _val_scores(params, val_pm, threshold):
-    probs = nn.predict_proba(params, val_pm.X)
-    cm = metrics.confusion(val_pm.labels, probs, threshold)
-    report = metrics.classification_metrics(cm)
-    return report.accuracy, report.f1
+def prepare(
+    ds: TraceDataset, options: PipelineOptions
+) -> tuple[DatasetSplits, Preprocessor, tuple[ProcessedMatrix, ProcessedMatrix, ProcessedMatrix]]:
+    """The split at the options' ratios and seed, the preprocessor fitted on
+    its training rows, and the processed (train, validation, test) rows."""
+    splits = split_dataset(ds, options.ratios, options.seed)
+    pre = Preprocessor.fit(splits.train)
+    return splits, pre, tuple(pre.transform(part) for part in (splits.train, splits.validation, splits.test))
 
 
 def largest_batch(options: PipelineOptions) -> int:
@@ -159,13 +149,13 @@ def run_selectors(
 
 
 def build_artifact(
-    ds, pre, train_sel, selected, params, model, options, provenance, fingerprint=None
+    ds, pre, train_pm, selected, params, model, options, provenance, fingerprint=None
 ) -> ModelArtifact:
-    """The artifact of a network trained on `train_sel`, the training rows
-    projected onto `selected`: the fitted preprocessor, the selected features,
-    the selector provenance, the weights, the threshold, a fingerprint (seed,
-    model, dataset hash and the `fingerprint` entries) and the explanation
-    background."""
+    """The artifact of a network trained on the processed training rows
+    `train_pm` projected onto `selected`: the fitted preprocessor, the
+    selected features, the selector provenance, the weights, the threshold, a
+    fingerprint (seed, model, dataset hash and the `fingerprint` entries) and
+    the explanation background, sampled from those projected rows."""
     return ModelArtifact(
         manifest=ds.manifest,
         preprocessor=pre,
@@ -176,46 +166,31 @@ def build_artifact(
         fingerprint={
             "seed": options.seed, "model": model, "dataset_sha256": dataset_hash(ds), **(fingerprint or {})
         },
-        background=explain.sample_background(train_sel, seed=options.seed),
+        background=explain.sample_background(featsel.project(train_pm, selected), seed=options.seed),
     )
 
 
 def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions()) -> PipelineResult:
     with workers.Pool(largest_batch(options)) as pool:  # the workers start while the data is prepared
-        splits = split_dataset(ds, options.ratios, options.seed)
-        pre = Preprocessor.fit(splits.train)
-        train_pm = pre.transform(splits.train)
-        val_pm = pre.transform(splits.validation)
-        test_pm = pre.transform(splits.test)
-
+        splits, pre, matrices = prepare(ds, options)
+        train_pm, val_pm, test_pm = matrices
         selector_results = run_selectors(train_pm, val_pm, options, pool)
         chosen = featsel.choose_selector(selector_results)
         runs = stability_configs(options, chosen.selected, selector_results)
-        trained, table = train_batch(
-            pool, options, (train_pm, val_pm, test_pm), options.models, chosen.selected, runs
-        )
+        trained, table = train_batch(pool, options, matrices, options.models, chosen.selected, runs)
 
-    train_sel = featsel.project(train_pm, chosen.selected)
     val_sel = featsel.project(val_pm, chosen.selected)
-    test_sel = featsel.project(test_pm, chosen.selected)
-
-    candidates, histories = [], {}
-    for name, (params, history) in zip(options.models, trained):
-        acc, f1 = _val_scores(params, val_sel, options.threshold)
-        candidates.append(CandidateScore(name, acc, f1))
-        histories[name] = history
+    candidates = []
+    for name, (params, _) in zip(options.models, trained):
+        report, _ = metrics.evaluate(val_sel.labels, nn.predict_proba(params, val_sel.X), options.threshold)
+        candidates.append(CandidateScore(name, report.accuracy, report.f1))
     best = max(candidates, key=lambda c: (c.val_accuracy, c.val_f1))
     params = trained[options.models.index(best.model)][0]
-
-    test_probs = nn.predict_proba(params, test_sel.X)
-    cm = metrics.confusion(test_sel.labels, test_probs, options.threshold)
-    auc = metrics.roc_auc(test_sel.labels, test_probs)
-    report = metrics.classification_metrics(cm, auc=auc)
 
     stability_rows = None if table is None else stability.stability_report(table, seed=options.seed)
 
     artifact = build_artifact(
-        ds, pre, train_sel, chosen.selected, params, best.model, options,
+        ds, pre, train_pm, chosen.selected, params, best.model, options,
         provenance={
             "method": chosen.method,
             "p_j": chosen.p_j,
@@ -225,6 +200,8 @@ def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions())
         },
         fingerprint={"options": options.to_dict()},
     )
+    test_sel = featsel.project(test_pm, chosen.selected)
+    report, cm = metrics.evaluate(test_sel.labels, artifact.predict_proba(test_sel.X), artifact.threshold, auc=True)
     explanations, ranking, overlap = _explanations(artifact, test_sel, options)
     return PipelineResult(
         artifact=artifact,
@@ -239,7 +216,7 @@ def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions())
         explanations=explanations,
         ranking=ranking,
         overlap=overlap,
-        histories=histories,
+        histories={name: history for name, (_, history) in zip(options.models, trained)},
     )
 
 
@@ -257,12 +234,14 @@ def _training(options, train_pm, val_pm, test_pm, name, seed, selected, candidat
     """One worker job: a candidate's (params, history) on `selected`, or, for
     a stability run, the trained network's test F1."""
     train_sel, val_sel = featsel.project(train_pm, selected), featsel.project(val_pm, selected)
-    params, history = train_network(name, options, seed, train_sel, val_sel, record_history=candidate)
+    params, history = nn.train(
+        MODEL_PRESETS[name](train_sel.width), options.train_config(seed),
+        train_sel.X, train_sel.labels, val_sel.X, val_sel.labels, record_history=candidate,
+    )
     if candidate:
         return params, history
     test_sel = featsel.project(test_pm, selected)
-    cm = metrics.confusion(test_sel.labels, nn.predict_proba(params, test_sel.X), options.threshold)
-    return metrics.classification_metrics(cm).f1
+    return metrics.evaluate(test_sel.labels, nn.predict_proba(params, test_sel.X), options.threshold)[0].f1
 
 
 def train_batch(pool, options, matrices, models, selected, runs):
@@ -305,41 +284,26 @@ def emit_reports(result: PipelineResult, out_dir) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    def dump(name, payload):
+    def write(name, text):
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         written.append(path)
 
-    cm = result.confusion
-    dump(
-        "evaluation.json",
-        {
-            "model": result.best_model,
-            "features": len(result.chosen.selected),
-            "metrics": result.evaluation.to_dict(),
-            "confusion": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},
-        },
-    )
+    def dump(name, payload):
+        write(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    dump("evaluation.json", {
+        "model": result.best_model,
+        "features": len(result.chosen.selected),
+        "metrics": result.evaluation.to_dict(),
+        "confusion": result.confusion.to_dict(),
+    })
     dump("selectors.json", [r.to_dict() for r in result.selector_results])
     if result.stability_rows is not None:
         dump("stability.json", [r.display() for r in result.stability_rows])
-        path = os.path.join(out_dir, "stability.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(stability.render_table(result.stability_rows))
-        written.append(path)
-
-    path = os.path.join(out_dir, "explanations.jsonl")
-    with open(path, "w", encoding="utf-8") as fh:
-        for attr in result.explanations:
-            fh.write(json.dumps(attr.to_dict(), sort_keys=True))
-            fh.write("\n")
-    written.append(path)
-
+        write("stability.txt", stability.render_table(result.stability_rows))
+    write("explanations.jsonl", "".join(json.dumps(a.to_dict(), sort_keys=True) + "\n" for a in result.explanations))
     overlap_set, score = result.overlap
-    dump(
-        "overlap.json",
-        {"ranking": result.ranking, "overlap": sorted(overlap_set), "jaccard": score},
-    )
+    dump("overlap.json", {"ranking": result.ranking, "overlap": sorted(overlap_set), "jaccard": score})
     return written

@@ -14,7 +14,7 @@ from edysec.dataset import (
     save_dataset,
     split_dataset,
 )
-from edysec.errors import BadLabel, BadNumeric, BadRatios, DuplicateId, MissingColumn, ShortRow
+from edysec.errors import BadLabel, BadNumeric, BadOption, BadRatios, DuplicateId, MissingColumn, ShortRow
 
 
 def small_manifest():
@@ -148,6 +148,14 @@ class TestSynthetic:
         for name in ds.manifest.informative:
             v = np.array([row[name] for row in ds.rows])
             assert v[y == 1].mean() - v[y == 0].mean() > 2.0
+
+    @pytest.mark.parametrize("d_noise, kinds", [
+        (-2, None), (3, {"numeric": -1.0, "categorical": 1.0, "pattern": 1.0}), (3, {"numeric": 1.5, "pattern": -0.5}),
+        (3, {"numeric": 0.5}), (3, {"numeric": 0.0, "pattern": 0.0}),
+    ])
+    def test_refuses_a_shape_it_cannot_write(self, d_noise, kinds):
+        with pytest.raises(BadOption):
+            generate_synthetic(40, 1, d_noise, kinds=kinds)
 
     def test_deterministic(self):
         a = generate_synthetic(60, 2, 2, seed=4)

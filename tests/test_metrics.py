@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edysec.errors import LengthMismatch, NonFiniteScore, SingleClass
-from edysec.metrics import ConfusionMatrix, classification_metrics, confusion, midranks, roc_auc
+from edysec.metrics import ConfusionMatrix, classification_metrics, confusion, evaluate, midranks, roc_auc
 
 
 class TestConfusion:
@@ -11,6 +11,12 @@ class TestConfusion:
         probs = [0.9, 0.2, 0.1, 0.8, 0.6]
         cm = confusion(labels, probs)
         assert (cm.tp, cm.tn, cm.fp, cm.fn) == (2, 1, 1, 1)
+        assert cm.to_dict() == {"tp": 2, "tn": 1, "fp": 1, "fn": 1}
+        # evaluate: the same counts, their report, and the AUC only when asked
+        report, evaluated = evaluate(labels, probs, 0.5)
+        assert evaluated == cm and report == classification_metrics(cm) and report.auc is None
+        report, _ = evaluate(labels, probs, 0.5, auc=True)
+        assert report == classification_metrics(cm, auc=roc_auc(labels, probs)) and report.auc == pytest.approx(4 / 6)
 
     def test_threshold_inclusive(self):
         cm = confusion([1, 0], [0.5, 0.5], threshold=0.5)
@@ -27,6 +33,9 @@ class TestConfusion:
         # NaN >= t is False: counted, it would be a benign prediction
         with pytest.raises(NonFiniteScore):
             confusion([0, 1, 1], [0.2, bad, 0.7])
+        for auc in (False, True):
+            with pytest.raises(NonFiniteScore):
+                evaluate([0, 1, 1], [0.2, bad, 0.7], 0.5, auc=auc)
 
 
 class TestClassificationMetrics:

@@ -484,6 +484,37 @@ class TestCli:
         text = capsys.readouterr().out
         assert "F1" in text
 
+        # the test rows, split again at the same seed and ratios, score as
+        # the pipeline scored them: one evaluation path from the artifact
+        assert cli.main([
+            "split", "--data", str(out / "data.csv"), "--manifest", str(out / "manifest.json"),
+            "--out", str(tmp_path / "splits"),
+        ]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--artifact", str(model), "--data", str(tmp_path / "splits" / "test.csv")]) == 0
+        evaluated = json.loads(capsys.readouterr().out)
+        written = json.loads((reports / "evaluation.json").read_text())
+        assert evaluated == {"metrics": written["metrics"], "confusion": written["confusion"]}
+
+    @pytest.mark.parametrize("files", [
+        {},
+        {"notes.txt": "not a report"},
+        {"evaluation.json": '{"model": "nn", "features": 3}'},
+        {"evaluation.json": "{not json"},
+        {"stability.txt": "table\n", "overlap.json": '{"ranking": []}'},
+        {"overlap.json": '{"overlap": 4, "jaccard": 0.5}'},
+    ])
+    def test_report_fails_closed(self, tmp_path, capsys, files):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        for name, text in files.items():
+            (reports / name).write_text(text)
+        capsys.readouterr()
+        assert cli.main(["report", "--reports", str(reports)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert cli.main(["report", "--reports", str(tmp_path / "missing")]) == 2
+
     @pytest.mark.parametrize("content", ["[1, 2]", "not json", '{"features": [1]}'])
     def test_predict_record_must_be_an_object(self, trained, tmp_path, capsys, content):
         _, model = trained
@@ -519,6 +550,9 @@ class TestCli:
     # malicious rows only and OUT for a path nothing may be written to
     @pytest.mark.parametrize("argv", [
         ["synth", "--rows", "2", "--informative", "1", "--noise", "1", "--out", "OUT"],
+        ["synth", "--rows", "40", "--informative", "1", "--noise", "3", "--text-fraction", "2", "--out", "OUT"],
+        ["synth", "--rows", "40", "--informative", "1", "--noise", "3", "--text-fraction", "-0.5", "--out", "OUT"],
+        ["synth", "--rows", "40", "--informative", "1", "--noise", "-2", "--out", "OUT"],
         ["train", "DATA", "--epochs", "0", "--artifact", "OUT"],
         ["train", "DATA", "--batch", "0", "--artifact", "OUT"],
         ["train", "DATA", "--lr", "0", "--artifact", "OUT"],
