@@ -33,29 +33,13 @@ def _load(args):
 
 
 def _options(args) -> pipeline.PipelineOptions:
-    kwargs = {}
-    for name in (
-        "seed",
-        "alpha",
-        "epochs",
-        "batch_size",
-        "learning_rate",
-        "threshold",
-        "stability_runs",
-        "explain_count",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    if getattr(args, "ratios", None):
-        kwargs["ratios"] = tuple(args.ratios)
-    if getattr(args, "methods", None):
-        kwargs["selectors"] = tuple(args.methods)
-    if getattr(args, "models", None):
-        kwargs["models"] = tuple(args.models)
-    if getattr(args, "mode", None):
-        kwargs["stability_mode"] = args.mode
-    return pipeline.PipelineOptions(**kwargs)
+    """The pipeline options that `args` sets, each parsed under its field's
+    name; a list value becomes a tuple."""
+    return pipeline.PipelineOptions(**{
+        name: tuple(value) if isinstance(value, list) else value
+        for name in pipeline.PipelineOptions.__dataclass_fields__
+        if (value := getattr(args, name, None)) is not None
+    })
 
 
 def _bind(value: str) -> tuple[str, int]:
@@ -125,11 +109,11 @@ def cmd_train(args):
         provenance={"method": "manual", "d_j": len(selected)},
     )
     save_artifact(artifact, args.artifact)
-    last = history.epochs[-1]
+    last = history[-1]
     _emit({
         "artifact": args.artifact,
         "model": args.model,
-        "epochs": len(history.epochs),
+        "epochs": len(history),
         "train_loss": last.train_loss,
         "val_acc": last.val_acc,
     })
@@ -304,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="run feature selectors and pick the best subset")
     _add_data_args(p)
     _add_split_args(p)
-    p.add_argument("--methods", nargs="+", choices=featsel.METHODS, default=None)
+    p.add_argument("--methods", dest="selectors", nargs="+", choices=featsel.METHODS, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.set_defaults(func=cmd_select)
 
@@ -327,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_split_args(p)
     _add_train_args(p)
-    p.add_argument("--mode", choices=("seeds", "selectors"), default="seeds")
+    p.add_argument("--mode", dest="stability_mode", choices=("seeds", "selectors"), default="seeds")
     p.add_argument("--runs", dest="stability_runs", type=int, default=None)
     p.add_argument("--models", nargs="+", choices=tuple(pipeline.MODEL_PRESETS), default=None)
     p.set_defaults(func=cmd_stability)
@@ -345,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_split_args(p)
     _add_train_args(p)
-    p.add_argument("--methods", nargs="+", choices=featsel.METHODS, default=None)
+    p.add_argument("--methods", dest="selectors", nargs="+", choices=featsel.METHODS, default=None)
     p.add_argument("--models", nargs="+", choices=tuple(pipeline.MODEL_PRESETS), default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--mode", dest="mode", choices=("seeds", "selectors", "off"), default=None)
+    p.add_argument("--mode", dest="stability_mode", choices=("seeds", "selectors", "off"), default=None)
     p.add_argument("--runs", dest="stability_runs", type=int, default=None)
     p.add_argument("--explain-count", dest="explain_count", type=int, default=None)
     p.add_argument("--out", required=True, help="reports directory")

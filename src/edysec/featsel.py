@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metrics
 from . import neuralnet as nn
 from .errors import BadK, BadOption, EmptyResult, LayoutMismatch, SingleClass, UnknownFeature
 from .preprocess import ProcessedMatrix
@@ -157,9 +158,8 @@ def permutation_importance(
     """Mean accuracy drop when a feature's whole processed block is permuted."""
     if params.spec.input_width != pm.width:
         raise LayoutMismatch("model input width does not match matrix layout")
-    y = np.asarray(pm.labels)
     rng = np.random.default_rng(seed)
-    base_acc = float(np.mean((nn.predict_proba(params, pm.X) >= 0.5) == (y == 1)))
+    base_acc = metrics.accuracy(pm.labels, nn.predict_proba(params, pm.X))
     importances = {}
     for name in pm.source_features():
         cols = pm.feature_columns(name)
@@ -168,7 +168,7 @@ def permutation_importance(
             perm = rng.permutation(pm.X.shape[0])
             shuffled = pm.X.copy()
             shuffled[:, cols] = pm.X[perm][:, cols]
-            acc = float(np.mean((nn.predict_proba(params, shuffled) >= 0.5) == (y == 1)))
+            acc = metrics.accuracy(pm.labels, nn.predict_proba(params, shuffled))
             drops.append(base_acc - acc)
         importances[name] = float(np.mean(drops))
     return importances
@@ -343,7 +343,7 @@ def train_baseline(X: np.ndarray, y: np.ndarray, cfg: BaselineConfig = BaselineC
     default learning rate in batches of BASELINE_BATCH_SIZE."""
     spec = nn.NetworkSpec(X.shape[1], (nn.LayerSpec(BASELINE_HIDDEN_UNITS, 0.0),))
     train_cfg = nn.TrainConfig(epochs=cfg.epochs, batch_size=BASELINE_BATCH_SIZE, seed=cfg.seed)
-    params, _ = nn.train(spec, train_cfg, X, np.asarray(y, dtype=float), record_history=False)
+    params, _ = nn.train(spec, train_cfg, X, np.asarray(y, dtype=float))
     return params
 
 
@@ -356,8 +356,7 @@ def baseline_validation_accuracy(
     tr = project(train_pm, selected)
     vd = project(val_pm, selected)
     params = train_baseline(tr.X, tr.labels, cfg)
-    probs = nn.predict_proba(params, vd.X)
-    return float(np.mean((probs >= 0.5) == (vd.labels == 1)))
+    return metrics.accuracy(vd.labels, nn.predict_proba(params, vd.X))
 
 
 class MaskFitness:

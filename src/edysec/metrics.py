@@ -76,6 +76,13 @@ def confusion(labels, probabilities, threshold: float = 0.5) -> ConfusionMatrix:
     )
 
 
+def accuracy(labels, probabilities, threshold: float = 0.5) -> float:
+    """The share of rows whose thresholded probability (see `confusion`)
+    matches the label; raises NonFiniteScore on NaN or +-inf."""
+    cm = confusion(labels, probabilities, threshold)
+    return (cm.tp + cm.tn) / cm.total
+
+
 def classification_metrics(cm: ConfusionMatrix, auc: float | None = None) -> MetricsReport:
     total = cm.total
     if total <= 0:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics
 from .errors import BadOption, NonFiniteInput, ShapeMismatch, StateMissing, WidthMismatch
 
 BCE_CLAMP = 1e-7
@@ -107,13 +108,8 @@ class TrainConfig:
 class EpochStats:
     train_loss: float
     train_acc: float
-    val_loss: float
-    val_acc: float
-
-
-@dataclass
-class TrainHistory:
-    epochs: list[EpochStats] = field(default_factory=list)
+    val_loss: float | None
+    val_acc: float | None
 
 
 def param_count(spec: NetworkSpec) -> int:
@@ -296,13 +292,8 @@ def adam_step(params: NetworkParams, grads: NetworkParams | None, state: AdamSta
         w -= den
 
 
-def _eval_stats(params, X, y):
-    if len(y) == 0:
-        return 0.0, 0.0
-    probs = predict_proba(params, X)
-    loss = batch_bce(probs, y)
-    acc = float(np.mean((probs >= 0.5) == (y == 1)))
-    return loss, acc
+def _epoch_stats(probs, y) -> tuple[float, float]:
+    return batch_bce(probs, y), metrics.accuracy(y, probs)
 
 
 def train(
@@ -312,42 +303,40 @@ def train(
     train_y: np.ndarray,
     val_X: np.ndarray | None = None,
     val_y: np.ndarray | None = None,
-    record_history: bool = True,
-) -> tuple[NetworkParams, TrainHistory]:
+) -> tuple[NetworkParams, list[EpochStats]]:
     """Seeded mini-batch Adam training in NETWORK_DTYPE; fully deterministic
-    for a fixed config.
+    for a fixed config. Returns the weights and one EpochStats per epoch.
 
-    Each epoch's loss and accuracy on the training and validation rows go into
-    the history. A caller that discards it passes `record_history=False`:
-    those evaluations are then skipped, the history has no epochs, and the
-    weights are the same.
+    An epoch's training loss and accuracy are those of the probabilities its
+    training passes returned: with dropout on, and each row scored by the
+    weights its batch saw. The validation rows, when given, are scored after
+    each epoch; without them the validation fields are None.
     """
     if train_X.shape[1] != spec.input_width:
         raise WidthMismatch("training matrix width does not match spec")
-    if val_X is None:
-        val_X, val_y = train_X[:0], train_y[:0]
-    val_y = np.asarray(val_y, dtype=float)
+    if val_X is not None:
+        val_y = np.asarray(val_y, dtype=float)
 
     train_X = _network_input(train_X, NETWORK_DTYPE)
     train_y = np.asarray(train_y, dtype=NETWORK_DTYPE)
     params = NetworkParams(spec, init_network(spec, cfg.seed).flat.astype(NETWORK_DTYPE))
     state = AdamState.zeros_like(params)
-    history = TrainHistory()
+    history = []
     t = 0
     n = len(train_X)
+    seen = np.empty(n, dtype=NETWORK_DTYPE)  # each row's probability in its epoch's training pass
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch, 1]).permutation(n)
         dropout_rng = np.random.default_rng([cfg.seed, epoch, 2])
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             probs, cache = forward_batch(params, train_X[idx], train=True, rng=dropout_rng)
+            seen[idx] = probs
             grads = backward(params, cache, train_y[idx])
             t += 1
             adam_step(params, grads, state, t, cfg)
-        if record_history:
-            vl_loss, vl_acc = _eval_stats(params, val_X, val_y)
-            tr_loss, tr_acc = _eval_stats(params, train_X, train_y)
-            history.epochs.append(EpochStats(tr_loss, tr_acc, vl_loss, vl_acc))
+        val = (None, None) if val_X is None else _epoch_stats(predict_proba(params, val_X), val_y)
+        history.append(EpochStats(*_epoch_stats(seen, train_y), *val))
     return params, history
 
 

@@ -86,7 +86,7 @@ class PipelineResult:
     explanations: list[explain.Attribution]
     ranking: list[str]
     overlap: tuple[set, float]
-    histories: dict[str, nn.TrainHistory] = field(default_factory=dict)
+    histories: dict[str, list[nn.EpochStats]] = field(default_factory=dict)
 
 
 def prepare(
@@ -233,13 +233,12 @@ def stability_configs(options, selected, selector_results) -> list[tuple[str, tu
 def _training(options, train_pm, val_pm, test_pm, name, seed, selected, candidate):
     """One worker job: a candidate's (params, history) on `selected`, or, for
     a stability run, the trained network's test F1."""
-    train_sel, val_sel = featsel.project(train_pm, selected), featsel.project(val_pm, selected)
-    params, history = nn.train(
-        MODEL_PRESETS[name](train_sel.width), options.train_config(seed),
-        train_sel.X, train_sel.labels, val_sel.X, val_sel.labels, record_history=candidate,
-    )
+    train_sel = featsel.project(train_pm, selected)
+    spec, cfg = MODEL_PRESETS[name](train_sel.width), options.train_config(seed)
     if candidate:
-        return params, history
+        val_sel = featsel.project(val_pm, selected)
+        return nn.train(spec, cfg, train_sel.X, train_sel.labels, val_sel.X, val_sel.labels)
+    params, _ = nn.train(spec, cfg, train_sel.X, train_sel.labels)
     test_sel = featsel.project(test_pm, selected)
     return metrics.evaluate(test_sel.labels, nn.predict_proba(params, test_sel.X), options.threshold)[0].f1
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from edysec.errors import LengthMismatch, NonFiniteScore, SingleClass
-from edysec.metrics import ConfusionMatrix, classification_metrics, confusion, evaluate, midranks, roc_auc
+from edysec.metrics import (
+    ConfusionMatrix, accuracy, classification_metrics, confusion, evaluate, midranks, roc_auc,
+)
 
 
 class TestConfusion:
@@ -36,6 +38,19 @@ class TestConfusion:
         for auc in (False, True):
             with pytest.raises(NonFiniteScore):
                 evaluate([0, 1, 1], [0.2, bad, 0.7], 0.5, auc=auc)
+        with pytest.raises(NonFiniteScore):
+            accuracy([0, 1, 1], [0.2, bad, 0.7])
+
+
+class TestAccuracy:
+    def test_matches_the_share_of_thresholded_matches(self):
+        # the same float as the mean of a bool array, in float32 and float64
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 2, 997).astype(float)
+        for probs in (rng.random(997), rng.random(997).astype(np.float32)):
+            assert accuracy(labels, probs) == float(np.mean((probs >= 0.5) == (labels == 1)))
+        assert accuracy([1, 0, 1], [0.5, 0.5, 0.4]) == 1 / 3
+        assert accuracy([1, 0, 1], [0.5, 0.5, 0.4], threshold=0.3) == 2 / 3
 
 
 class TestClassificationMetrics:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from edysec import featsel
+from edysec import featsel, metrics
 from edysec import neuralnet as nn
 from edysec.errors import NonFiniteInput, ShapeMismatch, StateMissing, WidthMismatch
 
@@ -452,8 +452,8 @@ class TestTrain:
         params, history = nn.train(spec, cfg, X, y)
         acc = np.mean((nn.predict_proba(params, X) >= 0.5) == (y == 1))
         assert acc >= 0.95
-        assert len(history.epochs) == 60
-        assert history.epochs[-1].train_loss < history.epochs[0].train_loss
+        assert len(history) == 60
+        assert history[-1].train_loss < history[0].train_loss
 
     def test_trains_in_float32(self, monkeypatch):
         # the weights are drawn in float64, then cast once: the same units as a float64 draw
@@ -493,7 +493,7 @@ class TestTrain:
             last.update(t=t, m=state.m)
 
         monkeypatch.setattr(nn, "adam_step", recording_step)
-        nn.train(spec, cfg, X, y, record_history=False)
+        nn.train(spec, cfg, X, y)
         assert last["t"] == 1200
         assert not subnormal
         assert (last["m"] == 0).any()  # without the floor, these would be subnormal
@@ -523,9 +523,9 @@ class TestTrain:
             return nn._backprop(params, cache, np.zeros((len(y), 1), dtype=params.flat.dtype))
 
         monkeypatch.setattr(nn, "adam_step", recording_step)
-        short, _ = nn.train(spec, cfg, X, y, record_history=False)
+        short, _ = nn.train(spec, cfg, X, y)
         monkeypatch.setattr(nn, "backward", full_backward)
-        full, _ = nn.train(spec, cfg, X, y, record_history=False)
+        full, _ = nn.train(spec, cfg, X, y)
         assert 100 < len(idle) < cfg.epochs * 8  # idle and busy batches both occur
         assert short.flat.tobytes() == full.flat.tobytes()
         for a, b in ((states[0].m, states[1].m), (states[0].v, states[1].v)):
@@ -541,8 +541,37 @@ class TestTrain:
         c, _ = nn.train(spec, nn.TrainConfig(epochs=5, batch_size=8, seed=43), X, y)
         assert not all(np.array_equal(x, z) for x, z in zip(a.weights, c.weights))
 
-    def test_unrecorded_history_keeps_the_weights(self):
-        # skipping the per-epoch evaluation changes nothing but the history
+    @pytest.mark.parametrize("preset", [nn.NetworkSpec.mlp, nn.NetworkSpec.nn])
+    def test_history_is_the_epochs_own_training_passes(self, monkeypatch, preset):
+        # each epoch's training loss and accuracy are those of the probabilities
+        # its training passes returned, dropout on; no row is scored again
+        X, y = toy_data(n=40)
+        spec, cfg = preset(4), nn.TrainConfig(epochs=3, batch_size=16, seed=2)
+        rows = {row.tobytes(): i for i, row in enumerate(X.astype(np.float32))}
+        passes, scored = [], []
+        forward = nn.forward_batch
+
+        def recording_forward(params, Xb, train=False, rng=None):
+            probs, cache = forward(params, Xb, train, rng)
+            if train:
+                passes.append(([rows[row.tobytes()] for row in Xb], probs.copy()))
+            else:
+                scored.append(len(Xb))
+            return probs, cache
+
+        monkeypatch.setattr(nn, "forward_batch", recording_forward)
+        _, history = nn.train(spec, cfg, X, y)
+        batches = -(-len(X) // cfg.batch_size)
+        assert len(history) == cfg.epochs and len(passes) == cfg.epochs * batches and not scored
+        for epoch, stats in enumerate(history):
+            seen = np.full(len(X), np.nan, dtype=np.float32)
+            for idx, probs in passes[epoch * batches : (epoch + 1) * batches]:
+                seen[idx] = probs
+            assert stats.train_loss == nn.batch_bce(seen, y.astype(np.float32))
+            assert stats.train_acc == metrics.accuracy(y, seen)
+
+    def test_validation_rows_keep_the_weights(self):
+        # scoring the validation rows changes nothing but the history
         X, y = toy_data(n=80)
         rng = np.random.default_rng(9)
         val_X = rng.normal(size=(40, 4))
@@ -550,13 +579,15 @@ class TestTrain:
         spec = nn.NetworkSpec(4, (nn.LayerSpec(8, 0.2),))
         cfg = nn.TrainConfig(epochs=6, batch_size=8, seed=0)
         kept, history = nn.train(spec, cfg, X, y, val_X, val_y)
-        bare, none = nn.train(spec, cfg, X, y, val_X, val_y, record_history=False)
-        assert np.array_equal(kept.flat, bare.flat)
-        assert history.epochs and not none.epochs
+        bare, unvalidated = nn.train(spec, cfg, X, y)
+        assert kept.flat.tobytes() == bare.flat.tobytes()
+        assert [(s.train_loss, s.train_acc) for s in history] == [(s.train_loss, s.train_acc) for s in unvalidated]
+        assert all(s.val_loss is not None and s.val_acc is not None for s in history)
+        assert all(s.val_loss is None and s.val_acc is None for s in unvalidated)
 
     def test_without_patience_last_weights_are_kept(self):
         X, y = toy_data(n=80)
         spec = nn.NetworkSpec(4, (nn.LayerSpec(8),))
         cfg = nn.TrainConfig(epochs=6, batch_size=8, seed=0)
         params, history = nn.train(spec, cfg, X, y, X[:20], y[:20])
-        assert nn.batch_bce(nn.predict_proba(params, X[:20]), y[:20]) == history.epochs[-1].val_loss
+        assert nn.batch_bce(nn.predict_proba(params, X[:20]), y[:20]) == history[-1].val_loss

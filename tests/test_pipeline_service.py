@@ -92,7 +92,7 @@ class TestPipeline:
 
     def test_candidates_keep_their_histories(self, run):
         _, res = run
-        assert [len(h.epochs) for h in res.histories.values()] == [fast_options().epochs]
+        assert [len(h) for h in res.histories.values()] == [fast_options().epochs]
 
     def test_pool_holds_the_selector_validation_batch(self):
         # two selectors, one model, no stability: the two subsets are validated at once
