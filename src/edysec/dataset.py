@@ -252,6 +252,7 @@ def split_dataset(
     return DatasetSplits(train, val, test)
 
 
+SYNTH_SEPARATION = 3.0  # class mean gap of an informative synthetic column
 _SYNTH_TOKENS = (
     "open", "read", "write", "connect", "exec", "fork", "stat", "close",
     "tmp", "home", "etc", "socket", "dns", "pip", "setup", "wheel",
@@ -264,12 +265,11 @@ def generate_synthetic(
     d_noise: int,
     kinds: dict | None = None,
     seed: int = 0,
-    separation: float = 3.0,
 ) -> TraceDataset:
     """Class-separated synthetic trace dataset.
 
-    Informative columns are numeric, class-conditionally normal with the given
-    mean separation (in units of the unit noise std). Noise columns are
+    Informative columns are numeric, class-conditionally normal with means
+    SYNTH_SEPARATION apart (in units of the unit noise std). Noise columns are
     independent of the label; their kinds follow the `kinds` fractions,
     which are non-negative and sum to 1 (default: all numeric). The manifest's `informative` field records the
     ground-truth informative column names.
@@ -313,7 +313,7 @@ def generate_synthetic(
 
     data: dict[str, list] = {}
     for name in informative:
-        shift = labels * separation
+        shift = labels * SYNTH_SEPARATION
         data[name] = [float(v) for v in rng.normal(0.0, 1.0, n) + shift]
     for i, kind in enumerate(noise_kinds):
         name = f"noise_{i}"

@@ -292,10 +292,7 @@ def lime_explain(model, x, background, groups) -> Attribution:
 
     masks = rng.integers(0, 2, size=(n_pert, d))  # 1 = keep the instance value
     bg_idx = rng.integers(0, len(background), size=n_pert)
-    rows = background[bg_idx].copy()
-    for j, name in enumerate(names):
-        keep = masks[:, j] == 1
-        rows[np.ix_(keep, groups[name])] = x[groups[name]]
+    rows = np.where(_column_masks(groups, masks == 1, len(x)), x, background[bg_idx])
     preds = np.asarray(model(rows), dtype=float)
 
     dist = 1.0 - masks.mean(axis=1)

@@ -137,34 +137,30 @@ def _sigmoid(z):
 
 def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng=None) -> tuple[np.ndarray, dict | None]:
     """Probabilities for a batch, computed in the dtype of `params.flat` (the
-    input is cast to it), plus the cache backward() needs. A scoring pass
-    (`train=False`) keeps no activations: it adds each bias and applies each
-    ReLU in place on the matmul's output, and its cache is None."""
+    input is cast to it), plus the cache backward() needs. Each layer adds its
+    bias and applies its ReLU in place on the matmul's output. A training pass
+    (`train=True`) also applies inverted dropout in place and keeps each
+    layer's input and dropout mask; a scoring pass keeps nothing, and its
+    cache is None."""
     if X.shape[1] != params.spec.input_width:
         raise WidthMismatch(f"expected width {params.spec.input_width}, got {X.shape[1]}")
-    inputs, pres, masks = [], [], []
     a = np.asarray(X, dtype=params.flat.dtype)
+    inputs, masks = [a], []
     for i, layer in enumerate(params.spec.hidden):
-        z = a @ params.weights[i]
-        z += params.biases[i]
-        if not train:
-            a = np.maximum(z, 0.0, out=z)
-            continue
-        inputs.append(a)
-        h = np.maximum(z, 0.0)
-        mask = None
-        if layer.dropout > 0.0:
-            keep = 1.0 - layer.dropout
-            mask = (rng.random(h.shape) < keep) / params.flat.dtype.type(keep)
-            h = h * mask
-        pres.append(z)
-        masks.append(mask)
-        a = h
-    inputs.append(a)
+        a = a @ params.weights[i]
+        a += params.biases[i]
+        np.maximum(a, 0.0, out=a)
+        if train:
+            mask = None
+            if layer.dropout > 0.0:
+                keep = 1.0 - layer.dropout
+                mask = (rng.random(a.shape) < keep) / params.flat.dtype.type(keep)
+                a *= mask
+            inputs.append(a)
+            masks.append(mask)
     logits = a @ params.weights[-1] + params.biases[-1]
     probs = _sigmoid(logits[:, 0])
-    cache = {"inputs": inputs, "pres": pres, "masks": masks, "probs": probs} if train else None
-    return probs, cache
+    return probs, ({"inputs": inputs, "masks": masks, "probs": probs} if train else None)
 
 
 def batch_bce(probs: np.ndarray, y: np.ndarray) -> float:
@@ -179,9 +175,10 @@ def backward(params: NetworkParams, cache: dict, y: np.ndarray) -> NetworkParams
     would be zero (adam_step takes None as that)."""
     if cache is None:
         raise StateMissing("backward needs a training pass's cache; a scoring pass keeps none")
-    for key in ("inputs", "pres", "masks", "probs"):
+    for key in ("inputs", "masks", "probs"):
         if key not in cache:
             raise StateMissing(f"forward cache missing {key!r}")
+    inputs, masks = cache["inputs"], cache["masks"]
     y = np.asarray(y, dtype=params.flat.dtype)
     diff = cache["probs"] - y
     # A row predicted within BCE_CLAMP of its label adds no gradient: batch_bce
@@ -190,20 +187,18 @@ def backward(params: NetworkParams, cache: dict, y: np.ndarray) -> NetworkParams
     diff[np.abs(diff) < BCE_CLAMP] = 0.0
     if not diff.any():
         return None
-    return _backprop(params, cache, (diff / len(y))[:, None])
-
-
-def _backprop(params: NetworkParams, cache: dict, delta: np.ndarray) -> NetworkParams:
-    """Gradients from dL/dlogits, `delta` (one column), through the cached layers."""
+    delta = (diff / len(y))[:, None]  # dL/dlogits
     grads = NetworkParams(params.spec, np.empty_like(params.flat))  # every view is written below
-    np.matmul(cache["inputs"][-1].T, delta, out=grads.weights[-1])
+    np.matmul(inputs[-1].T, delta, out=grads.weights[-1])
     delta.sum(axis=0, out=grads.biases[-1])
     da = delta @ params.weights[-1].T
     for i in reversed(range(len(params.spec.hidden))):
-        if cache["masks"][i] is not None:
-            da = da * cache["masks"][i]
-        dz = da * (cache["pres"][i] > 0)
-        np.matmul(cache["inputs"][i].T, dz, out=grads.weights[i])
+        if masks[i] is not None:
+            da = da * masks[i]
+        # the ReLU mask from the layer's kept output: relu(z)·mask > 0 exactly when
+        # z > 0 on a kept unit, and a dropped unit's da·mask is ±0 or NaN already
+        dz = da * (inputs[i + 1] > 0)
+        np.matmul(inputs[i].T, dz, out=grads.weights[i])
         dz.sum(axis=0, out=grads.biases[i])
         if i:  # the input gradient of the first layer is never used
             # dz @ W.T, in float32 the same bits on OpenBLAS and about twice
@@ -355,8 +350,5 @@ def _network_input(X: np.ndarray, dtype) -> np.ndarray:
 def predict_proba(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Probabilities in the dtype of `params.flat`; a row that is not finite
     in that dtype raises NonFiniteInput."""
-    X = _network_input(X, params.flat.dtype)
-    if X.shape[0] == 0:
-        return np.zeros(0, dtype=params.flat.dtype)
-    probs, _ = forward_batch(params, X)
+    probs, _ = forward_batch(params, _network_input(X, params.flat.dtype))
     return probs

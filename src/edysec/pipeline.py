@@ -30,9 +30,9 @@ class PipelineOptions:
     swarm: featsel.SwarmConfig = featsel.SwarmConfig()
     baseline: featsel.BaselineConfig = featsel.BaselineConfig()
     models: tuple[str, ...] = ("mlp", "nn")
-    epochs: int = 200
-    batch_size: int = 16
-    learning_rate: float = 1e-3
+    epochs: int = nn.TrainConfig.epochs
+    batch_size: int = nn.TrainConfig.batch_size
+    learning_rate: float = nn.TrainConfig.learning_rate
     threshold: float = 0.5
     stability_mode: str = "seeds"  # "seeds" | "selectors" | "off"
     stability_runs: int = 10

@@ -203,7 +203,8 @@ def test_a6_gradient_oracle():
         while True:
             X = rng.normal(size=(n, d))
             _, cache = nn.forward_batch(params, X, train=True, rng=rng)
-            if min(np.abs(z).min() for z in cache["pres"]) > 1e-3:
+            pres = [a @ w + b for a, w, b in zip(cache["inputs"], params.weights, params.biases)]
+            if min(np.abs(z).min() for z in pres) > 1e-3:
                 break
         y = rng.integers(0, 2, n).astype(float)
         ana = nn.backward(params, cache, y)

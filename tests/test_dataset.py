@@ -143,7 +143,7 @@ class TestSynthetic:
         assert abs(len(ds) - 2 * pos) <= 1
 
     def test_informative_columns_separate_classes(self):
-        ds = generate_synthetic(400, 2, 2, seed=11, separation=3.0)
+        ds = generate_synthetic(400, 2, 2, seed=11)
         y = np.array(ds.labels)
         for name in ds.manifest.informative:
             v = np.array([row[name] for row in ds.rows])

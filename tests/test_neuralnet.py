@@ -141,6 +141,13 @@ class TestForward:
         with pytest.raises(WidthMismatch):
             nn.predict_proba(params, X[:, :3])
 
+    @pytest.mark.parametrize("preset", [nn.NetworkSpec.mlp, nn.NetworkSpec.nn])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_rows_score_to_an_empty_array(self, preset, dtype):
+        params = as_dtype(nn.init_network(preset(5), seed=1), dtype)
+        probs = nn.predict_proba(params, np.zeros((0, 5)))
+        assert probs.shape == (0,) and probs.dtype == dtype
+
     def test_eval_mode_deterministic_despite_dropout(self):
         spec = nn.NetworkSpec(4, (nn.LayerSpec(8, 0.5),))
         params = nn.init_network(spec, seed=1)
@@ -262,7 +269,8 @@ class TestBackward:
                 for i in reversed(range(len(spec.hidden))):
                     if cache["masks"][i] is not None:
                         da = da * cache["masks"][i]
-                    dz = da * (cache["pres"][i] > 0)
+                    z = cache["inputs"][i] @ params.weights[i] + params.biases[i]
+                    dz = da * (z > 0)
                     want.append(cache["inputs"][i].T @ dz)
                     da = dz @ params.weights[i].T
                 assert [g.tobytes() for g in got] == [w.tobytes() for w in reversed(want)], (spec.hidden, batch)
@@ -411,7 +419,7 @@ class TestDtype:
 
     def test_float32_stays_float32(self):
         probs, cache, grads, params, state = self.step(np.float32)
-        arrays = [probs, grads.flat, params.flat, state.m, state.v, *cache["inputs"], *cache["pres"], *cache["masks"]]
+        arrays = [probs, grads.flat, params.flat, state.m, state.v, *cache["inputs"], *cache["masks"]]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
         assert all(m is not None for m in cache["masks"])
         X, _ = toy_data(d=12)
@@ -520,7 +528,7 @@ class TestTrain:
             if grads is not None:
                 return grads
             idle.append(1)
-            return nn._backprop(params, cache, np.zeros((len(y), 1), dtype=params.flat.dtype))
+            return nn.NetworkParams(params.spec, np.zeros_like(params.flat))
 
         monkeypatch.setattr(nn, "adam_step", recording_step)
         short, _ = nn.train(spec, cfg, X, y)
