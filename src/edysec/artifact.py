@@ -26,22 +26,22 @@ from .errors import (
 )
 from .preprocess import Preprocessor, ProcessedMatrix
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 VERDICT_TOP_K = 5  # attributions an explained verdict carries, largest |phi| first
 
 
-def _encode(arr: np.ndarray) -> dict:
+def _encode(arr: np.ndarray, dtype: str) -> dict:
     return {
         "shape": list(arr.shape),
-        "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii"),
+        "data": base64.b64encode(np.ascontiguousarray(arr, dtype=dtype).tobytes()).decode("ascii"),
     }
 
 
-def _decode(d: dict) -> np.ndarray:
+def _decode(d: dict, dtype: str) -> np.ndarray:
     """A read-only array over the decoded bytes."""
     raw = binascii.a2b_base64(d["data"])  # reads the str in place, where b64decode copies it to bytes first
-    return np.frombuffer(raw, dtype="<f8").reshape(d["shape"])
+    return np.frombuffer(raw, dtype=dtype).reshape(d["shape"])
 
 
 @dataclass
@@ -60,15 +60,18 @@ class ModelArtifact:
     def __post_init__(self):
         # Only the selected features are transformed, in manifest order (the
         # network's column order). A preprocessor fitted on every feature, as
-        # callers pass it and older artifacts stored it, is pruned here.
+        # callers pass it, is pruned here.
         order = self.manifest.feature_names()
         self.preprocessor = self.preprocessor.select(sorted(self.selected, key=order.index))
-        # The network scores in NETWORK_DTYPE: trained weights are in it
-        # already, and weights loaded as float64 are cast once, here.
+        # The network scores in NETWORK_DTYPE. Float64 weights a caller passes
+        # are cast once, here; the check refuses any that overflow it and any
+        # NaN or inf that a stored buffer holds.
         with np.errstate(over="ignore"):
             self.params = nn.NetworkParams(self.params.spec, self.params.flat.astype(nn.NETWORK_DTYPE, copy=False))
         if not np.isfinite(self.params.flat).all():
             raise CorruptArtifact(f"a network weight is not finite in {self.params.flat.dtype}")
+        if not isinstance(self.threshold, (int, float)) or not 0.0 <= self.threshold <= 1.0:
+            raise CorruptArtifact(f"threshold must be a number in [0, 1], got {self.threshold!r}")
 
     def project(self, ds: TraceDataset) -> ProcessedMatrix:
         """The network's input matrix for raw records."""
@@ -114,12 +117,11 @@ class ModelArtifact:
             "selector_provenance": self.selector_provenance,
             "network": {
                 "spec": self.params.spec.to_dict(),
-                "weights": [_encode(w) for w in self.params.weights],
-                "biases": [_encode(b) for b in self.params.biases],
+                "flat": _encode(self.params.flat, "<f4"),
             },
             "threshold": self.threshold,
             "fingerprint": self.fingerprint,
-            "background": _encode(self.background) if self.background is not None else None,
+            "background": _encode(self.background, "<f8") if self.background is not None else None,
         }
 
     @classmethod
@@ -127,23 +129,18 @@ class ModelArtifact:
         if d.get("version") != ARTIFACT_VERSION:
             raise VersionMismatch(f"unsupported artifact version: {d.get('version')!r}")
         spec = nn.NetworkSpec.from_dict(d["network"]["spec"])
-        params = nn.NetworkParams(spec, np.empty(nn.param_count(spec)))
-        for views, stored in ((params.weights, d["network"]["weights"]), (params.biases, d["network"]["biases"])):
-            if len(stored) != len(views):
-                raise CorruptArtifact(f"{len(stored)} stored layers for a spec of {len(views)}")
-            for view, layer in zip(views, stored):
-                if tuple(layer["shape"]) != view.shape:  # the assignment would broadcast a (1, n) row
-                    raise CorruptArtifact(f"stored layer of shape {layer['shape']} where the spec has {view.shape}")
-                view[...] = _decode(layer)
+        flat, count = _decode(d["network"]["flat"], "<f4"), nn.param_count(spec)
+        if flat.shape != (count,):
+            raise CorruptArtifact(f"stored weights of shape {flat.shape} where the spec has ({count},)")
         return cls(
             manifest=FeatureManifest.from_dict(d["manifest"]),
             preprocessor=Preprocessor.from_dict(d["preprocessor"]),
             selected=tuple(d["selected"]),
             selector_provenance=d["selector_provenance"],
-            params=params,
+            params=nn.NetworkParams(spec, flat),
             threshold=d["threshold"],
             fingerprint=d["fingerprint"],
-            background=_decode(d["background"]).copy() if d.get("background") else None,
+            background=_decode(d["background"], "<f8").copy() if d.get("background") else None,
         )
 
 

@@ -43,7 +43,9 @@ def _options(args) -> pipeline.PipelineOptions:
 
 
 def _bind(value: str) -> tuple[str, int]:
-    host, _, port = value.rpartition(":")
+    host, colon, port = value.rpartition(":")
+    if not (colon and port.isdecimal() and int(port) <= 65535):
+        raise BadOption(f"--bind takes HOST:PORT with a port in [0, 65535], got {value!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -206,7 +208,11 @@ def cmd_serve(args):
     if not path:
         raise EdysecError(f"pass --artifact or set {ARTIFACT_ENV}")
     host, port = _bind(args.bind)
-    server = service.make_server(load_artifact(path), host, port)
+    artifact = load_artifact(path)
+    try:
+        server = service.make_server(artifact, host, port)
+    except OSError as exc:
+        raise EdysecError(f"cannot serve on {host}:{port}: {exc}") from exc
     sys.stderr.write(f"serving on {host}:{server.server_address[1]}\n")
     try:
         server.serve_forever()

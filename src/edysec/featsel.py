@@ -97,17 +97,11 @@ def anova_f_scores(pm: ProcessedMatrix) -> dict[str, float]:
     return scores
 
 
-def _ordered(names: list[str], keys) -> list[str]:
-    """Sort names by descending key, ties broken by original (manifest) order."""
-    order = {name: i for i, name in enumerate(names)}
-    return sorted(names, key=lambda f: (-keys[f], order[f]))
-
-
-def select_anova(scores: dict[str, float], k: int, manifest_order: list[str] | None = None) -> tuple[str, ...]:
-    names = manifest_order or list(scores)
-    if not (1 <= k <= len(names)):
-        raise BadK(f"k must be in [1, {len(names)}], got {k}")
-    return tuple(_ordered(names, scores)[:k])
+def select_anova(scores: dict[str, float], k: int) -> tuple[str, ...]:
+    """The k highest-scoring features, ties kept in the scores' (column) order."""
+    if not (1 <= k <= len(scores)):
+        raise BadK(f"k must be in [1, {len(scores)}], got {k}")
+    return tuple(sorted(scores, key=lambda f: -scores[f])[:k])
 
 
 def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
@@ -174,16 +168,9 @@ def permutation_importance(
     return importances
 
 
-def select_importance(
-    importances: dict[str, float],
-    threshold_fraction: float = 0.2,
-    manifest_order: list[str] | None = None,
-) -> tuple[str, ...]:
-    if not (0.0 < threshold_fraction <= 1.0):
-        raise BadOption("threshold_fraction must lie in (0, 1]")
-    names = manifest_order or list(importances)
+def select_importance(importances: dict[str, float], fraction: float) -> tuple[str, ...]:
     top = max(importances.values())
-    kept = [name for name in names if importances[name] >= threshold_fraction * top]
+    kept = [name for name, importance in importances.items() if importance >= fraction * top]
     if not kept:
         raise EmptyResult("no feature reaches the importance threshold")
     return tuple(kept)

@@ -17,8 +17,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 ADAM_CHUNK_BYTES = 256 << 10  # per array: four walked arrays and two work buffers fit a 2 MiB L2
 ADAM_FLOOR_EVERY = 8  # adam_step floors the moments on steps t divisible by this
-# Trained and served networks compute in float32. Weights are drawn, and stored
-# in artifacts, as float64; a float32 value survives that storage exactly.
+# Trained and served networks compute in float32, and artifacts store their
+# weights in it. Weights are drawn as float64, then cast once.
 NETWORK_DTYPE = np.float32
 
 

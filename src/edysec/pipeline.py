@@ -18,6 +18,7 @@ from .errors import BadOption
 from .preprocess import Preprocessor, ProcessedMatrix
 
 ANOVA_K = 12  # features the ANOVA selector keeps (all of them if fewer)
+IMPORTANCE_FRACTION = 0.2  # the importance selector keeps features at or above this share of the top importance
 MODEL_PRESETS = {"mlp": nn.NetworkSpec.mlp, "nn": nn.NetworkSpec.nn}
 
 
@@ -40,6 +41,8 @@ class PipelineOptions:
 
     def __post_init__(self):  # caught before any selection or training
         self.train_config(self.seed)  # raises BadOption on a bad value
+        if not 0.0 <= self.threshold <= 1.0:  # NaN too: it would call every row benign
+            raise BadOption(f"threshold must be in [0, 1], got {self.threshold}")
         if self.explain_count < 0:
             raise BadOption(f"explain_count must be >= 0, got {self.explain_count}")
         unknown = (set(self.selectors) - set(featsel.METHODS)) | (set(self.models) - set(MODEL_PRESETS))
@@ -123,13 +126,13 @@ def run_selectors(
     for method in options.selectors:
         if method == "anova":
             scores = featsel.anova_f_scores(train_pm)
-            selected = featsel.select_anova(scores, min(ANOVA_K, len(names)), names)
+            selected = featsel.select_anova(scores, min(ANOVA_K, len(names)))
         elif method == "corr":
             selected = featsel.select_corr(train_pm)
         elif method == "importance":
             baseline = featsel.train_baseline(train_pm.X, train_pm.labels, options.baseline)
             importances = featsel.permutation_importance(baseline, val_pm, seed=options.seed)
-            selected = featsel.select_importance(importances, manifest_order=names)
+            selected = featsel.select_importance(importances, IMPORTANCE_FRACTION)
         else:
             runner = featsel.select_bpso if method == "pso" else featsel.select_bwoa
             mask = runner(fitness, len(names), options.swarm).mask

@@ -19,7 +19,13 @@ two trees under DIR (a temporary directory by default) as `other/` and
 - `verdicts.jsonl`: 30 verdicts of the 17-feature artifact, the first 2
   explained, without their latency;
 - `held-out.jsonl`: the verdict on every held-out row of the benchmark's
-  served artifact (perfbench/workloads.py at seed 41).
+  served artifact (perfbench/workloads.py at seed 41);
+- `artifacts.jsonl`: one line for each artifact above (the pipeline's, `t1`
+  to `t3` and the served one), as that run's own `load_artifact` reads it:
+  sha256 digests of its weights as `<f4` and its background as `<f8`, its
+  network spec, threshold, selected features, selector provenance,
+  fingerprint and preprocessor. When only the storage format of artifacts
+  changes, the artifact files differ and this file does not.
 
 Besides the diff it prints how many held-out verdicts change their label and
 the largest change of a held-out probability. It exits 0 when the trees are
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -56,6 +63,27 @@ def _cli(out: Path, name: str, argv: list[str]) -> None:
     if status:
         raise SystemExit(f"edysec {' '.join(argv)} exited {status}")
     (out / "cli" / f"{name}.out").write_text(buf.getvalue())
+
+
+def _artifact_line(name: str, path) -> str:
+    """What the artifact at `path` holds once loaded, whatever its storage format."""
+    from edysec import artifact
+
+    def digest(arr, dtype):
+        return None if arr is None else hashlib.sha256(arr.astype(dtype).tobytes()).hexdigest()
+
+    model = artifact.load_artifact(path)
+    return json.dumps({
+        "artifact": name,
+        "weights_sha256": digest(model.params.flat, "<f4"),
+        "background_sha256": digest(model.background, "<f8"),
+        "spec": model.params.spec.to_dict(),
+        "threshold": model.threshold,
+        "selected": list(model.selected),
+        "selector_provenance": model.selector_provenance,
+        "fingerprint": model.fingerprint,
+        "preprocessor": model.preprocessor.to_dict(),
+    }, sort_keys=True) + "\n"
 
 
 def _workloads():
@@ -106,6 +134,7 @@ def write_outputs(out: Path) -> None:
                               "--features", str(exact_features), "--artifact", t3])
     _cli(out, "explain-exact", ["explain", "--artifact", t3, "--data", data, "--count", "2"])
 
+    lines = [_artifact_line(Path(path).name, path) for path in (a, t1, t2, t3)]
     model = artifact.load_artifact(t2)
     with open(out / "verdicts.jsonl", "w", encoding="utf-8") as fh:
         for i, (pkg, row) in enumerate(zip(ds.ids[:30], ds.rows[:30])):
@@ -118,6 +147,8 @@ def write_outputs(out: Path) -> None:
         corpus = wl.load_corpus(*wl.write_corpus(Path(tmp), SERVED_SEED, wl.FULL))
         held_out = wl.build_artifact(corpus, SERVED_SEED, Path(tmp) / "served.json")
         served = artifact.load_artifact(Path(tmp) / "served.json")
+        lines.append(_artifact_line("served.json", Path(tmp) / "served.json"))
+    (out / "artifacts.jsonl").write_text("".join(lines))
     with open(out / "held-out.jsonl", "w", encoding="utf-8") as fh:
         for pkg, row in held_out:
             report = artifact.predict_package(served, row, package=pkg)

@@ -315,12 +315,12 @@ def test_a9_planted_recovery_and_e2e():
         names = train_pm.source_features()
 
         scores = featsel.anova_f_scores(train_pm)
-        top = featsel.select_anova(scores, D_INF, names)
+        top = featsel.select_anova(scores, D_INF)
         anova_wins += _hits(top, informative) >= 4
 
         params = featsel.train_baseline(train_pm.X, train_pm.labels, baseline)
         imp = featsel.permutation_importance(params, val_pm, repeats=3, seed=seed)
-        kept = featsel.select_importance(imp, 0.2, names)
+        kept = featsel.select_importance(imp, pipeline.IMPORTANCE_FRACTION)
         imp_wins += _hits(kept, informative) >= 4
 
         # swarm recovery against a planted-mask fitness (bits matching ground truth)

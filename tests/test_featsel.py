@@ -42,7 +42,7 @@ class TestAnova:
     def test_select_top_k(self, matrices):
         train_pm, _ = matrices
         scores = featsel.anova_f_scores(train_pm)
-        top2 = featsel.select_anova(scores, 2, train_pm.source_features())
+        top2 = featsel.select_anova(scores, 2)
         assert set(top2) == {"inf_0", "inf_1"}
         with pytest.raises(BadK):
             featsel.select_anova(scores, 0)
@@ -91,7 +91,7 @@ class TestImportance:
         assert min(imp["inf_0"], imp["inf_1"]) > max(
             v for k, v in imp.items() if k.startswith("noise")
         )
-        selected = featsel.select_importance(imp, 0.2, val_pm.source_features())
+        selected = featsel.select_importance(imp, pipeline.IMPORTANCE_FRACTION)
         assert {"inf_0", "inf_1"} <= set(selected)
 
     def test_layout_mismatch(self, matrices):

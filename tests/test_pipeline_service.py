@@ -127,14 +127,19 @@ class TestPipeline:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def save_with_weight(artifact, value, path):
-    """Save `artifact` with its first weight set to `value`, under a valid checksum."""
-    payload = artifact.to_dict()
-    first = art._decode(payload["network"]["weights"][0]).copy()
-    first.flat[0] = value
-    payload["network"]["weights"][0] = art._encode(first)
+def save_payload(payload, path):
+    """Save an artifact payload under a valid checksum, tampered or not."""
     text = json.dumps(payload)
     path.write_text(json.dumps({"checksum": hashlib.sha256(text.encode()).hexdigest(), "payload": text}))
+
+
+def save_with_weight(artifact, value, path):
+    """Save `artifact` with its first weight stored as `value` in the float32 buffer."""
+    payload = artifact.to_dict()
+    flat = art._decode(payload["network"]["flat"], "<f4").copy()
+    flat[0] = value
+    payload["network"]["flat"] = art._encode(flat, "<f4")
+    save_payload(payload, path)
 
 
 class TestArtifact:
@@ -143,7 +148,7 @@ class TestArtifact:
         path = tmp_path / "m.json"
         art.save_artifact(res.artifact, path)
         loaded = art.load_artifact(path)
-        # float32-trained weights survive the float64 storage bit for bit
+        # the float32-trained buffer is stored as its own bytes
         assert res.artifact.params.flat.dtype == loaded.params.flat.dtype == np.float32
         assert np.array_equal(loaded.params.flat, res.artifact.params.flat)
         X = res.artifact.project(ds).X
@@ -177,24 +182,27 @@ class TestArtifact:
         with pytest.raises(CorruptArtifact):
             art.load_artifact(path)
 
-    @pytest.mark.parametrize("defect", ["not an object", "no network", "row weight", "extra layer", "short bias"])
+    @pytest.mark.parametrize("defect", [
+        "not an object", "no network", "no flat", "one weight short", "one weight extra", "2-D flat",
+    ])
     def test_malformed_payload_fails_closed(self, run, tmp_path, capsys, defect):
         ds, res = run
         payload = res.artifact.to_dict()
-        network = payload["network"]
+        network, flat = payload["network"], res.artifact.params.flat
         if defect == "not an object":
             payload = [payload]
         elif defect == "no network":
             del payload["network"]
-        elif defect == "row weight":  # would broadcast into every row of the first weight
-            network["weights"][0] = art._encode(res.artifact.params.weights[0][:1])
-        elif defect == "extra layer":
-            network["weights"].append(network["weights"][-1])
-        else:
-            network["biases"][0] = art._encode(res.artifact.params.biases[0][:-1])
+        elif defect == "no flat":
+            del network["flat"]
+        elif defect == "one weight short":
+            network["flat"] = art._encode(flat[:-1], "<f4")
+        elif defect == "one weight extra":
+            network["flat"] = art._encode(np.append(flat, flat[-1]), "<f4")
+        else:  # every weight, as one row
+            network["flat"] = art._encode(flat[None, :], "<f4")
         path, rec = tmp_path / "m.json", tmp_path / "rec.json"
-        text = json.dumps(payload)  # a valid checksum over a tampered payload
-        path.write_text(json.dumps({"checksum": hashlib.sha256(text.encode()).hexdigest(), "payload": text}))
+        save_payload(payload, path)
         with pytest.raises(CorruptArtifact):
             art.load_artifact(path)
         rec.write_text(json.dumps({"features": dict(ds.rows[0])}))
@@ -213,19 +221,20 @@ class TestArtifact:
         threshold = res.artifact.threshold
         assert np.array_equal(served >= threshold, reference >= threshold)
 
-    def test_stores_float64_weights(self, run):
+    def test_stores_the_flat_float32_buffer(self, run):
         _, res = run
-        network = res.artifact.to_dict()["network"]
-        layers = [layer for pair in zip(network["weights"], network["biases"]) for layer in pair]
-        stored = b"".join(base64.b64decode(layer["data"]) for layer in layers)
-        assert stored == res.artifact.params.flat.astype("<f8").tobytes()
+        params = res.artifact.params
+        stored = res.artifact.to_dict()["network"]["flat"]
+        assert stored["shape"] == [nn.param_count(params.spec)]
+        assert base64.b64decode(stored["data"]) == params.flat.astype("<f4").tobytes()
 
     def test_weight_beyond_float32_is_corrupt(self, run, tmp_path):
         _, res = run
         path = tmp_path / "m.json"
-        save_with_weight(res.artifact, 1e39, path)
-        with pytest.raises(CorruptArtifact):
-            art.load_artifact(path)
+        for value in (np.inf, np.nan):  # a weight beyond float32's range is stored as inf
+            save_with_weight(res.artifact, value, path)
+            with pytest.raises(CorruptArtifact, match="not finite in float32"):
+                art.load_artifact(path)
         params = nn.NetworkParams(res.artifact.params.spec, res.artifact.params.flat.astype(np.float64))
         params.flat[0] = 1e39  # finite in float64
         with pytest.raises(CorruptArtifact):
@@ -234,8 +243,19 @@ class TestArtifact:
     def test_version_guard(self, run, tmp_path):
         _, res = run
         d = res.artifact.to_dict()
-        d["version"] = 99
-        with pytest.raises(VersionMismatch):
+        for version in (1, 99):  # version 1 stored per-layer float64 weights; it must be retrained
+            d["version"] = version
+            with pytest.raises(VersionMismatch):
+                art.ModelArtifact.from_dict(d)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 1.5, -0.1, "0.5", None])
+    def test_threshold_must_be_a_number_in_0_1(self, run, threshold):
+        _, res = run
+        with pytest.raises(CorruptArtifact):
+            dataclasses.replace(res.artifact, threshold=threshold)
+        d = res.artifact.to_dict()
+        d["threshold"] = threshold
+        with pytest.raises(CorruptArtifact):
             art.ModelArtifact.from_dict(d)
 
     def test_missing_feature(self, run):
@@ -562,6 +582,8 @@ class TestCli:
         ["pipeline", "ONE_CLASS", "--methods", "anova", "--out", "OUT"],
         ["stability", "DATA", "--runs", "1"],
         ["pipeline", "DATA", "--runs", "1", "--out", "OUT"],
+        ["train", "DATA", "--threshold", "nan", "--artifact", "OUT"],
+        ["train", "DATA", "--threshold", "1.5", "--artifact", "OUT"],
     ])
     def test_out_of_range_values_exit_2(self, trained, tmp_path, capsys, argv):
         out, _ = trained
@@ -599,6 +621,7 @@ class TestCli:
         {"stability_mode": "bootstrap"}, {"selectors": ("anova", "lasso")}, {"models": ("mlp", "cnn")},
         {"stability_mode": "selectors", "selectors": ("anova",)}, {"stability_runs": 1},
         {"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0}, {"learning_rate": -1e-3},
+        {"threshold": float("nan")}, {"threshold": 1.5}, {"threshold": -0.1},
     ])
     def test_options_refuse_what_cannot_run(self, change):
         with pytest.raises(BadOption):
@@ -688,13 +711,26 @@ class TestCli:
         out, model = trained
         rec, path = tmp_path / "rec.json", tmp_path / "m.json"
         loaded = art.load_artifact(model)
-        save_with_weight(loaded, -1e39, path)
         rows = load_dataset(out / "data.csv", loaded.manifest).rows
         rec.write_text(json.dumps({"features": dict(rows[0])}))
         paths = {"rec.json": str(rec), "data.csv": str(out / "data.csv")}
-        capsys.readouterr()
-        assert cli.main([paths.get(a, a) for a in command] + ["--artifact", str(path)]) == 2
-        assert "not finite in float32" in capsys.readouterr().err
+        for value in (-np.inf, np.nan):  # a weight beyond float32's range is stored as -inf
+            save_with_weight(loaded, value, path)
+            capsys.readouterr()
+            assert cli.main([paths.get(a, a) for a in command] + ["--artifact", str(path)]) == 2
+            assert "not finite in float32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bind", ["localhost", "127.0.0.1:abc", "127.0.0.1:70000", "IN USE"])
+    def test_serve_refuses_an_address_it_cannot_use(self, trained, capsys, bind):
+        _, model = trained
+        with socket.socket() as taken:  # listened on, never served
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            if bind == "IN USE":
+                bind = f"127.0.0.1:{taken.getsockname()[1]}"
+            capsys.readouterr()
+            assert cli.main(["serve", "--artifact", str(model), "--bind", bind]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 NUMERIC, TEXT = "inf_0", "noise_1"
