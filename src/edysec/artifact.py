@@ -145,12 +145,11 @@ class ModelArtifact:
 
 
 def dataset_hash(ds: TraceDataset) -> str:
+    """sha256 over each row's id, label and cell reprs, one update per row."""
     h = hashlib.sha256()
+    names = ds.manifest.feature_names()
     for pkg, row, label in zip(ds.ids, ds.rows, ds.labels):
-        h.update(pkg.encode())
-        h.update(str(label).encode())
-        for name in ds.manifest.feature_names():
-            h.update(repr(row[name]).encode())
+        h.update("".join([pkg, str(label), *[repr(row[name]) for name in names]]).encode())
     return h.hexdigest()
 
 

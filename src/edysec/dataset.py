@@ -314,21 +314,33 @@ def generate_synthetic(
     data: dict[str, list] = {}
     for name in informative:
         shift = labels * SYNTH_SEPARATION
-        data[name] = [float(v) for v in rng.normal(0.0, 1.0, n) + shift]
+        data[name] = (rng.normal(0.0, 1.0, n) + shift).tolist()
     for i, kind in enumerate(noise_kinds):
-        name = f"noise_{i}"
-        if kind == "numeric":
-            data[name] = [float(v) for v in rng.normal(0.0, 1.0, n)]
-        else:
-            cells = []
-            for _ in range(n):
-                count = int(rng.integers(0, 5))
-                toks = rng.choice(_SYNTH_TOKENS, size=count) if count else []
-                cells.append(" ".join(toks))
-            data[name] = cells
+        data[f"noise_{i}"] = rng.normal(0.0, 1.0, n).tolist() if kind == "numeric" else _token_cells(rng, n)
 
     ids = tuple(f"pkg{i:06d}" for i in range(n))
-    rows = tuple(
-        {name: data[name][i] for name in manifest.feature_names()} for i in range(n)
-    )
-    return TraceDataset(manifest, ids, rows, tuple(int(y) for y in labels))
+    names = manifest.feature_names()
+    rows = tuple(dict(zip(names, cells)) for cells in zip(*(data[name] for name in names)))
+    return TraceDataset(manifest, ids, rows, tuple(labels.tolist()))
+
+
+def _token_cells(rng: np.random.Generator, n: int) -> list[str]:
+    """n text cells, drawn as `count = rng.integers(0, 5)` and then
+    `rng.choice(_SYNTH_TOKENS, size=count)` per cell would draw them, and the
+    generator left where those calls leave it, from one block of 32-bit words.
+
+    Each value of both calls takes one 32-bit word u (Lemire's bounded
+    method): a count is (5·u) >> 32, with u = 0 rejected and redrawn, and a
+    token is u >> 28, which 16 tokens never reject."""
+    state = rng.bit_generator.state
+    words = rng.integers(0, 2**32, size=5 * n + 64, dtype=np.uint32).tolist()  # 64 spare words for rejections
+    cells, at = [], 0
+    for _ in range(n):
+        while not words[at]:
+            at += 1
+        count = words[at] * 5 >> 32
+        cells.append(" ".join([_SYNTH_TOKENS[word >> 28] for word in words[at + 1 : at + 1 + count]]))
+        at += 1 + count
+    rng.bit_generator.state = state
+    rng.integers(0, 2**32, size=at, dtype=np.uint32)  # take exactly the words the cells used
+    return cells

@@ -25,6 +25,14 @@ class ScalerParams:
     means: dict[str, float]
     stds: dict[str, float]  # population (1/n) convention
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The means and the stds as read-only arrays, in fitted order."""
+        arrays = np.array(list(self.means.values()), dtype=float), np.array(list(self.stds.values()), dtype=float)
+        for array in arrays:
+            array.flags.writeable = False  # shared by every apply_scaler call
+        return arrays
+
 
 def fit_scaler(train: TraceDataset) -> ScalerParams:
     if len(train) == 0:
@@ -43,18 +51,18 @@ def _kinds(ds: TraceDataset) -> dict[str, str]:
 
 
 def apply_scaler(params: ScalerParams, ds: TraceDataset) -> np.ndarray:
-    """Scaled numeric block, columns in fitted order. sigma=0 columns map to 0;
-    a fitted column the dataset lacks, or has as text, is refused."""
+    """Scaled numeric block, columns in fitted order, scaled in one array
+    operation. sigma=0 columns map to 0; a fitted column the dataset lacks,
+    or has as text, is refused."""
     kinds = _kinds(ds)
-    out = np.zeros((len(ds), len(params.means)))
-    for j, (name, mu) in enumerate(params.means.items()):
+    names = list(params.means)
+    for name in names:
         if kinds.get(name) != "numeric":
             raise UnknownColumn(f"{name}: fitted as numeric, not a numeric column of the dataset")
-        sigma = params.stds[name]
-        values = np.array([row[name] for row in ds.rows], dtype=float)
-        if sigma > 0:
-            out[:, j] = (values - mu) / sigma
-    return out
+    values = np.array([[row[name] for name in names] for row in ds.rows], dtype=float).reshape(len(ds), len(names))
+    mu, sigma = params.arrays
+    values -= mu
+    return np.divide(values, sigma, out=np.zeros_like(values), where=sigma > 0)
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,7 @@ class TextVectorizer:
     @cached_property
     def idf_array(self) -> np.ndarray:
         idf = np.asarray(self.idf)
-        idf.flags.writeable = False  # shared by every transform_text call
+        idf.flags.writeable = False  # shared by every tfidf_block call
         return idf
 
 
@@ -89,19 +97,23 @@ def fit_text_vectorizer(train: TraceDataset, column: str) -> TextVectorizer:
     return TextVectorizer(column, vocab, idf)
 
 
-def transform_text(vec: TextVectorizer, cell: str) -> np.ndarray:
-    """Count * idf over the vocabulary, L2-normalized; OOV tokens ignored."""
-    out = np.zeros(len(vec.vocabulary))
-    index = vec.index
-    for token in tokenize(cell):
-        i = index.get(token)
-        if i is not None:
-            out[i] += 1.0
-    out *= vec.idf_array
-    norm = np.linalg.norm(out)
-    if norm > 0:
-        out /= norm
-    return out
+def tfidf_block(vec: TextVectorizer, cells) -> np.ndarray:
+    """One row per cell: token count * idf over the vocabulary, L2-normalized;
+    OOV tokens ignored. A row's values do not depend on the other cells: its
+    norm is the BLAS dot that `np.linalg.norm` of the row alone takes."""
+    index, width = vec.index, len(vec.vocabulary)
+    hits = [
+        row * width + column
+        for row, cell in enumerate(cells)
+        for column in map(index.get, tokenize(cell))
+        if column is not None
+    ]
+    block = np.bincount(np.array(hits, dtype=np.intp), minlength=len(cells) * width).reshape(len(cells), width)
+    block = block * vec.idf_array
+    norms = np.sqrt(block[:, None, :] @ block[:, :, None]).reshape(len(cells), 1)  # a vector dot per row
+    norms += norms == 0  # a row without a known token divides by 1 and stays 0
+    block /= norms
+    return block
 
 
 @dataclass(frozen=True)
@@ -156,20 +168,26 @@ class Preprocessor:
 
     def transform(self, ds: TraceDataset) -> ProcessedMatrix:
         """The fitted columns in fit order: the scaled numerics, then each
-        vocabulary block. Dataset columns it was not fitted on are ignored."""
-        layout = [(name, "numeric", 1) for name in self.scaler.means]
-        blocks = [apply_scaler(self.scaler, ds)]
+        vocabulary block. Dataset columns it was not fitted on are ignored.
+        The blocks are built a column at a time, and a row's values do not
+        depend on the rows transformed with it."""
+        numeric = apply_scaler(self.scaler, ds)
+        layout = [(name, "numeric", 1) for name in self.scaler.means] + [
+            (name, "text", len(vec.vocabulary))
+            for name, vec in self.vectorizers.items()
+            if vec.vocabulary  # a column whose training cells held no token adds no feature
+        ]
+        X = np.empty((len(ds), sum(width for _, _, width in layout)))
+        X[:, : numeric.shape[1]] = numeric
+        start = numeric.shape[1]
         kinds = _kinds(ds)
         for name, vec in self.vectorizers.items():
             if kinds.get(name) != "text":
                 raise UnknownColumn(f"{name}: fitted as text, not a text column of the dataset")
             width = len(vec.vocabulary)
-            blocks.append(
-                np.vstack([transform_text(vec, row[name]) for row in ds.rows]) if len(ds) else np.zeros((0, width))
-            )
-            if width:  # a column whose training cells held no token adds no feature
-                layout.append((name, "text", width))
-        return ProcessedMatrix(np.hstack(blocks), tuple(layout), np.asarray(ds.labels, dtype=int), tuple(ds.ids))
+            X[:, start : start + width] = tfidf_block(vec, [row[name] for row in ds.rows])
+            start += width
+        return ProcessedMatrix(X, tuple(layout), np.asarray(ds.labels, dtype=int), tuple(ds.ids))
 
     def select(self, names) -> "Preprocessor":
         """The fitted state of the named features only, in the order named."""

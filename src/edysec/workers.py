@@ -189,6 +189,11 @@ def serve(parent_pid: int) -> None:
     if os.getppid() != parent_pid:  # the parent died before the signal was armed
         return
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent takes Ctrl-C and stops its workers
+    # Every function the pipeline maps is in or imported by edysec.pipeline:
+    # importing it now overlaps the caller's data preparation, where the
+    # first job's context would otherwise wait on it.
+    import edysec.pipeline  # noqa: F401
+
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # stray prints go to stderr, never into the replies
     requests = sys.stdin.buffer

@@ -16,7 +16,9 @@ With `--against <checkout>` it is an interleaved A/B of this checkout's step
 and another's: the other checkout's `edysec` is loaded in the same process
 under the package name `edysec_other`, both sides start from the same weights
 and dropout seed and take the same seeded batch on each step, and the side
-that runs first alternates from step to step. It prints each side's figures
+that runs first alternates from step to step. Each side's weights and Adam
+moments start on a page boundary, so that no side's elementwise passes gain
+or lose from where its buffers happen to land. It prints each side's figures
 and their ratio, this over other, so host drift falls on both sides alike.
 
     PYTHONPATH=src python tests/step_profile.py              # every shape
@@ -36,6 +38,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
+import mmap  # noqa: E402
 import time  # noqa: E402
 from dataclasses import dataclass, field  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -69,6 +72,15 @@ def load_other(checkout: str):
     return importlib.import_module(f"{OTHER}.neuralnet")
 
 
+def page_aligned(values: np.ndarray) -> np.ndarray:
+    """A copy of `values` that starts on a page boundary."""
+    raw = np.empty(values.nbytes + mmap.PAGESIZE, dtype=np.uint8)
+    start = -raw.ctypes.data % mmap.PAGESIZE
+    aligned = raw[start : start + values.nbytes].view(values.dtype)
+    aligned[...] = values
+    return aligned
+
+
 @dataclass
 class Side:
     """One neuralnet module's training state and step times."""
@@ -92,9 +104,9 @@ def profile(preset: str, width: int, modules: list) -> list[dict]:
     flat = nn.init_network(make_spec(nn, width), seed=0).flat.astype(nn.NETWORK_DTYPE)
     sides = []
     for module in modules:
-        params = module.NetworkParams(make_spec(module, width), flat.copy())
-        sides.append(Side(module, params, module.AdamState.zeros_like(params),
-                          module.TrainConfig(batch_size=batch), np.random.default_rng(1)))
+        params = module.NetworkParams(make_spec(module, width), page_aligned(flat))
+        state = module.AdamState(page_aligned(np.zeros_like(flat)), page_aligned(np.zeros_like(flat)))
+        sides.append(Side(module, params, state, module.TrainConfig(batch_size=batch), np.random.default_rng(1)))
 
     def in_turn(t):
         return sides[t % len(sides):] + sides[: t % len(sides)]

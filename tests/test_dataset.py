@@ -1,8 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from edysec import dataset
+from edysec.artifact import dataset_hash
 from edysec.dataset import (
     DatasetSplits,
     FeatureColumn,
@@ -161,3 +164,34 @@ class TestSynthetic:
         a = generate_synthetic(60, 2, 2, seed=4)
         b = generate_synthetic(60, 2, 2, seed=4)
         assert a == b
+
+
+BENCHMARK_KINDS = {"numeric": 0.4, "categorical": 0.3, "pattern": 0.3}  # perfbench's corpus mix
+
+
+class TestSyntheticPinned:
+    """The synthetic corpus is pinned by seed: a change to its draws fails here."""
+
+    @pytest.mark.parametrize("shape, kinds, seed, sha256", [
+        ((200, 3, 5), None, 11, "15df410cd5a61b95501aa01a250cf0993a506c841edf94676e2f06d21665cb4f"),
+        ((600, 6, 30), BENCHMARK_KINDS, 41, "9f9cd829b6eff54609fb8cd23a75042974967fecdc839b9622e5a6a9ca7517bf"),
+    ])
+    def test_saved_corpus_bytes(self, tmp_path, shape, kinds, seed, sha256):
+        save_dataset(generate_synthetic(*shape, kinds=kinds, seed=seed), tmp_path / "c.csv")
+        assert hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest() == sha256
+
+    def test_dataset_hash(self):
+        ds = generate_synthetic(600, 6, 30, kinds=BENCHMARK_KINDS, seed=41)
+        assert dataset_hash(ds) == "7da9a3db940ed34e1c03d7b6f8fd203530daa73e75f42cf9c7415f303f3907d4"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_token_cells_are_the_per_cell_choice_draws(self, seed):
+        # the reference: one count and one rng.choice per cell
+        ref, rng = [], np.random.default_rng(seed)
+        for _ in range(2000):
+            count = int(rng.integers(0, 5))
+            ref.append(" ".join(rng.choice(dataset._SYNTH_TOKENS, size=count)) if count else "")
+        got = np.random.default_rng(seed)
+        assert dataset._token_cells(got, 2000) == ref
+        assert got.integers(0, 5, 9).tolist() == rng.integers(0, 5, 9).tolist()  # the generator is left where they leave it
+        assert got.normal() == rng.normal()

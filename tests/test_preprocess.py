@@ -13,8 +13,8 @@ from edysec.preprocess import (
     apply_scaler,
     fit_scaler,
     fit_text_vectorizer,
+    tfidf_block,
     tokenize,
-    transform_text,
 )
 
 
@@ -79,15 +79,13 @@ class TestTextVectorizer:
 
     def test_l2_norm_and_oov(self):
         vec = fit_text_vectorizer(text_dataset(), "paths")
-        row = transform_text(vec, "/tmp/a.py zzz-unseen")
+        row, oov, empty = tfidf_block(vec, ["/tmp/a.py zzz-unseen", "zzz-unseen", ""])
         assert np.linalg.norm(row) == pytest.approx(1.0)
-        empty = transform_text(vec, "")
-        assert np.all(empty == 0.0)
+        assert np.all(oov == 0.0) and np.all(empty == 0.0)
 
     def test_counts_scale_with_repeats(self):
         vec = fit_text_vectorizer(text_dataset(), "paths")
-        once = transform_text(vec, "passwd py")
-        twice = transform_text(vec, "passwd passwd py")
+        once, twice = tfidf_block(vec, ["passwd py", "passwd passwd py"])
         i = vec.vocabulary.index("passwd")
         assert twice[i] > once[i]
 
@@ -116,8 +114,37 @@ class TestProcessedMatrix:
         scaled = apply_scaler(pre.scaler, ds)
         assert np.allclose(pm.X[:, 0], scaled[:, 0])
         vec = pre.vectorizers["paths"]
-        expect = transform_text(vec, ds.rows[0]["paths"])
-        assert np.allclose(pm.X[0, 1:], expect)
+        counts = np.array([{"a": 1, "b": 1, "py": 2, "tmp": 2}.get(t, 0) for t in vec.vocabulary])  # "/tmp/a.py /tmp/b.py"
+        expect = counts * np.array(vec.idf)
+        assert np.allclose(pm.X[0, 1:], expect / np.linalg.norm(expect))
+
+    def test_matches_the_per_cell_reference(self):
+        # the loop the blocks replaced: one column of the scaler, and one cell of TF-IDF, at a time
+        def reference(pre, ds):
+            columns = []
+            for name, mu in pre.scaler.means.items():
+                sigma = pre.scaler.stds[name]
+                values = np.array([row[name] for row in ds.rows], dtype=float)
+                columns.append((values - mu) / sigma if sigma > 0 else np.zeros(len(ds)))
+            X = np.column_stack(columns)
+            for name, vec in pre.vectorizers.items():
+                rows = []
+                for row in ds.rows:
+                    out = np.zeros(len(vec.vocabulary))
+                    for token in tokenize(row[name]):
+                        if token in vec.index:
+                            out[vec.index[token]] += 1.0
+                    out *= np.asarray(vec.idf)
+                    norm = np.linalg.norm(out)
+                    rows.append(out / norm if norm > 0 else out)
+                X = np.hstack([X, np.vstack(rows)])
+            return X
+
+        ds = generate_synthetic(300, 6, 30, kinds={"numeric": 0.4, "categorical": 0.3, "pattern": 0.3}, seed=3)
+        train, rest = ds.subset(range(200)), ds.subset(range(200, 300))
+        pre = Preprocessor.fit(train)
+        for part in (train, rest):
+            assert pre.transform(part).X.tobytes() == reference(pre, part).tobytes()
 
 
 class TestPreprocessorState:
@@ -165,3 +192,59 @@ class TestPreprocessorState:
         pre = Preprocessor.fit(train)
         pm = pre.transform(rest)  # unseen tokens must not widen the matrix
         assert pm.width == pre.transform(train).width
+
+
+class TestBatchIndependence:
+    """A row's processed values are the same bits whatever rows are
+    transformed with it."""
+
+    @staticmethod
+    def corpus():
+        manifest = FeatureManifest(
+            columns=(
+                FeatureColumn("count", "numeric", "Filetop"),
+                FeatureColumn("flat", "numeric", "Install"),  # zero std in training
+                FeatureColumn("paths", "pattern", "Opensnoop"),
+                FeatureColumn("calls", "categorical", "SysCall"),
+                FeatureColumn("blank", "categorical", "TCP"),  # no token in training: width 0
+            ),
+            label_column="label",
+            id_column="package",
+        )
+        train = (
+            {"count": 1.0, "flat": 2.0, "paths": "/tmp/a.py /tmp/b.py", "calls": "open read", "blank": ""},
+            {"count": 2.5, "flat": 2.0, "paths": "/etc/passwd", "calls": "connect", "blank": "--"},
+            {"count": -3.0, "flat": 2.0, "paths": "/tmp/a.py", "calls": "open open write", "blank": "/ ."},
+            {"count": 6.0, "flat": 2.0, "paths": "", "calls": "", "blank": ""},
+        )
+        scored = train + (
+            {"count": 0.0, "flat": 7.0, "paths": "", "calls": "", "blank": "new tokens"},  # empty cells
+            {"count": 1e6, "flat": -1.0, "paths": "zzz /qqq", "calls": "unseen", "blank": "x"},  # only OOV tokens
+            {"count": 1.0, "flat": 2.0, "paths": "/tmp/a.py /tmp/b.py", "calls": "open read", "blank": ""},  # repeated
+            {"count": 2.0, "flat": 2.0, "paths": "/TMP/A.PY;/ETC/Passwd", "calls": "OPEN,Read,open", "blank": "A"},
+        )
+        make = lambda rows: TraceDataset(
+            manifest, tuple(f"p{i}" for i in range(len(rows))), rows, tuple(i % 2 for i in range(len(rows)))
+        )
+        return make(train), make(scored)
+
+    def test_rows_alone_give_the_batch_bits(self):
+        train, scored = self.corpus()
+        pre = Preprocessor.fit(train)
+        assert pre.scaler.stds["flat"] == 0.0 and pre.vectorizers["blank"].vocabulary == ()
+        whole = pre.transform(scored)
+        assert [name for name, _, _ in whole.layout] == ["count", "flat", "paths", "calls"]
+        alone = np.vstack([pre.transform(scored.subset([i])).X for i in range(len(scored))])
+        assert alone.shape == whole.X.shape
+        assert alone.tobytes() == whole.X.tobytes()
+        assert whole.X[:4].tobytes() == pre.transform(train).X.tobytes()
+        assert whole.X[6].tobytes() == whole.X[0].tobytes()
+        assert np.all(whole.X[4:6, 2:] == 0.0) and np.all(whole.X[:, 1] == 0.0)
+        assert np.all(np.signbit(whole.X[:, 1]) == 0)  # +0.0, not -0.0, for the zero-std column
+
+    def test_zero_rows_give_an_empty_matrix_of_the_width(self):
+        train, scored = self.corpus()
+        pre = Preprocessor.fit(train)
+        none = pre.transform(scored.subset([]))
+        assert none.X.shape == (0, pre.transform(scored).width)
+        assert none.labels.shape == (0,)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import worker_jobs
 from edysec import artifact as art
 from edysec import cli, featsel, pipeline, workers
 from edysec.dataset import FeatureColumn, generate_synthetic, load_dataset, parse_cell, save_dataset, split_dataset
@@ -85,6 +86,14 @@ class TestPool:
             assert quotients == [divmod(100, n) for n in range(1, 8)]
             assert set(pool.map(os.getppid, [()] * 4)) == {os.getpid()}
         assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert children() == set()
+
+    def test_workers_import_the_pipeline_before_the_first_job(self, monkeypatch):
+        # the job's module is on the workers' path, and imports no edysec module
+        here = str(Path(__file__).resolve().parent)
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in (here, os.environ.get("PYTHONPATH")) if p))
+        with workers.Pool(1) as pool:
+            assert pool.map(worker_jobs.loaded, [("edysec.pipeline",), ("edysec.service",)]) == [True, False]
         assert children() == set()
 
     def test_workers_capped_by_jobs(self, monkeypatch):
