@@ -10,6 +10,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +61,9 @@ class ModelArtifact:
     def __post_init__(self):
         # Only the selected features are transformed, in manifest order (the
         # network's column order). A preprocessor fitted on every feature, as
-        # callers pass it, is pruned here.
+        # callers pass it, is pruned here. A loaded preprocessor lists its
+        # features alphabetically (the payload is saved with sorted keys), so
+        # the sort restores the network's order (`noise_2` before `noise_12`).
         order = self.manifest.feature_names()
         self.preprocessor = self.preprocessor.select(sorted(self.selected, key=order.index))
         # The network scores in NETWORK_DTYPE. Float64 weights a caller passes
@@ -92,21 +95,23 @@ class ModelArtifact:
             raise NoBackground("artifact carries no background sample for explanations")
         return self.background
 
-    def explanation_plan(self, groups) -> explain.ExplanationPlan:
-        """The Kernel SHAP plan over the background: built by the first
-        explanation, under a lock, and shared by every later one."""
+    @cached_property
+    def groups(self) -> dict[str, np.ndarray]:
+        """Source feature -> its columns of the input matrix, in column order."""
+        return explain.feature_groups(self.project(TraceDataset(self.manifest, (), (), ())))
+
+    def explanation_plan(self) -> explain.ExplanationPlan:
+        """The Kernel SHAP plan over the background and `groups`: built by the
+        first explanation, under a lock, and shared by every later one."""
         with self._plan_lock:
             if self._plan is None:
-                self._plan = explain.explanation_plan(self.explanation_background(), groups)
+                self._plan = explain.explanation_plan(self.explanation_background(), self.groups)
             return self._plan
 
-    def explain(self, x, groups) -> explain.Attribution:
-        """Kernel SHAP attributions of one row of the input matrix over the
-        source-feature `groups`: `predict_proba` against the background,
-        through the shared plan."""
-        return explain.kernel_shap(
-            self.predict_proba, x, self.explanation_background(), groups, plan=self.explanation_plan(groups)
-        )
+    def explain(self, x) -> explain.Attribution:
+        """Kernel SHAP attributions of one row of the input matrix:
+        `predict_proba` against the background, through the shared plan."""
+        return explain.kernel_shap(self.predict_proba, x, self.explanation_plan())
 
     def to_dict(self) -> dict:
         return {
@@ -231,7 +236,7 @@ def predict_package(
 
     attributions = None
     if explain_verdict:
-        attr = artifact.explain(projected.X[0], explain.feature_groups(projected))
+        attr = artifact.explain(projected.X[0])
         attributions = [
             {"feature": f, "phi": p} for f, p in attr.ranked()[:VERDICT_TOP_K]
         ]

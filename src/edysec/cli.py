@@ -147,19 +147,20 @@ def cmd_stability(args):
 
 
 def cmd_explain(args):
+    if args.count < 0:
+        raise BadOption(f"--count must be >= 0, got {args.count}")
     artifact = load_artifact(args.artifact)
     manifest = FeatureManifest.load(args.manifest) if args.manifest else artifact.manifest
     projected = artifact.project(load_dataset(args.data, manifest))
-    groups = explain.feature_groups(projected)
     if args.method == "shap":  # one plan for every explained record
         method = artifact.explain
     else:
         background = artifact.explanation_background()
-        method = lambda x, groups: explain.lime_explain(artifact.predict_proba, x, background, groups)
+        method = lambda x: explain.lime_explain(artifact.predict_proba, x, background, artifact.groups)
     count = min(args.count, projected.X.shape[0])
     records = []
     for i in range(count):
-        attr = method(projected.X[i], groups)
+        attr = method(projected.X[i])
         records.append({"package": projected.ids[i] if projected.ids else str(i), **attr.to_dict()})
         if args.per_package:
             sys.stdout.write(json.dumps(records[-1], sort_keys=True) + "\n")

@@ -49,7 +49,7 @@ class Attribution:
 
 def feature_groups(pm: ProcessedMatrix) -> dict[str, np.ndarray]:
     """Ordered map source feature -> processed column indices."""
-    return {name: pm.feature_columns(name) for name in pm.source_features()}
+    return {name: np.arange(cols.start, cols.stop) for name, _, cols in pm.spans()}
 
 
 def sample_background(pm: ProcessedMatrix, size: int = 100, seed: int = 0) -> np.ndarray:
@@ -172,7 +172,7 @@ def _sample_coalitions(d: int, budget: int, rng) -> tuple[np.ndarray, np.ndarray
 @dataclass(frozen=True)
 class ExplanationPlan:
     """Kernel SHAP stratified by background centroid, built by
-    `explanation_plan` and never written after.
+    `explanation_plan` and never written after; `kernel_shap` reads it.
 
     A centroid is a set of background rows: `centers` has shape (k, r, width),
     and centroid k's game is v_k(S) = the mean over its r rows of f(x on S,
@@ -191,33 +191,6 @@ class ExplanationPlan:
     bounds: np.ndarray
     gram_inv: np.ndarray
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.groups)
-
-    def explain(self, model, x) -> Attribution:
-        x = np.asarray(x, dtype=float)
-        _, r, width = self.centers.shape
-        # one call for every centroid row and x: float32 scores depend on the batch they are in
-        ends = np.asarray(model(np.vstack([self.centers.reshape(-1, width), x])), dtype=float)
-        bases, fx = ends[:-1].reshape(-1, r).mean(axis=1), float(ends[-1])
-        owner = np.repeat(np.arange(len(bases)), np.diff(self.bounds))
-        v = np.empty(len(self.bits))
-        step = max(1, MODEL_BLOCK_ROWS // r)  # coalitions per model call
-        for start in range(0, len(v), step):  # column masks for one block at a time
-            block = slice(start, start + step)
-            masks = _column_masks(self.groups, self.bits[block], width)[:, None, :]
-            scores = model(np.where(masks, x, self.centers[owner[block]]).reshape(-1, width))
-            v[block] = np.asarray(scores, dtype=float).reshape(-1, r).mean(axis=1)
-        phi = np.zeros(len(self.groups))
-        for k, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
-            bits = self.bits[lo:hi]
-            y = v[lo:hi] - bases[k] - bits[:, -1] * (fx - bases[k])
-            g = (self.kernel[lo:hi] * y) @ bits  # g[:-1] - g[-1] is D^T (sw * y) for the weighted design D
-            solution = self.gram_inv[k] @ (g[:-1] - g[-1])
-            phi += self.weights[k] * np.append(solution, fx - bases[k] - solution.sum())
-        return Attribution(dict(zip(self.names, phi.tolist())), float(self.weights @ bases), fx, "kernel_shap")
-
 
 def _gram_inverse(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(D^T D)^-1 for the design D over coalition rows `z` scaled by
@@ -235,8 +208,16 @@ def _gram_inverse(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def explanation_plan(background, groups, budget=None, seed: int = 0) -> ExplanationPlan:
     """Coalitions, kernel weights, background centroids and solve for
-    `kernel_shap`; see there for `budget`. Raises SingularSystem if the
-    coalitions cannot determine every attribution."""
+    `kernel_shap` over the source-feature `groups`.
+
+    With `budget` None and at most KERNEL_ENUM_LIMIT features, the answer is
+    exact: one centroid holds the whole background and enumerates every proper
+    coalition. Otherwise `budget` (KERNEL_SAMPLE_BUDGET by default) counts
+    (coalition, centroid) forward rows: the background is summarised to at most
+    KERNEL_BACKGROUND_K weighted centroids, the rows are split between them by
+    weight, and each centroid draws its own distinct coalitions with
+    `_sample_coalitions`, seeded by `seed` (see `ExplanationPlan`). Raises
+    SingularSystem if the coalitions cannot determine every attribution."""
     d = len(groups)
     if d < 2:
         raise TooFewFeatures(f"kernel SHAP needs at least two source features, got {d}")
@@ -256,25 +237,31 @@ def explanation_plan(background, groups, budget=None, seed: int = 0) -> Explanat
     return ExplanationPlan(dict(groups), centers, weights, bits, kernel, bounds, gram_inv)
 
 
-def kernel_shap(model, x, background, groups, budget=None, seed: int = 0, plan=None) -> Attribution:
+def kernel_shap(model, x, plan: ExplanationPlan) -> Attribution:
     """Weighted least squares over the Shapley kernel with the empty/full
-    coalition constraints enforced exactly.
-
-    With `budget` None and at most KERNEL_ENUM_LIMIT features, the answer is
-    exact: one centroid holds the whole background and enumerates every proper
-    coalition. Otherwise `budget` (KERNEL_SAMPLE_BUDGET by default) counts
-    (coalition, centroid) forward rows: the background is summarised to at most
-    KERNEL_BACKGROUND_K weighted centroids, the rows are split between them by
-    weight, and each centroid draws its own distinct coalitions with
-    `_sample_coalitions` (see `ExplanationPlan`).
-
-    `plan`, if given, is `explanation_plan(background, groups, budget, seed)`
-    built earlier; a caller that explains many rows builds it once."""
-    if plan is None:
-        plan = explanation_plan(background, groups, budget, seed)
-    elif plan.names != tuple(groups):
-        raise FeatureMismatch("the explanation plan covers other source features")
-    return plan.explain(model, x)
+    coalition constraints enforced exactly, as `plan` lays it out. A caller
+    that explains many rows builds the plan once."""
+    x = np.asarray(x, dtype=float)
+    _, r, width = plan.centers.shape
+    # one call for every centroid row and x: float32 scores depend on the batch they are in
+    ends = np.asarray(model(np.vstack([plan.centers.reshape(-1, width), x])), dtype=float)
+    bases, fx = ends[:-1].reshape(-1, r).mean(axis=1), float(ends[-1])
+    owner = np.repeat(np.arange(len(bases)), np.diff(plan.bounds))
+    v = np.empty(len(plan.bits))
+    step = max(1, MODEL_BLOCK_ROWS // r)  # coalitions per model call
+    for start in range(0, len(v), step):  # column masks for one block at a time
+        block = slice(start, start + step)
+        masks = _column_masks(plan.groups, plan.bits[block], width)[:, None, :]
+        scores = model(np.where(masks, x, plan.centers[owner[block]]).reshape(-1, width))
+        v[block] = np.asarray(scores, dtype=float).reshape(-1, r).mean(axis=1)
+    phi = np.zeros(len(plan.groups))
+    for k, (lo, hi) in enumerate(zip(plan.bounds[:-1], plan.bounds[1:])):
+        bits = plan.bits[lo:hi]
+        y = v[lo:hi] - bases[k] - bits[:, -1] * (fx - bases[k])
+        g = (plan.kernel[lo:hi] * y) @ bits  # g[:-1] - g[-1] is D^T (sw * y) for the weighted design D
+        solution = plan.gram_inv[k] @ (g[:-1] - g[-1])
+        phi += plan.weights[k] * np.append(solution, fx - bases[k] - solution.sum())
+    return Attribution(dict(zip(plan.groups, phi.tolist())), float(plan.weights @ bases), fx, "kernel_shap")
 
 
 def lime_explain(model, x, background, groups) -> Attribution:

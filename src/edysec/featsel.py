@@ -155,13 +155,12 @@ def permutation_importance(
     rng = np.random.default_rng(seed)
     base_acc = metrics.accuracy(pm.labels, nn.predict_proba(params, pm.X))
     importances = {}
-    for name in pm.source_features():
-        cols = pm.feature_columns(name)
+    for name, _, cols in pm.spans():
         drops = []
         for _ in range(repeats):
             perm = rng.permutation(pm.X.shape[0])
             shuffled = pm.X.copy()
-            shuffled[:, cols] = pm.X[perm][:, cols]
+            shuffled[:, cols] = pm.X[perm, cols]
             acc = metrics.accuracy(pm.labels, nn.predict_proba(params, shuffled))
             drops.append(base_acc - acc)
         importances[name] = float(np.mean(drops))

@@ -43,6 +43,8 @@ class PipelineOptions:
         self.train_config(self.seed)  # raises BadOption on a bad value
         if not 0.0 <= self.threshold <= 1.0:  # NaN too: it would call every row benign
             raise BadOption(f"threshold must be in [0, 1], got {self.threshold}")
+        if not 0.0 <= self.alpha <= 1.0:  # NaN too
+            raise BadOption(f"alpha must be in [0, 1], got {self.alpha}")
         if self.explain_count < 0:
             raise BadOption(f"explain_count must be >= 0, got {self.explain_count}")
         unknown = (set(self.selectors) - set(featsel.METHODS)) | (set(self.models) - set(MODEL_PRESETS))
@@ -265,12 +267,11 @@ def train_batch(pool, options, matrices, models, selected, runs):
 def _explanations(artifact, test_sel, options):
     """The artifact's own attributions of `options.explain_count` test rows,
     drawn at `options.seed`, their global ranking and its selection overlap."""
-    groups = explain.feature_groups(test_sel)
     rng = np.random.default_rng(options.seed)
     n = test_sel.X.shape[0]
     count = min(options.explain_count, n)
     idx = np.sort(rng.choice(n, size=count, replace=False)) if count else []
-    explanations = [artifact.explain(test_sel.X[i], groups) for i in idx]
+    explanations = [artifact.explain(test_sel.X[i]) for i in idx]
     if explanations:
         selected = artifact.selected
         ranking = explain.explanation_ranking(explain.global_importance(explanations))

@@ -143,12 +143,6 @@ class ProcessedMatrix:
             yield name, kind, slice(start, start + width)
             start += width
 
-    def feature_columns(self, name: str) -> np.ndarray:
-        for src, _, cols in self.spans():
-            if src == name:
-                return np.arange(cols.start, cols.stop)
-        raise UnknownColumn(name)
-
 
 @dataclass(frozen=True)
 class Preprocessor:

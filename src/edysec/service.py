@@ -19,8 +19,7 @@ class VerdictHandler(BaseHTTPRequestHandler):
     timeout = 10  # seconds a socket read may block before the connection is dropped
 
     def log_message(self, format, *args):  # quiet by default
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
+        pass
 
     def _reply(self, status: int, payload: dict) -> None:
         try:

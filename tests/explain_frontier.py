@@ -7,7 +7,7 @@ explanation runs, the mean relative L2 error over the fixture's three records
 at seed 0, the median and the worst of that error over seeds 0-9, and the
 median in-process `kernel_shap` time with the plan built beforehand, as a
 served explanation runs it. The centroid count is set through
-`explain.KERNEL_BACKGROUND_K`; the budget is passed as `kernel_shap`'s.
+`explain.KERNEL_BACKGROUND_K`; the budget is passed to `explanation_plan`.
 
     PYTHONPATH=src python tests/explain_frontier.py              # SETTINGS below
     PYTHONPATH=src python tests/explain_frontier.py 16:20480 8:10240
@@ -57,7 +57,7 @@ def measure(model, groups, rows, records, centroids: int, budget: int) -> dict:
         for record in records:
             forwarded = 0
             start = time.perf_counter()
-            attr = explain.kernel_shap(forward, rows[record["package"]], background, groups, plan=plan)
+            attr = explain.kernel_shap(forward, rows[record["package"]], plan)
             ms.append((time.perf_counter() - start) * 1e3)
             phi, exact = np.array([attr.phi[f] for f in groups]), np.array(record["phi"])
             per_record.append(float(np.linalg.norm(phi - exact) / np.linalg.norm(exact)))

@@ -235,7 +235,7 @@ def test_a7_shapley_oracle():
         x = rng.normal(size=d)
         bg = rng.normal(size=(12, d))
         exact = exact_shapley(model, x, bg, groups)
-        kernel = explain.kernel_shap(model, x, bg, groups)
+        kernel = explain.kernel_shap(model, x, explain.explanation_plan(bg, groups))
         worst_delta = max(
             worst_delta, max(abs(exact.phi[n] - kernel.phi[n]) for n in groups)
         )

@@ -75,7 +75,8 @@ class TestKernelShap:
         exact = exact_shapley(
             fixture["model"], fixture["x"], fixture["background"], fixture["groups"]
         )
-        kernel = explain.kernel_shap(fixture["model"], fixture["x"], fixture["background"], fixture["groups"])
+        plan = explain.explanation_plan(fixture["background"], fixture["groups"])
+        kernel = explain.kernel_shap(fixture["model"], fixture["x"], plan)
         for name in fixture["groups"]:
             assert kernel.phi[name] == pytest.approx(exact.phi[name], abs=1e-8)
         assert abs(kernel.residual) < 1e-9
@@ -84,10 +85,8 @@ class TestKernelShap:
         exact = exact_shapley(
             fixture["model"], fixture["x"], fixture["background"], fixture["groups"]
         )
-        sampled = explain.kernel_shap(
-            fixture["model"], fixture["x"], fixture["background"], fixture["groups"],
-            budget=4000, seed=0,
-        )
+        plan = explain.explanation_plan(fixture["background"], fixture["groups"], budget=4000, seed=0)
+        sampled = explain.kernel_shap(fixture["model"], fixture["x"], plan)
         for name in fixture["groups"]:
             assert sampled.phi[name] == pytest.approx(exact.phi[name], abs=0.05)
 
@@ -106,14 +105,14 @@ class TestKernelShap:
             sizes = plan.bits.sum(axis=1)
             assert len(np.unique(plan.bits, axis=0)) == (1 << d) - 2 and 0 < sizes.min() and sizes.max() < d
         else:
-            default = explain.kernel_shap(model, x, bg, groups, seed=5)
-            assert default == explain.kernel_shap(model, x, bg, groups, budget=expected, seed=5)
+            shap = lambda **budget: explain.kernel_shap(model, x, explain.explanation_plan(bg, groups, seed=5, **budget))
+            assert shap() == shap(budget=expected)
 
     def test_sampled_linear_closed_form(self):
         # the summary keeps the background mean, so a linear model stays exact at d = 17
         rng = np.random.default_rng(17)
         w, x, bg = rng.normal(size=17), rng.normal(size=17), rng.normal(size=(100, 17))
-        attr = explain.kernel_shap(linear_model(w, b=0.3), x, bg, make_groups(17), seed=2)
+        attr = explain.kernel_shap(linear_model(w, b=0.3), x, explain.explanation_plan(bg, make_groups(17), seed=2))
         expect = w * (x - bg.mean(axis=0))
         assert np.abs(np.array(list(attr.phi.values())) - expect).max() < 1e-9
         assert abs(attr.residual) < 1e-9
@@ -131,7 +130,8 @@ class TestKernelShap:
         ref = np.array(list(exact_shapley(model, x, bg, make_groups(d)).phi.values()))
         for budget, bound in [(40_960, 0.047), (81_920, 0.025)]:
             for seed in range(3):
-                attr = explain.kernel_shap(model, x, bg, make_groups(d), budget=budget, seed=seed)
+                plan = explain.explanation_plan(bg, make_groups(d), budget=budget, seed=seed)
+                attr = explain.kernel_shap(model, x, plan)
                 phi = np.array(list(attr.phi.values()))
                 assert np.linalg.norm(phi - ref) / np.linalg.norm(ref) < bound
 
@@ -140,15 +140,15 @@ class TestKernelShap:
         w = rng.normal(size=16)
         model = lambda rows: np.tanh(rows @ w)
         x, bg, groups = rng.normal(size=16), rng.normal(size=(50, 16)), make_groups(16)
-        first = explain.kernel_shap(model, x, bg, groups, budget=6_000, seed=9)
-        assert first == explain.kernel_shap(model, x, bg, groups, budget=6_000, seed=9)
-        assert first != explain.kernel_shap(model, x, bg, groups, budget=6_000, seed=10)
+        shap = lambda seed: explain.kernel_shap(model, x, explain.explanation_plan(bg, groups, budget=6_000, seed=seed))
+        first = shap(9)
+        assert first == shap(9)
+        assert first != shap(10)
 
     def test_needs_two_features(self, fixture):
         with pytest.raises(TooFewFeatures):
-            explain.kernel_shap(
-                fixture["model"], fixture["x"][:1], fixture["background"][:, :1], make_groups(1)
-            )
+            plan = explain.explanation_plan(fixture["background"][:, :1], make_groups(1))
+            explain.kernel_shap(fixture["model"], fixture["x"][:1], plan)
 
 
 def reference_exact_kernel_shap(model, x, background, groups):
@@ -199,15 +199,15 @@ class TestPlan:
         model, groups, xs, bg = tanh_case(d, width, rows, seed=d)
         plan = explain.explanation_plan(bg, groups, seed=3)
         for x in xs:
-            assert explain.kernel_shap(model, x, bg, groups, seed=3, plan=plan) == explain.kernel_shap(
-                model, x, bg, groups, seed=3
+            assert explain.kernel_shap(model, x, plan) == explain.kernel_shap(
+                model, x, explain.explanation_plan(bg, groups, seed=3)
             )
 
     @pytest.mark.parametrize("d", [2, 7, 11, explain.KERNEL_ENUM_LIMIT])
     def test_exact_path_keeps_its_bits(self, d):
         # one centroid's Gram solve over every coalition matches lstsq to rounding
         model, groups, xs, bg = tanh_case(d, d + 3, 9, seed=d)
-        attr = explain.kernel_shap(model, xs[0], bg, groups)
+        attr = explain.kernel_shap(model, xs[0], explain.explanation_plan(bg, groups))
         ref = reference_exact_kernel_shap(model, xs[0], bg, groups)
         assert max(abs(attr.phi[name] - ref.phi[name]) for name in groups) <= 1e-12
         assert abs(attr.base - ref.base) <= 1e-14 and abs(attr.fx - ref.fx) <= 1e-14
@@ -242,14 +242,8 @@ class TestPlan:
         model, groups, xs, bg = tanh_case(8, 11, 100, seed=8)
         calls = []
         counting = lambda rows: calls.append(len(rows)) or model(rows)
-        explain.kernel_shap(counting, xs[0], bg, groups)
+        explain.kernel_shap(counting, xs[0], explain.explanation_plan(bg, groups))
         assert len(calls) == 52 and max(calls) <= 500
-
-    def test_plan_for_other_features_is_refused(self):
-        model, groups, xs, bg = tanh_case(4, 4, 5, seed=0)
-        plan = explain.explanation_plan(bg, groups)
-        with pytest.raises(FeatureMismatch):
-            explain.kernel_shap(model, xs[0], bg, {"other": np.array([0]), **groups}, plan=plan)
 
     def test_degenerate_sample_is_refused_when_built(self):
         # two coalitions cannot determine 17 attributions
@@ -278,7 +272,7 @@ class TestPlan:
         d = 6
         model, groups, xs, bg = tanh_case(d, 9, 1, seed=6)
         exact = exact_shapley(model, xs[0], bg, groups)
-        sampled = explain.kernel_shap(model, xs[0], bg, groups, budget=(1 << d) - 2)
+        sampled = explain.kernel_shap(model, xs[0], explain.explanation_plan(bg, groups, budget=(1 << d) - 2))
         assert sampled.phi == pytest.approx(exact.phi, abs=1e-12)
         assert (sampled.base, sampled.fx) == pytest.approx((exact.base, exact.fx), abs=1e-12)
 
@@ -286,7 +280,7 @@ class TestPlan:
         model, groups, xs, bg = tanh_case(17, 20, 100, seed=2)
         plan = explain.explanation_plan(bg, groups)
         for x in xs:
-            attr = explain.kernel_shap(model, x, bg, groups, plan=plan)
+            attr = explain.kernel_shap(model, x, plan)
             assert attr.base == pytest.approx(plan.weights @ model(plan.centers), abs=1e-12)
             assert attr.fx == pytest.approx(model(x[None, :])[0], abs=1e-12)
             assert abs(attr.residual) <= 1e-9
@@ -302,7 +296,7 @@ class TestPlan:
         attrs = []
         for rows in (100, 512):
             monkeypatch.setattr(explain, "MODEL_BLOCK_ROWS", rows)
-            attrs.append([explain.kernel_shap(mlp, x, bg, groups, plan=plan) for x in xs])
+            attrs.append([explain.kernel_shap(mlp, x, plan) for x in xs])
         assert attrs[0] == attrs[1]
 
     def test_plan_stays_small(self):

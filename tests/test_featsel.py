@@ -26,7 +26,7 @@ class TestSourceMatrix:
         ds = generate_synthetic(80, 1, 2, kinds={"pattern": 1.0}, seed=3)
         pm = Preprocessor.fit(ds).transform(ds)
         summary, names = featsel.source_matrix(pm)
-        cols = pm.feature_columns("noise_0")
+        cols = {name: span for name, _, span in pm.spans()}["noise_0"]
         j = names.index("noise_0")
         assert np.allclose(summary[:, j], np.linalg.norm(pm.X[:, cols], axis=1))
 

@@ -88,7 +88,7 @@ class TestPipeline:
         rows = np.sort(rng.choice(len(test.X), size=options.explain_count, replace=False))
         assert len(res.explanations) == options.explain_count == 2
         for attr, row in zip(res.explanations, rows):
-            assert attr == fresh.explain(test.X[row], explain.feature_groups(test))
+            assert attr == fresh.explain(test.X[row])
 
     def test_candidates_keep_their_histories(self, run):
         _, res = run
@@ -567,7 +567,8 @@ class TestCli:
         assert cli.main(["predict", "--artifact", str(missing), "--in", str(rec)]) == 2
 
     # argv with DATA for the corpus's --data/--manifest, ONE_CLASS for its
-    # malicious rows only and OUT for a path nothing may be written to
+    # malicious rows only, MODEL for its artifact and OUT for a path nothing
+    # may be written to
     @pytest.mark.parametrize("argv", [
         ["synth", "--rows", "2", "--informative", "1", "--noise", "1", "--out", "OUT"],
         ["synth", "--rows", "40", "--informative", "1", "--noise", "3", "--text-fraction", "2", "--out", "OUT"],
@@ -577,6 +578,10 @@ class TestCli:
         ["train", "DATA", "--batch", "0", "--artifact", "OUT"],
         ["train", "DATA", "--lr", "0", "--artifact", "OUT"],
         ["select", "DATA", "--methods", "anova", "--alpha", "1.5"],
+        ["select", "DATA", "--alpha", "2"],
+        ["select", "DATA", "--alpha", "nan"],
+        ["explain", "MODEL", "DATA", "--count", "-1"],
+        ["explain", "MODEL", "DATA", "--count", "-1", "--per-package"],
         ["stability", "DATA", "--runs", "0"],
         ["pipeline", "DATA", "--explain-count", "-1", "--out", "OUT"],
         ["pipeline", "ONE_CLASS", "--methods", "anova", "--out", "OUT"],
@@ -586,7 +591,7 @@ class TestCli:
         ["train", "DATA", "--threshold", "1.5", "--artifact", "OUT"],
     ])
     def test_out_of_range_values_exit_2(self, trained, tmp_path, capsys, argv):
-        out, _ = trained
+        out, model = trained
         manifest = ["--manifest", str(out / "manifest.json")]
         with open(out / "data.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
@@ -596,6 +601,7 @@ class TestCli:
         placeholders = {
             "DATA": ["--data", str(out / "data.csv"), *manifest],
             "ONE_CLASS": ["--data", str(one_class), *manifest],
+            "MODEL": ["--artifact", str(model)],
             "OUT": [str(tmp_path / "out")],
         }
         capsys.readouterr()
@@ -622,6 +628,7 @@ class TestCli:
         {"stability_mode": "selectors", "selectors": ("anova",)}, {"stability_runs": 1},
         {"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0}, {"learning_rate": -1e-3},
         {"threshold": float("nan")}, {"threshold": 1.5}, {"threshold": -0.1},
+        {"alpha": float("nan")}, {"alpha": 2.0}, {"alpha": -0.1},
     ])
     def test_options_refuse_what_cannot_run(self, change):
         with pytest.raises(BadOption):

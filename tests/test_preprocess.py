@@ -98,14 +98,9 @@ class TestProcessedMatrix:
         vec = pre.vectorizers["paths"]
         assert pm.width == 1 + len(vec.vocabulary)
         assert pm.source_features() == ["count", "paths"]
-        assert list(pm.feature_columns("count")) == [0]
-        assert len(pm.feature_columns("paths")) == len(vec.vocabulary)
-        assert pm.layout == (("count", "numeric", 1), ("paths", "text", len(vec.vocabulary)))
-
-    def test_unknown_feature_columns(self):
-        pm = Preprocessor.fit(text_dataset()).transform(text_dataset())
-        with pytest.raises(UnknownColumn):
-            pm.feature_columns("nope")
+        width = len(vec.vocabulary)
+        assert list(pm.spans()) == [("count", "numeric", slice(0, 1)), ("paths", "text", slice(1, 1 + width))]
+        assert pm.layout == (("count", "numeric", 1), ("paths", "text", width))
 
     def test_transform_matches_manual(self):
         ds = text_dataset()

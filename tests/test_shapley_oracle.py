@@ -41,13 +41,20 @@ def oracle():
     return module
 
 
+@pytest.fixture(scope="module")
+def served(oracle, tmp_path_factory):
+    """The served artifact saved and loaded, the feature groups of the matrix
+    it projects, and the projected rows of the oracle's packages."""
+    return oracle.served_case(tmp_path_factory.mktemp("served"))
+
+
 def top5(phi):
     return set(np.argsort(-np.abs(phi))[:5].tolist())
 
 
-def test_kernel_shap_against_exact_shapley(oracle, tmp_path):
+def test_kernel_shap_against_exact_shapley(oracle, served):
     fixture = json.loads(oracle.FIXTURE.read_text())
-    model, groups, rows = oracle.served_case(tmp_path)
+    model, groups, rows = served
     background = model.explanation_background()
     stale = "fixture stale: regenerate it with tests/make_shapley_oracle.py"
     assert fixture["features"] == list(groups), stale
@@ -62,7 +69,8 @@ def test_kernel_shap_against_exact_shapley(oracle, tmp_path):
     for seed in MEDIAN_SEEDS:
         errors = []
         for record in fixture["records"]:
-            attr = explain.kernel_shap(model.predict_proba, rows[record["package"]], background, groups, seed=seed)
+            plan = explain.explanation_plan(background, groups, seed=seed)
+            attr = explain.kernel_shap(model.predict_proba, rows[record["package"]], plan)
             phi, exact = np.array([attr.phi[f] for f in fixture["features"]]), np.array(record["phi"])
             errors.append(float(np.linalg.norm(phi - exact) / np.linalg.norm(exact)))
             if seed == 0:  # the seed every served explanation uses
@@ -71,3 +79,15 @@ def test_kernel_shap_against_exact_shapley(oracle, tmp_path):
             assert np.mean(errors) <= MAX_MEAN_ERROR, errors
         mean_errors.append(float(np.mean(errors)))
     assert np.median(mean_errors) <= MAX_MEDIAN_ERROR, mean_errors
+
+
+def test_loaded_artifact_knows_its_groups(served):
+    # a loaded preprocessor lists its features alphabetically (noise_12 before
+    # noise_2); the artifact's groups follow the columns of the matrix it projects
+    model, groups, rows = served
+    assert list(groups) != sorted(groups)
+    assert list(model.groups) == list(groups)
+    assert all(np.array_equal(model.groups[name], cols) for name, cols in groups.items())
+    x = next(iter(rows.values()))
+    plan = explain.explanation_plan(model.explanation_background(), groups)
+    assert model.explain(x) == explain.kernel_shap(model.predict_proba, x, plan)
