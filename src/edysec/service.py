@@ -4,6 +4,7 @@ loaded model artifact; GET /v1/health reports the artifact fingerprint."""
 from __future__ import annotations
 
 import json
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .artifact import ModelArtifact, predict_package
@@ -17,9 +18,18 @@ class VerdictHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     timeout = 10  # seconds a socket read may block before the connection is dropped
+    # a reply goes out as two writes, headers then body; with Nagle's algorithm on, a
+    # keep-alive connection holds the body until the client's delayed ACK, about 40 ms
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # quiet by default
         pass
+
+    def send_error(self, code, message=None, explain=None):
+        # every rejection after which the connection closes answers in JSON, the stdlib's
+        # own (501, 431, 414) among them
+        self.close_connection = True
+        self._reply(code, {"error": message or HTTPStatus(code).phrase})
 
     def _reply(self, status: int, payload: dict) -> None:
         try:
@@ -29,8 +39,11 @@ class VerdictHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":  # a HEAD reply has no body; the stdlib's 501 is the only one
+            self.wfile.write(body)
 
     def do_GET(self):
         if self.path == "/v1/health":
@@ -39,26 +52,27 @@ class VerdictHandler(BaseHTTPRequestHandler):
             self._reply(404, {"error": "not found"})
 
     def do_POST(self):
+        # send_error closes the connection: a body left unread would be parsed as the next request
         if self.path != "/v1/analyze":
-            self._reply(404, {"error": "not found"})
+            self.send_error(404, "not found")
+            return
+        if "Transfer-Encoding" in self.headers:
+            self.send_error(411, "request body must be sent with Content-Length, not Transfer-Encoding")
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = -1
-        if not 0 <= length <= MAX_BODY_BYTES:
-            # the unread body would be parsed as the next request
-            self.close_connection = True
-            if length < 0:
-                self._reply(400, {"error": "Content-Length must be a non-negative integer"})
-            else:
-                self._reply(413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
+        if length < 0:
+            self.send_error(400, "Content-Length must be a non-negative integer")
+            return
+        if length > MAX_BODY_BYTES:
+            self.send_error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
             return
         try:
             request = json.loads(self.rfile.read(length))
         except TimeoutError:
-            self.close_connection = True
-            self._reply(408, {"error": "request body not received in time"})
+            self.send_error(408, "request body not received in time")
             return
         except ValueError:
             self._reply(400, {"error": "request body must be JSON"})
@@ -83,8 +97,7 @@ class VerdictHandler(BaseHTTPRequestHandler):
             return
         except Exception:
             self.server.handle_error(self.request, self.client_address)  # prints the traceback
-            self.close_connection = True
-            self._reply(500, {"error": "internal error while scoring the record"})
+            self.send_error(500, "internal error while scoring the record")
             return
         self._reply(200, report.to_dict())
 

@@ -11,7 +11,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from http.client import HTTPResponse
+from http.client import HTTPConnection, HTTPResponse
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +391,30 @@ class TestService:
         http(port, "/v1/analyze", {"features": dict(ds.rows[1])})
         again = http(port, "/v1/analyze", {"features": dict(ds.rows[0])})[1]
         assert first["probability"] == again["probability"]
+
+    def test_keep_alive_replies_do_not_wait_on_delayed_ack(self, run, server):
+        ds, _ = run
+        _, port = server
+        body = json.dumps({"features": dict(ds.rows[0])})
+        conn = HTTPConnection("127.0.0.1", port, timeout=5)
+        rounds = []
+        try:
+            for i in range(25):
+                started = time.perf_counter()
+                if i % 5 == 4:
+                    conn.request("GET", "/v1/health")
+                else:
+                    conn.request("POST", "/v1/analyze", body, {"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                assert resp.status == 200 and json.loads(resp.read())
+                rounds.append(time.perf_counter() - started)
+                if i == 0:
+                    sock = conn.sock
+            assert conn.sock is sock  # one connection throughout
+        finally:
+            conn.close()
+        # with Nagle's algorithm on, each reply's body waited about 40 ms for the client's delayed ACK
+        assert np.median(rounds) < 0.020
 
 
 @pytest.fixture(scope="module")
@@ -880,7 +904,7 @@ class TestHostileInput:
 
 def raw_exchange(port, data: bytes, timeout: float = 5.0):
     """Send raw bytes, read one reply; returns (status, JSON body, whether the
-    server then closed the connection)."""
+    reply said `Connection: close` and the server then closed the connection)."""
     with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
         sock.sendall(data)
         resp = HTTPResponse(sock)
@@ -890,7 +914,9 @@ def raw_exchange(port, data: bytes, timeout: float = 5.0):
             closed = sock.recv(1) == b""
         except TimeoutError:
             closed = False
-        return resp.status, body, closed
+        except ConnectionResetError:  # closed with request bytes left unread
+            closed = True
+        return resp.status, body, closed and resp.getheader("Connection") == "close"
 
 
 def post_head(length: str) -> bytes:
@@ -907,6 +933,47 @@ class TestSocket:
         reply, body, closed = raw_exchange(ports[0], post_head(length))
         assert reply == status and "error" in body and closed
         assert http(ports[0], "/v1/analyze", {"features": dict(ds.rows[0])})[0] == 200
+
+    @pytest.mark.parametrize("data, status", [
+        (b"PUT /v1/analyze HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}", 501),
+        (b"GET /v1/health HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n", 431),
+        (b"GET /v1/health HTTP/1.1\r\nX-Pad: " + b"a" * (1 << 16) + b"\r\n\r\n", 431),
+        (b"POST /v1/nowhere HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}", 404),
+        # the chunks are never read, so they must not be parsed as a next request
+        (b"POST /v1/analyze HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", 411),
+    ], ids=["method", "header-count", "header-line", "unknown-path", "chunked"])
+    def test_rejection_is_json_and_closes(self, mixed, ports, data, status):
+        ds, _ = mixed
+        reply, body, closed = raw_exchange(ports[0], data)
+        assert reply == status and "error" in body and closed
+        assert http(ports[0], "/v1/analyze", {"features": dict(ds.rows[0])})[0] == 200
+
+    def test_head_is_501_without_a_body(self, ports):
+        with socket.create_connection(("127.0.0.1", ports[0]), timeout=5) as sock:
+            sock.sendall(b"HEAD /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+            reply = b""
+            while received := sock.recv(1024):
+                reply += received
+        assert reply.startswith(b"HTTP/1.1 501 ") and b"Content-Type: application/json\r\n" in reply
+        assert reply.endswith(b"\r\n\r\n")  # the headers, and then the server closed
+
+    def test_expect_100_continue(self, mixed, ports):
+        # the interim reply leaves before the handler returns, so the client sends its body
+        ds, _ = mixed
+        body = json.dumps({"features": dict(ds.rows[0])}).encode()
+        head = post_head(str(len(body)))[:-2] + b"Expect: 100-continue\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", ports[0]), timeout=5) as sock:
+            sock.sendall(head)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                received = sock.recv(1024)
+                assert received, "connection closed before 100 Continue"
+                interim += received
+            assert interim.startswith(b"HTTP/1.1 100 ")
+            sock.sendall(body)
+            resp = HTTPResponse(sock)
+            resp.begin()
+            assert resp.status == 200 and json.loads(resp.read())["verdict"] in ("benign", "malicious")
 
     def test_slow_body_times_out(self, mixed):
         _, artifact = mixed
