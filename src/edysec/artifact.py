@@ -75,6 +75,9 @@ class ModelArtifact:
             raise CorruptArtifact(f"a network weight is not finite in {self.params.flat.dtype}")
         if not isinstance(self.threshold, (int, float)) or not 0.0 <= self.threshold <= 1.0:
             raise CorruptArtifact(f"threshold must be a number in [0, 1], got {self.threshold!r}")
+        bg, width = self.background, self.params.spec.input_width
+        if bg is not None and not (bg.ndim == 2 and bg.shape[0] >= 1 and bg.shape[1] == width and np.isfinite(bg).all()):
+            raise CorruptArtifact(f"background must be at least one row of {width} finite cells, got shape {bg.shape}")
 
     def project(self, ds: TraceDataset) -> ProcessedMatrix:
         """The network's input matrix for raw records."""

@@ -12,8 +12,7 @@ from .dataset import allocate
 from .errors import FeatureMismatch, SingularSystem, TooFewFeatures, TooManyFeatures
 from .preprocess import ProcessedMatrix
 
-KERNEL_ENUM_LIMIT = 14
-KERNEL_SAMPLE_BUDGET = 20480  # (coalition, centroid) forward rows a sampled plan draws unless told otherwise
+KERNEL_SAMPLE_BUDGET = 20480  # (coalition, background row) forward rows a plan makes unless told otherwise
 KERNEL_BACKGROUND_K = 16  # weighted centroids that stand in for the background, each with its own sample
 # Rows per model call, in whole coalitions (at least one) of a centroid's rows.
 # The benchmark's explained verdicts (two BLAS threads) took a median 262 / 252 /
@@ -180,8 +179,8 @@ class ExplanationPlan:
     rows `bits[bounds[k]:bounds[k+1]]`, with their kernel weights and the
     inverse Gram matrix of its weighted design (last feature eliminated); the
     attribution is the weighted sum of the centroids' Kernel SHAP solutions.
-    Exact Kernel SHAP is one centroid that holds the whole background, with
-    every proper coalition."""
+    Exact Kernel SHAP, one centroid that holds the whole background with every
+    proper coalition, is the plan wherever its rows fit the budget."""
 
     groups: dict[str, np.ndarray]
     centers: np.ndarray
@@ -206,31 +205,28 @@ def _gram_inverse(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (vt.T / s**2) @ vt
 
 
-def explanation_plan(background, groups, budget=None, seed: int = 0) -> ExplanationPlan:
+def explanation_plan(background, groups, budget: int = KERNEL_SAMPLE_BUDGET, seed: int = 0) -> ExplanationPlan:
     """Coalitions, kernel weights, background centroids and solve for
-    `kernel_shap` over the source-feature `groups`.
-
-    With `budget` None and at most KERNEL_ENUM_LIMIT features, the answer is
-    exact: one centroid holds the whole background and enumerates every proper
-    coalition. Otherwise `budget` (KERNEL_SAMPLE_BUDGET by default) counts
-    (coalition, centroid) forward rows: the background is summarised to at most
-    KERNEL_BACKGROUND_K weighted centroids, the rows are split between them by
-    weight, and each centroid draws its own distinct coalitions with
-    `_sample_coalitions`, seeded by `seed` (see `ExplanationPlan`). Raises
-    SingularSystem if the coalitions cannot determine every attribution."""
+    `kernel_shap` over the source-feature `groups`, within `budget`
+    (coalition, background row) forward rows. The plan is exact, one centroid
+    that holds the whole background and enumerates every proper coalition,
+    where that fits: r * (2^d - 2) <= budget. Otherwise the background is
+    summarised to at most KERNEL_BACKGROUND_K weighted centroids. The budget is
+    split between the centroids by weight, and each takes its own distinct
+    coalitions with `_sample_coalitions`, seeded by `seed` (see
+    `ExplanationPlan`). Raises SingularSystem if the coalitions cannot
+    determine every attribution."""
     d = len(groups)
     if d < 2:
         raise TooFewFeatures(f"kernel SHAP needs at least two source features, got {d}")
     background = np.asarray(background, dtype=float)
     rng = np.random.default_rng(seed)
-    if budget is None and d <= KERNEL_ENUM_LIMIT:  # exact: the whole background, every coalition
+    if len(background) * ((1 << d) - 2) <= budget:  # its share caps at 2^d - 2: whole tiers, nothing drawn
         centers, weights = background[None], np.ones(1)
-        samples = [_sample_coalitions(d, (1 << d) - 2, rng)]  # whole tiers, nothing drawn
     else:
         centers, weights = summarize_background(background, seed=seed)
         centers = centers[:, None, :]
-        pairs = allocate((KERNEL_SAMPLE_BUDGET if budget is None else int(budget)) // 2, weights)
-        samples = [_sample_coalitions(d, 2 * share, rng) for share in pairs]
+    samples = [_sample_coalitions(d, 2 * share, rng) for share in allocate(budget // 2, weights)]
     gram_inv = np.array([_gram_inverse(z, w) for z, w in samples])
     bits, kernel = (np.concatenate(part) for part in zip(*samples))
     bounds = np.cumsum([0] + [len(z) for z, _ in samples])

@@ -46,6 +46,9 @@ class VerdictHandler(BaseHTTPRequestHandler):
             self.wfile.write(body)
 
     def do_GET(self):
+        # a body is never read: close after the reply, so that it is not parsed as the next request
+        if "Transfer-Encoding" in self.headers or self.headers.get("Content-Length", "0") != "0":
+            self.close_connection = True
         if self.path == "/v1/health":
             self._reply(200, {"status": "ok", "fingerprint": self.artifact.fingerprint})
         else:

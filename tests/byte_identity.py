@@ -51,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SERVED_SEED = 41
 T2_FEATURES = [*(f"inf_{i}" for i in range(6)), *(f"noise_{i}" for i in range(6)),
                "noise_12", "noise_13", "noise_14", "noise_21", "noise_22"]
-T3_FEATURES = [f"inf_{i}" for i in range(6)]  # at most explain.KERNEL_ENUM_LIMIT: exact explanations
+T3_FEATURES = [f"inf_{i}" for i in range(6)]  # 100 background rows x 62 coalitions = 6,200 rows: exact
 
 
 def _cli(out: Path, name: str, argv: list[str]) -> None:

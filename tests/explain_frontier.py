@@ -7,7 +7,9 @@ explanation runs, the mean relative L2 error over the fixture's three records
 at seed 0, the median and the worst of that error over seeds 0-9, and the
 median in-process `kernel_shap` time with the plan built beforehand, as a
 served explanation runs it. The centroid count is set through
-`explain.KERNEL_BACKGROUND_K`; the budget is passed to `explanation_plan`.
+`explain.KERNEL_BACKGROUND_K`; the budget is passed to `explanation_plan`,
+where one that covers r * (2^d - 2) rows (r background rows, d features)
+builds the exact plan instead.
 
     PYTHONPATH=src python tests/explain_frontier.py              # SETTINGS below
     PYTHONPATH=src python tests/explain_frontier.py 16:20480 8:10240

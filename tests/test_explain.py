@@ -6,7 +6,9 @@ import pytest
 
 from edysec import explain
 from edysec import neuralnet as nn
+from edysec.dataset import generate_synthetic, split_dataset
 from edysec.errors import FeatureMismatch, SingularSystem, TooFewFeatures, TooManyFeatures
+from edysec.preprocess import Preprocessor
 from exact_shapley import EXACT_LIMIT, exact_shapley
 
 
@@ -90,23 +92,25 @@ class TestKernelShap:
         for name in fixture["groups"]:
             assert sampled.phi[name] == pytest.approx(exact.phi[name], abs=0.05)
 
-    @pytest.mark.parametrize("d, expected", [(14, "exact"), (15, explain.KERNEL_SAMPLE_BUDGET)])
-    def test_default_budget(self, d, expected):
-        # exact up to KERNEL_ENUM_LIMIT features: one centroid that holds the whole background,
-        # with every proper coalition; KERNEL_SAMPLE_BUDGET sampled rows above
+    @pytest.mark.parametrize("d, rows, budget", [
+        (7, 100, explain.KERNEL_SAMPLE_BUDGET), (8, 100, explain.KERNEL_SAMPLE_BUDGET), (9, 5, 2550), (9, 5, 2549),
+    ], ids=["default-exact", "default-sampled", "covering-exact", "one-under-sampled"])
+    def test_row_budget_picks_the_plan(self, d, rows, budget):
+        # exact where the whole background times every proper coalition fits the budget
+        # (7 x 100 rows: 12,600; 8: 25,400): one centroid that holds the whole background,
+        # with every proper coalition; weighted centroids with sampled coalitions one row over
         rng = np.random.default_rng(d)
-        w = rng.normal(size=d)
-        model = lambda rows: np.tanh(rows @ w)
-        x, bg, groups = rng.normal(size=d), rng.normal(size=(3, d)), make_groups(d)
-        if expected == "exact":
-            plan = explain.explanation_plan(bg, groups)
-            assert plan.centers.shape == (1, 3, d) and np.array_equal(plan.centers[0], bg)
+        bg, groups = rng.normal(size=(rows, d)), make_groups(d)
+        kwargs = {} if budget == explain.KERNEL_SAMPLE_BUDGET else {"budget": budget}
+        plan = explain.explanation_plan(bg, groups, seed=5, **kwargs)
+        assert len(plan.bits) * plan.centers.shape[1] <= budget
+        if rows * ((1 << d) - 2) <= budget:
+            assert plan.centers.shape == (1, rows, d) and np.array_equal(plan.centers[0], bg)
             assert plan.weights.tolist() == [1.0] and plan.bounds.tolist() == [0, (1 << d) - 2]
             sizes = plan.bits.sum(axis=1)
             assert len(np.unique(plan.bits, axis=0)) == (1 << d) - 2 and 0 < sizes.min() and sizes.max() < d
         else:
-            shap = lambda **budget: explain.kernel_shap(model, x, explain.explanation_plan(bg, groups, seed=5, **budget))
-            assert shap() == shap(budget=expected)
+            assert plan.centers.shape == (min(rows, explain.KERNEL_BACKGROUND_K), 1, d)
 
     def test_sampled_linear_closed_form(self):
         # the summary keeps the background mean, so a linear model stays exact at d = 17
@@ -203,11 +207,12 @@ class TestPlan:
                 model, x, explain.explanation_plan(bg, groups, seed=3)
             )
 
-    @pytest.mark.parametrize("d", [2, 7, 11, explain.KERNEL_ENUM_LIMIT])
+    @pytest.mark.parametrize("d", [2, 7, 11, 14])
     def test_exact_path_keeps_its_bits(self, d):
         # one centroid's Gram solve over every coalition matches lstsq to rounding
         model, groups, xs, bg = tanh_case(d, d + 3, 9, seed=d)
-        attr = explain.kernel_shap(model, xs[0], explain.explanation_plan(bg, groups))
+        plan = explain.explanation_plan(bg, groups, budget=len(bg) * ((1 << d) - 2))
+        attr = explain.kernel_shap(model, xs[0], plan)
         ref = reference_exact_kernel_shap(model, xs[0], bg, groups)
         assert max(abs(attr.phi[name] - ref.phi[name]) for name in groups) <= 1e-12
         assert abs(attr.base - ref.base) <= 1e-14 and abs(attr.fx - ref.fx) <= 1e-14
@@ -216,7 +221,7 @@ class TestPlan:
         # every proper coalition, outermost tier first, in combinations order and
         # each followed by its complement (an even d's middle tier alone), with
         # its kernel weight: the same bits as a row-by-row itertools enumeration
-        for d in range(2, explain.KERNEL_ENUM_LIMIT + 1):
+        for d in range(2, 15):
             rows, weights = [], []
             for s in range(1, d // 2 + 1):
                 tier = itertools_tier(d, s)
@@ -237,13 +242,33 @@ class TestPlan:
         assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
 
     def test_exact_path_scores_whole_coalitions_per_call(self):
-        # d = 8 over 100 background rows: one call for the background and x, then
-        # the 254 proper coalitions five at a time (500 rows) in 51 calls
+        # d = 8 over 100 background rows, under a budget that covers them: one call for
+        # the background and x, then the 254 proper coalitions five at a time (500 rows) in 51 calls
         model, groups, xs, bg = tanh_case(8, 11, 100, seed=8)
         calls = []
         counting = lambda rows: calls.append(len(rows)) or model(rows)
-        explain.kernel_shap(counting, xs[0], explain.explanation_plan(bg, groups))
+        explain.kernel_shap(counting, xs[0], explain.explanation_plan(bg, groups, budget=25_400))
         assert len(calls) == 52 and max(calls) <= 500
+
+    def test_sampled_band_against_the_covering_exact_plan(self):
+        # 12 features over 100 rows need 409,400 rows exact, so the default plan samples; on a
+        # trained `nn` preset it stays within the oracle gate's 0.090 of the exact answer
+        ds = generate_synthetic(600, 6, 6, seed=41)
+        splits = split_dataset(ds, seed=41)
+        pre = Preprocessor.fit(splits.train)
+        train, test = pre.transform(splits.train), pre.transform(splits.test)
+        spec, cfg = nn.NetworkSpec.nn(train.width), nn.TrainConfig(epochs=3, seed=41)
+        params, _ = nn.train(spec, cfg, train.X, train.labels)
+        model = lambda rows: nn.predict_proba(params, rows)
+        bg, groups = explain.sample_background(train, 100, seed=41), explain.feature_groups(train)
+        assert len(groups) == 12
+        sampled = explain.explanation_plan(bg, groups)
+        exact = explain.explanation_plan(bg, groups, budget=len(bg) * ((1 << 12) - 2))
+        assert sampled.centers.shape[1] == 1 and exact.centers.shape[:2] == (1, 100)
+        for x in test.X[:5]:
+            phi = np.array(list(explain.kernel_shap(model, x, sampled).phi.values()))
+            ref = np.array(list(explain.kernel_shap(model, x, exact).phi.values()))
+            assert np.linalg.norm(phi - ref) / np.linalg.norm(ref) <= 0.090
 
     def test_degenerate_sample_is_refused_when_built(self):
         # two coalitions cannot determine 17 attributions

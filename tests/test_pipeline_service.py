@@ -72,16 +72,16 @@ class TestPipeline:
         assert set(res.ranking) == set(res.chosen.selected)
 
     def test_explanations_are_the_artifacts_own(self, monkeypatch):
-        # at a seed other than 0, with more features than KERNEL_ENUM_LIMIT, the report explains
-        # a row as `edysec explain` and /v1/analyze do: through the artifact's own plan
+        # at a seed other than 0, on a sampled plan, the report explains a row as
+        # `edysec explain` and /v1/analyze do: through the artifact's own plan
         ds = generate_synthetic(240, 4, 14, seed=5)
         names = ds.manifest.feature_names()
-        assert len(names) > explain.KERNEL_ENUM_LIMIT
         chosen = featsel.SelectorResult("anova", tuple(names), len(names), 1.0, 0.5)
         monkeypatch.setattr(pipeline, "run_selectors", lambda *a, **k: [chosen])
         options = fast_options(seed=3, selectors=("anova",), epochs=1)
         res = pipeline.run_pipeline(ds, options)
         fresh = art.ModelArtifact.from_dict(res.artifact.to_dict())
+        assert fresh.explanation_plan().centers.shape[1] == 1 < len(fresh.background)  # sampled centroids
         test = fresh.project(res.splits.test)
         # the test rows the pipeline draws to explain, at the run's seed
         rng = np.random.default_rng(options.seed)
@@ -301,6 +301,24 @@ class TestExplanationPlan:
         art.predict_package(fresh, dict(ds.rows[0]), explain_verdict=True)
         art.predict_package(fresh, dict(ds.rows[1]), explain_verdict=True)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("d", [12, 14])
+    def test_explained_verdict_stays_within_the_row_budget(self, d, monkeypatch):
+        # the plan's budget, and one forward row for each of the 100 background rows and for x
+        ds = generate_synthetic(300, 4, d - 4, seed=d)
+        pre = Preprocessor.fit(ds)
+        pm = pre.transform(ds)
+        model = art.ModelArtifact(
+            manifest=ds.manifest, preprocessor=pre, selected=tuple(ds.manifest.feature_names()),
+            selector_provenance={"method": "manual"}, params=nn.init_network(nn.NetworkSpec.nn(pm.width), seed=d),
+            background=explain.sample_background(pm, 100, seed=d),
+        )
+        assert len(model.groups) == d and len(model.background) == 100
+        forwarded = []
+        predict = nn.predict_proba
+        monkeypatch.setattr(nn, "predict_proba", lambda params, X: forwarded.append(len(X)) or predict(params, X))
+        model.explain(pm.X[0])
+        assert sum(forwarded) <= explain.KERNEL_SAMPLE_BUDGET + 101
 
     def test_concurrent_explained_verdicts_share_one_plan(self, run, monkeypatch):
         ds, res = run
@@ -901,6 +919,29 @@ class TestHostileInput:
         assert cli.main(["predict", "--artifact", str(path), "--in", str(rec), "--explain"]) == 2
         assert "background" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", ["empty", "narrow", "nan"])
+    def test_bad_background_fails_closed(self, mixed, tmp_path, capsys, defect):
+        ds, artifact = mixed
+        bg = artifact.background.copy()
+        if defect == "empty":
+            bg = bg[:0]
+        elif defect == "narrow":
+            bg = bg[:, 1:]
+        else:
+            bg[3, 0] = np.nan
+        with pytest.raises(CorruptArtifact, match="background"):
+            dataclasses.replace(artifact, background=bg)
+        payload = artifact.to_dict()
+        payload["background"] = art._encode(bg, "<f8")
+        path, rec = tmp_path / "m.json", tmp_path / "rec.json"
+        save_payload(payload, path)
+        with pytest.raises(CorruptArtifact, match="background"):
+            art.load_artifact(path)
+        rec.write_text(json.dumps({"features": dict(ds.rows[0])}))
+        capsys.readouterr()
+        assert cli.main(["predict", "--artifact", str(path), "--in", str(rec), "--explain"]) == 2
+        assert "background" in capsys.readouterr().err
+
 
 def raw_exchange(port, data: bytes, timeout: float = 5.0):
     """Send raw bytes, read one reply; returns (status, JSON body, whether the
@@ -947,6 +988,14 @@ class TestSocket:
         reply, body, closed = raw_exchange(ports[0], data)
         assert reply == status and "error" in body and closed
         assert http(ports[0], "/v1/analyze", {"features": dict(ds.rows[0])})[0] == 200
+
+    @pytest.mark.parametrize("framing", [
+        b"Content-Length: 5\r\n\r\nXYZ\r\n", b"Transfer-Encoding: chunked\r\n\r\n3\r\nXYZ\r\n0\r\n\r\n",
+    ], ids=["content-length", "chunked"])
+    def test_get_with_a_body_is_answered_once_and_closes(self, ports, framing):
+        # the body is never read, so it must not be parsed as a next request
+        reply, body, closed = raw_exchange(ports[0], b"GET /v1/health HTTP/1.1\r\nHost: x\r\n" + framing)
+        assert reply == 200 and body["status"] == "ok" and closed
 
     def test_head_is_501_without_a_body(self, ports):
         with socket.create_connection(("127.0.0.1", ports[0]), timeout=5) as sock:
