@@ -194,7 +194,7 @@ def load_artifact(path) -> ModelArtifact:
         return ModelArtifact.from_dict(json.loads(payload))
     except OSError as exc:
         raise UnreadableArtifact(f"cannot read artifact: {exc}") from exc
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptArtifact(f"malformed artifact: {exc!r}") from exc
 
 

@@ -92,7 +92,7 @@ def _feature_list(path: str) -> tuple[str, ...]:
     try:
         with open(path, encoding="utf-8") as fh:
             names = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise BadFeatureList(f"cannot read a JSON feature list from {path}: {exc}") from exc
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise BadFeatureList(f"{path} must hold a JSON list of feature names")
@@ -190,7 +190,7 @@ def cmd_predict(args):
     try:
         with open(args.record, encoding="utf-8") as fh:
             request = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise BadRecord(f"cannot read a JSON record from {args.record}: {exc}") from exc
     features = request.get("features", request) if isinstance(request, dict) else None
     if not isinstance(features, dict):
@@ -250,7 +250,7 @@ def cmd_report(args):
         try:
             with open(path, encoding="utf-8") as fh:
                 lines.append(_rollup(name, fh.read()))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
             raise EdysecError(f"cannot read the report {path}: {exc!r}") from exc
     sys.stdout.write("".join(lines))
 

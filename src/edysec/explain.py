@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import allocate
-from .errors import FeatureMismatch, SingularSystem, TooFewFeatures, TooManyFeatures
+from .errors import FeatureMismatch, NoBackground, SingularSystem, TooFewFeatures, TooManyFeatures
 from .preprocess import ProcessedMatrix
 
 KERNEL_SAMPLE_BUDGET = 20480  # (coalition, background row) forward rows a plan makes unless told otherwise
@@ -214,12 +214,14 @@ def explanation_plan(background, groups, budget: int = KERNEL_SAMPLE_BUDGET, see
     summarised to at most KERNEL_BACKGROUND_K weighted centroids. The budget is
     split between the centroids by weight, and each takes its own distinct
     coalitions with `_sample_coalitions`, seeded by `seed` (see
-    `ExplanationPlan`). Raises SingularSystem if the coalitions cannot
-    determine every attribution."""
+    `ExplanationPlan`). Raises NoBackground for a background of no rows and
+    SingularSystem if the coalitions cannot determine every attribution."""
     d = len(groups)
     if d < 2:
         raise TooFewFeatures(f"kernel SHAP needs at least two source features, got {d}")
     background = np.asarray(background, dtype=float)
+    if not len(background):
+        raise NoBackground("kernel SHAP needs at least one background row")
     rng = np.random.default_rng(seed)
     if len(background) * ((1 << d) - 2) <= budget:  # its share caps at 2^d - 2: whole tiers, nothing drawn
         centers, weights = background[None], np.ones(1)

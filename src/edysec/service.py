@@ -18,8 +18,9 @@ class VerdictHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     timeout = 10  # seconds a socket read may block before the connection is dropped
-    # a reply goes out as two writes, headers then body; with Nagle's algorithm on, a
-    # keep-alive connection holds the body until the client's delayed ACK, about 40 ms
+    # an interim 100 Continue and its final reply go out as two writes, as does a reply
+    # longer than a segment; with Nagle's algorithm on, a keep-alive connection holds the
+    # second until the client's delayed ACK, about 40 ms
     disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # quiet by default
@@ -41,9 +42,15 @@ class VerdictHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
+        # the blank line and the body join the buffered head, so the reply leaves in one write
+        # and a keep-alive client wakes once; an HTTP/0.9 reply is its body alone
+        if self.request_version == "HTTP/0.9":
+            self._headers_buffer = []
+        else:
+            self._headers_buffer.append(b"\r\n")
         if self.command != "HEAD":  # a HEAD reply has no body; the stdlib's 501 is the only one
-            self.wfile.write(body)
+            self._headers_buffer.append(body)
+        self.flush_headers()
 
     def do_GET(self):
         # a body is never read: close after the reply, so that it is not parsed as the next request
@@ -77,7 +84,7 @@ class VerdictHandler(BaseHTTPRequestHandler):
         except TimeoutError:
             self.send_error(408, "request body not received in time")
             return
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: JSON nested deeper than the parser goes
             self._reply(400, {"error": "request body must be JSON"})
             return
         if not isinstance(request, dict) or not isinstance(request.get("features"), dict):

@@ -7,7 +7,7 @@ import pytest
 from edysec import explain
 from edysec import neuralnet as nn
 from edysec.dataset import generate_synthetic, split_dataset
-from edysec.errors import FeatureMismatch, SingularSystem, TooFewFeatures, TooManyFeatures
+from edysec.errors import FeatureMismatch, NoBackground, SingularSystem, TooFewFeatures, TooManyFeatures
 from edysec.preprocess import Preprocessor
 from exact_shapley import EXACT_LIMIT, exact_shapley
 
@@ -275,6 +275,11 @@ class TestPlan:
         _, groups, _, bg = tanh_case(17, 17, 20, seed=0)
         with pytest.raises(SingularSystem):
             explain.explanation_plan(bg, groups, budget=2)
+
+    def test_empty_background_is_refused_when_built(self):
+        # no rows fit any budget, but there is nothing to take the expectation over
+        with pytest.raises(NoBackground):
+            explain.explanation_plan(np.zeros((0, 4)), make_groups(4))
 
     def test_too_small_a_share_is_refused_when_built(self):
         # 600 rows over the 16 centroids of a 50-row background leave some centroid

@@ -371,6 +371,11 @@ def http(port, path, body=None, raw=None):
         return e.code, json.load(e)
 
 
+def nested_json(depth: int = 100_000) -> bytes:
+    """Under the body cap, but deeper than `json.loads` can recurse."""
+    return b"[" * depth + b"]" * depth
+
+
 class TestService:
     def test_health(self, server):
         _, port = server
@@ -600,6 +605,27 @@ class TestCli:
         ]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("where", ["record", "features", "artifact", "report"])
+    def test_nested_json_exits_2(self, trained, tmp_path, capsys, where):
+        out, model = trained
+        nested = tmp_path / "nested.json"
+        nested.write_bytes(nested_json())
+        argv = {
+            "record": ["predict", "--artifact", str(model), "--in", str(nested)],
+            "features": [
+                "train", "--data", str(out / "data.csv"), "--manifest", str(out / "manifest.json"),
+                "--model", "nn", "--epochs", "1", "--features", str(nested),
+                "--artifact", str(tmp_path / "model.json"),
+            ],
+            "artifact": ["predict", "--artifact", str(nested), "--in", str(nested)],
+            "report": ["report", "--reports", str(tmp_path)],
+        }[where]
+        if where == "report":
+            nested.rename(tmp_path / "evaluation.json")
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
@@ -965,6 +991,61 @@ def post_head(length: str) -> bytes:
             f"Content-Length: {length}\r\n\r\n").encode()
 
 
+class CountingWriter:
+    """A handler's `wfile` that records each write before making it."""
+
+    def __init__(self, wfile, writes):
+        self._wfile, self._writes = wfile, writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+@pytest.fixture(scope="module")
+def counted(mixed):
+    """A live server for the mixed artifact, and the list of every write its handlers make."""
+    _, artifact = mixed
+    writes = []
+    srv = service.make_server(artifact, port=0)
+
+    class Counted(srv.RequestHandlerClass):
+        def setup(self):
+            super().setup()
+            self.wfile = CountingWriter(self.wfile, writes)
+
+    srv.RequestHandlerClass = Counted
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    yield srv.server_address[1], writes
+    srv.shutdown()
+    srv.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def post_body(body: bytes) -> bytes:
+    return post_head(str(len(body))) + body
+
+
+def one_write_cases(ds):
+    record = dict(ds.rows[0])
+    missing = {k: v for k, v in record.items() if k != NUMERIC}
+    return {
+        "verdict": (post_body(json.dumps({"features": record}).encode()), 200),
+        "health": (b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n", 200),
+        "bad-json": (post_body(b"not json"), 400),
+        "missing-feature": (post_body(json.dumps({"features": missing}).encode()), 422),
+        "unknown-path": (b"POST /v1/nowhere HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}", 404),
+        "chunked": (b"POST /v1/analyze HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 411),
+        "too-long": (post_head(str((1 << 20) + 1)), 413),
+        "head": (b"HEAD /v1/health HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+    }
+
+
 class TestSocket:
     """The live server bounds what it reads and answers every request."""
 
@@ -1006,12 +1087,14 @@ class TestSocket:
         assert reply.startswith(b"HTTP/1.1 501 ") and b"Content-Type: application/json\r\n" in reply
         assert reply.endswith(b"\r\n\r\n")  # the headers, and then the server closed
 
-    def test_expect_100_continue(self, mixed, ports):
+    def test_expect_100_continue(self, mixed, counted):
         # the interim reply leaves before the handler returns, so the client sends its body
         ds, _ = mixed
+        port, writes = counted
         body = json.dumps({"features": dict(ds.rows[0])}).encode()
         head = post_head(str(len(body)))[:-2] + b"Expect: 100-continue\r\n\r\n"
-        with socket.create_connection(("127.0.0.1", ports[0]), timeout=5) as sock:
+        writes.clear()
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
             sock.sendall(head)
             interim = b""
             while not interim.endswith(b"\r\n\r\n"):
@@ -1023,6 +1106,44 @@ class TestSocket:
             resp = HTTPResponse(sock)
             resp.begin()
             assert resp.status == 200 and json.loads(resp.read())["verdict"] in ("benign", "malicious")
+        assert [w[:13] for w in writes] == [b"HTTP/1.1 100 ", b"HTTP/1.1 200 "]  # the final reply in one write
+
+    @pytest.mark.parametrize("case", [
+        "verdict", "health", "bad-json", "missing-feature", "unknown-path", "chunked", "too-long", "head",
+    ])
+    def test_one_write_per_reply(self, mixed, counted, case):
+        # a reply split into head and body wakes a keep-alive client twice
+        ds, _ = mixed
+        port, writes = counted
+        data, status = one_write_cases(ds)[case]
+        writes.clear()
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(data)
+            resp = HTTPResponse(sock, method=data.split(b" ", 1)[0].decode())
+            resp.begin()
+            body = resp.read()
+        assert resp.status == status and len(writes) == 1
+        assert writes[0].startswith(b"HTTP/1.1 %d " % status) and writes[0].endswith(body)
+        if case == "head":
+            assert writes[0].endswith(b"\r\n\r\n")  # the head alone
+        else:
+            assert json.loads(body)
+
+    def test_http_0_9_reply_is_its_body_alone(self, counted):
+        port, writes = counted
+        writes.clear()
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(b"GET /v1/health\r\n\r\n")
+            reply = b""
+            while received := sock.recv(1024):
+                reply += received
+        assert json.loads(reply)["status"] == "ok" and writes == [reply]
+
+    def test_nested_json_is_400(self, mixed, ports):
+        ds, _ = mixed
+        status, body = http(ports[0], "/v1/analyze", raw=nested_json())
+        assert status == 400 and body["error"] == "request body must be JSON"
+        assert http(ports[0], "/v1/analyze", {"features": dict(ds.rows[0])})[0] == 200
 
     def test_slow_body_times_out(self, mixed):
         _, artifact = mixed
