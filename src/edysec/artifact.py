@@ -166,20 +166,12 @@ _PAYLOAD = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 def save_artifact(artifact: ModelArtifact, path) -> None:
     """Write `{"checksum": <sha256 of payload>, "payload": <the artifact's
-    JSON as a string>}`. The payload is encoded, hashed and written piece by
-    piece, never held whole; the checksum is written last, over a placeholder
-    of its length."""
-    checksum = hashlib.sha256()
+    JSON as a string>}`, the payload encoded once (ASCII: non-ASCII text is
+    escaped)."""
+    payload = _PAYLOAD.encode(artifact.to_dict())
+    checksum = hashlib.sha256(payload.encode()).hexdigest()
     with open(path, "wb") as fh:
-        fh.write(b'{"checksum": "')
-        at = fh.tell()
-        fh.write(b"0" * checksum.digest_size * 2 + b'", "payload": "')
-        for piece in _PAYLOAD.iterencode(artifact.to_dict()):  # ASCII: non-ASCII text is escaped
-            checksum.update(piece.encode())
-            fh.write(json.encoder.encode_basestring_ascii(piece)[1:-1].encode())
-        fh.write(b'"}\n')
-        fh.seek(at)
-        fh.write(checksum.hexdigest().encode())
+        fh.write(f'{{"checksum": "{checksum}", "payload": {json.dumps(payload)}}}\n'.encode())
 
 
 def load_artifact(path) -> ModelArtifact:

@@ -28,8 +28,14 @@ def _emit(payload) -> None:
 
 
 def _load(args):
-    manifest = FeatureManifest.load(args.manifest)
-    return load_dataset(args.data, manifest)
+    return load_dataset(args.data, FeatureManifest.load(args.manifest))
+
+
+def _load_projected(args):
+    """The artifact, and --data under --manifest (default: the artifact's) projected through it."""
+    artifact = load_artifact(args.artifact)
+    manifest = FeatureManifest.load(args.manifest) if args.manifest else artifact.manifest
+    return artifact, artifact.project(load_dataset(args.data, manifest))
 
 
 def _options(args) -> pipeline.PipelineOptions:
@@ -68,15 +74,15 @@ def cmd_synth(args):
 
 
 def cmd_split(args):
-    ds = _load(args)
-    splits = split_dataset(ds, tuple(args.ratios), args.seed)
+    ds, options = _load(args), _options(args)
+    splits = split_dataset(ds, options.ratios, options.seed)
     os.makedirs(args.out, exist_ok=True)
     sizes = {}
     for name, part in (("train", splits.train), ("validation", splits.validation), ("test", splits.test)):
         path = os.path.join(args.out, f"{name}.csv")
         save_dataset(part, path)
         sizes[name] = len(part)
-    _emit({"out": args.out, "seed": args.seed, "sizes": sizes})
+    _emit({"out": args.out, "seed": options.seed, "sizes": sizes})
 
 
 def cmd_select(args):
@@ -122,9 +128,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    artifact = load_artifact(args.artifact)
-    manifest = FeatureManifest.load(args.manifest) if args.manifest else artifact.manifest
-    projected = artifact.project(load_dataset(args.data, manifest))
+    artifact, projected = _load_projected(args)
     report, cm = metrics.evaluate(projected.labels, artifact.predict_proba(projected.X), artifact.threshold, auc=True)
     _emit({"metrics": report.to_dict(), "confusion": cm.to_dict()})
 
@@ -149,9 +153,7 @@ def cmd_stability(args):
 def cmd_explain(args):
     if args.count < 0:
         raise BadOption(f"--count must be >= 0, got {args.count}")
-    artifact = load_artifact(args.artifact)
-    manifest = FeatureManifest.load(args.manifest) if args.manifest else artifact.manifest
-    projected = artifact.project(load_dataset(args.data, manifest))
+    artifact, projected = _load_projected(args)
     if args.method == "shap":  # one plan for every explained record
         method = artifact.explain
     else:
@@ -287,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="write train/validation/test CSVs")
     _add_data_args(p)
-    p.add_argument("--ratios", type=float, nargs=3, default=(0.70, 0.15, 0.15))
-    p.add_argument("--seed", type=int, default=0)
+    _add_split_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
@@ -310,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score an artifact against a labeled CSV")
     p.add_argument("--artifact", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--manifest", default=None)
+    _add_data_args(p, manifest_required=False)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("stability", help="run-to-run stability table")
@@ -325,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="per-package explanations from an artifact")
     p.add_argument("--artifact", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--manifest", default=None)
+    _add_data_args(p, manifest_required=False)
     p.add_argument("--method", choices=("shap", "lime"), default="shap")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--per-package", action="store_true")

@@ -19,6 +19,7 @@ from .errors import (
     MissingColumn,
     ShortRow,
     SingleClass,
+    UnreadableInput,
 )
 
 KINDS = ("numeric", "categorical", "pattern")
@@ -103,8 +104,12 @@ class FeatureManifest:
 
     @classmethod
     def load(cls, path) -> "FeatureManifest":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Read a manifest file; one that is not a valid manifest fails closed as UnreadableInput."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except (OSError, ValueError, RecursionError, KeyError, TypeError, AttributeError) as exc:
+            raise UnreadableInput(f"cannot read a manifest from {path}: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -162,33 +167,37 @@ def parse_cell(col: FeatureColumn, value, row) -> float | str:
 
 
 def load_dataset(csv_path, manifest: FeatureManifest) -> TraceDataset:
-    """Load a CSV under the manifest; every cell passes `parse_cell`."""
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(manifest.id_column)
-        index = {name: i for i, name in enumerate(header)}
-        for required in (manifest.id_column, manifest.label_column, *manifest.feature_names()):
-            if required not in index:
-                raise MissingColumn(required)
+    """Load a CSV under the manifest; every cell passes `parse_cell`. A file
+    that cannot be read as UTF-8 CSV fails closed as UnreadableInput."""
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise MissingColumn(manifest.id_column)
+            index = {name: i for i, name in enumerate(header)}
+            for required in (manifest.id_column, manifest.label_column, *manifest.feature_names()):
+                if required not in index:
+                    raise MissingColumn(required)
 
-        ids, rows, labels = [], [], []
-        seen = set()
-        for row_num, record in enumerate(reader):
-            if len(record) < len(header):
-                raise ShortRow(row_num, len(record), len(header))
-            pkg = record[index[manifest.id_column]]
-            if pkg in seen:
-                raise DuplicateId(pkg)
-            seen.add(pkg)
-            cells = {
-                col.name: parse_cell(col, record[index[col.name]], row_num) for col in manifest.columns
-            }
-            ids.append(pkg)
-            rows.append(cells)
-            labels.append(_parse_label(record[index[manifest.label_column]], row_num))
+            ids, rows, labels = [], [], []
+            seen = set()
+            for row_num, record in enumerate(reader):
+                if len(record) < len(header):
+                    raise ShortRow(row_num, len(record), len(header))
+                pkg = record[index[manifest.id_column]]
+                if pkg in seen:
+                    raise DuplicateId(pkg)
+                seen.add(pkg)
+                cells = {
+                    col.name: parse_cell(col, record[index[col.name]], row_num) for col in manifest.columns
+                }
+                ids.append(pkg)
+                rows.append(cells)
+                labels.append(_parse_label(record[index[manifest.label_column]], row_num))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise UnreadableInput(f"cannot read the dataset {csv_path}: {exc!r}") from exc
     return TraceDataset(manifest, tuple(ids), tuple(rows), tuple(labels))
 
 

@@ -63,6 +63,10 @@ class BadRatios(EdysecError):
     pass
 
 
+class UnreadableInput(EdysecError):
+    """A manifest or dataset file that cannot be read, or is not a valid one."""
+
+
 # preprocess
 class WrongKind(EdysecError):
     pass

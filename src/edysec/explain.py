@@ -3,6 +3,7 @@ LIME-style local surrogates, and global aggregation."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -12,12 +13,13 @@ from .dataset import allocate
 from .errors import FeatureMismatch, NoBackground, SingularSystem, TooFewFeatures, TooManyFeatures
 from .preprocess import ProcessedMatrix
 
-KERNEL_SAMPLE_BUDGET = 20480  # (coalition, background row) forward rows a plan makes unless told otherwise
+KERNEL_SAMPLE_BUDGET = 20480  # (coalition, centroid) forward rows a plan makes unless told otherwise
 KERNEL_BACKGROUND_K = 16  # weighted centroids that stand in for the background, each with its own sample
-# Rows per model call, in whole coalitions (at least one) of a centroid's rows.
-# The benchmark's explained verdicts (two BLAS threads) took a median 262 / 252 /
-# 244 ms at 256 / 512 / 1024 rows, with a peak RSS of 60.2 / 61.7 / 65.0 MB (100
-# rows: 380 ms, 59.8 MB). Past 512, a doubling buys about 3% for 3 MB more.
+# Rows per model call, one per (coalition, centroid); a centroid is one weighted
+# background row, so a block may span centroids. The benchmark's explained
+# verdicts (two BLAS threads) took a median 262 / 252 / 244 ms at 256 / 512 /
+# 1024 rows, with a peak RSS of 60.2 / 61.7 / 65.0 MB (100 rows: 380 ms, 59.8
+# MB). Past 512, a doubling buys about 3% for 3 MB more.
 MODEL_BLOCK_ROWS = 512
 LIME_PERTURBATIONS = 5000  # masked rows per LIME fit, at least 10 per feature
 
@@ -105,17 +107,10 @@ def _kernel_weight(d: int, size: int) -> float:
 
 def _tier(d: int, s: int) -> np.ndarray:
     """Every size-s coalition of d features as a bool row, in
-    `itertools.combinations` order: each member set of size k is extended by
-    every feature after its last, one whole level at a time."""
-    members = np.arange(d)[:, None]
-    for _ in range(s - 1):
-        last = members[:, -1]
-        after = d - 1 - last  # the features after each set's last member
-        starts = np.cumsum(after) - after
-        nxt = np.arange(after.sum()) - np.repeat(starts - last - 1, after)
-        members = np.column_stack([np.repeat(members, after, axis=0), nxt])
+    `itertools.combinations` order."""
+    members = np.array(list(itertools.combinations(range(d), s)))
     rows = np.zeros((len(members), d), dtype=bool)
-    rows[np.arange(len(members))[:, None], members] = True
+    np.put_along_axis(rows, members, True, axis=1)
     return rows
 
 
@@ -173,14 +168,15 @@ class ExplanationPlan:
     """Kernel SHAP stratified by background centroid, built by
     `explanation_plan` and never written after; `kernel_shap` reads it.
 
-    A centroid is a set of background rows: `centers` has shape (k, r, width),
-    and centroid k's game is v_k(S) = the mean over its r rows of f(x on S,
-    that row elsewhere), so v_k(full) = f(x). Centroid k owns the coalition
-    rows `bits[bounds[k]:bounds[k+1]]`, with their kernel weights and the
-    inverse Gram matrix of its weighted design (last feature eliminated); the
+    A centroid is one weighted background row: `centers` has shape (k, width),
+    and centroid k's game is v_k(S) = f(x on S, centroid k elsewhere), so
+    v_k(full) = f(x). Centroid k owns the coalition rows
+    `bits[bounds[k]:bounds[k+1]]`, with their kernel weights and the inverse
+    Gram matrix of its weighted design (last feature eliminated); the
     attribution is the weighted sum of the centroids' Kernel SHAP solutions.
-    Exact Kernel SHAP, one centroid that holds the whole background with every
-    proper coalition, is the plan wherever its rows fit the budget."""
+    Exact Kernel SHAP, every background row its own centroid at weight 1/r
+    with every proper coalition (by Shapley linearity the exact answer of the
+    background-mean game), is the plan wherever its rows fit the budget."""
 
     groups: dict[str, np.ndarray]
     centers: np.ndarray
@@ -208,12 +204,12 @@ def _gram_inverse(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def explanation_plan(background, groups, budget: int = KERNEL_SAMPLE_BUDGET, seed: int = 0) -> ExplanationPlan:
     """Coalitions, kernel weights, background centroids and solve for
     `kernel_shap` over the source-feature `groups`, within `budget`
-    (coalition, background row) forward rows. The plan is exact, one centroid
-    that holds the whole background and enumerates every proper coalition,
-    where that fits: r * (2^d - 2) <= budget. Otherwise the background is
-    summarised to at most KERNEL_BACKGROUND_K weighted centroids. The budget is
-    split between the centroids by weight, and each takes its own distinct
-    coalitions with `_sample_coalitions`, seeded by `seed` (see
+    (coalition, centroid) forward rows. The plan is exact, each of the r
+    background rows a centroid of weight 1/r that enumerates every proper
+    coalition, where that fits: r * (2^d - 2) <= budget. Otherwise the
+    background is summarised to at most KERNEL_BACKGROUND_K weighted centroids.
+    The budget is split between the centroids by weight, and each takes its
+    own distinct coalitions with `_sample_coalitions`, seeded by `seed` (see
     `ExplanationPlan`). Raises NoBackground for a background of no rows and
     SingularSystem if the coalitions cannot determine every attribution."""
     d = len(groups)
@@ -223,11 +219,10 @@ def explanation_plan(background, groups, budget: int = KERNEL_SAMPLE_BUDGET, see
     if not len(background):
         raise NoBackground("kernel SHAP needs at least one background row")
     rng = np.random.default_rng(seed)
-    if len(background) * ((1 << d) - 2) <= budget:  # its share caps at 2^d - 2: whole tiers, nothing drawn
-        centers, weights = background[None], np.ones(1)
+    if len(background) * ((1 << d) - 2) <= budget:  # each share caps at 2^d - 2: whole tiers, nothing drawn
+        centers, weights = background, np.full(len(background), 1 / len(background))
     else:
         centers, weights = summarize_background(background, seed=seed)
-        centers = centers[:, None, :]
     samples = [_sample_coalitions(d, 2 * share, rng) for share in allocate(budget // 2, weights)]
     gram_inv = np.array([_gram_inverse(z, w) for z, w in samples])
     bits, kernel = (np.concatenate(part) for part in zip(*samples))
@@ -240,18 +235,15 @@ def kernel_shap(model, x, plan: ExplanationPlan) -> Attribution:
     coalition constraints enforced exactly, as `plan` lays it out. A caller
     that explains many rows builds the plan once."""
     x = np.asarray(x, dtype=float)
-    _, r, width = plan.centers.shape
-    # one call for every centroid row and x: float32 scores depend on the batch they are in
-    ends = np.asarray(model(np.vstack([plan.centers.reshape(-1, width), x])), dtype=float)
-    bases, fx = ends[:-1].reshape(-1, r).mean(axis=1), float(ends[-1])
+    # one call for every centroid and x: float32 scores depend on the batch they are in
+    ends = np.asarray(model(np.vstack([plan.centers, x])), dtype=float)
+    bases, fx = ends[:-1], float(ends[-1])
     owner = np.repeat(np.arange(len(bases)), np.diff(plan.bounds))
     v = np.empty(len(plan.bits))
-    step = max(1, MODEL_BLOCK_ROWS // r)  # coalitions per model call
-    for start in range(0, len(v), step):  # column masks for one block at a time
-        block = slice(start, start + step)
-        masks = _column_masks(plan.groups, plan.bits[block], width)[:, None, :]
-        scores = model(np.where(masks, x, plan.centers[owner[block]]).reshape(-1, width))
-        v[block] = np.asarray(scores, dtype=float).reshape(-1, r).mean(axis=1)
+    for start in range(0, len(v), MODEL_BLOCK_ROWS):  # column masks for one block at a time
+        block = slice(start, start + MODEL_BLOCK_ROWS)
+        masks = _column_masks(plan.groups, plan.bits[block], plan.centers.shape[1])
+        v[block] = model(np.where(masks, x, plan.centers[owner[block]]))
     phi = np.zeros(len(plan.groups))
     for k, (lo, hi) in enumerate(zip(plan.bounds[:-1], plan.bounds[1:])):
         bits = plan.bits[lo:hi]

@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -47,11 +46,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from loaders import ROOT, perfbench
+
 SERVED_SEED = 41
 T2_FEATURES = [*(f"inf_{i}" for i in range(6)), *(f"noise_{i}" for i in range(6)),
                "noise_12", "noise_13", "noise_14", "noise_21", "noise_22"]
-T3_FEATURES = [f"inf_{i}" for i in range(6)]  # 100 background rows x 62 coalitions = 6,200 rows: exact
+T3_FEATURES = [f"inf_{i}" for i in range(6)]  # 100 one-row centroids x 62 coalitions = 6,200 rows: exact
 
 
 def _cli(out: Path, name: str, argv: list[str]) -> None:
@@ -84,14 +84,6 @@ def _artifact_line(name: str, path) -> str:
         "fingerprint": model.fingerprint,
         "preprocessor": model.preprocessor.to_dict(),
     }, sort_keys=True) + "\n"
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
 
 
 def write_outputs(out: Path) -> None:
@@ -142,7 +134,7 @@ def write_outputs(out: Path) -> None:
             del report["latency_ms"]
             fh.write(json.dumps(report, sort_keys=True) + "\n")
 
-    wl = _workloads()
+    wl = perfbench("workloads")
     with tempfile.TemporaryDirectory() as tmp:
         corpus = wl.load_corpus(*wl.write_corpus(Path(tmp), SERVED_SEED, wl.FULL))
         held_out = wl.build_artifact(corpus, SERVED_SEED, Path(tmp) / "served.json")

@@ -26,40 +26,18 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import importlib.util
 import statistics
 import sys
 import time
-from pathlib import Path
 
 import edysec
+from loaders import load_other, perfbench
 
-ROOT = Path(__file__).resolve().parent.parent
-OTHER = "edysec_other"  # the package name --against loads the other checkout's edysec under
 PREDICT_CALLS = 50  # one-row verdicts per timed repetition
 PREDICT_REPS = 8  # predict_package repetitions per --reps repetition
 
 
-def _load_by_path(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # its dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _load_by_path("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-
-
-def load_other(checkout: str):
-    """Another checkout's edysec package, imported as OTHER."""
-    package = Path(checkout).resolve() / "src" / "edysec"
-    spec = importlib.util.spec_from_file_location(OTHER, package / "__init__.py",
-                                                  submodule_search_locations=[str(package)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[OTHER] = module  # its relative imports resolve under OTHER
-    spec.loader.exec_module(module)
-    return module
+WORKLOADS = perfbench("workloads")
 
 
 class Side:

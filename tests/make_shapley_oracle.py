@@ -18,7 +18,6 @@ in float32 like every served probability).
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import sys
 import tempfile
@@ -26,25 +25,17 @@ from pathlib import Path
 
 from edysec import artifact, dataset, explain
 from exact_shapley import exact_shapley
+from loaders import perfbench
 
-ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).resolve().parent / "data" / "shapley_oracle.json"
 SEED = 41
 PACKAGES = ("pkg000014", "pkg000016", "pkg000018")  # held out: in the validation and test splits
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
-
-
 def served_case(work: Path):
     """The served artifact rebuilt in `work`, its feature groups, and the
     projected input row of each package in PACKAGES."""
-    wl = _workloads()
+    wl = perfbench("workloads")
     ds = wl.load_corpus(*wl.write_corpus(work, SEED, wl.FULL))
     held_out = {pkg for pkg, _ in wl.build_artifact(ds, SEED, work / "artifact.json")}
     if not held_out.issuperset(PACKAGES):

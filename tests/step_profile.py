@@ -37,18 +37,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads its BLAS
 
 import argparse  # noqa: E402
-import importlib.util  # noqa: E402
+import importlib  # noqa: E402
 import mmap  # noqa: E402
 import time  # noqa: E402
 from dataclasses import dataclass, field  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from edysec import featsel  # noqa: E402
 from edysec import neuralnet as nn  # noqa: E402
+from loaders import load_other  # noqa: E402
 
-OTHER = "edysec_other"  # the package name --against loads the other checkout's edysec under
 PRESETS = {  # each side builds its spec from its own neuralnet module, `net`
     "mlp": (lambda net, width: net.NetworkSpec.mlp(width), 16),
     "nn": (lambda net, width: net.NetworkSpec.nn(width), 16),
@@ -59,17 +58,6 @@ WIDTHS = (92, 770, 1543)
 WARMUP, STEPS = 16, 400
 ROWS = 1024
 TIMES = ("forward", "backward", "adam", "idle", "step")
-
-
-def load_other(checkout: str):
-    """The `neuralnet` module of another checkout's edysec, imported as OTHER."""
-    package = Path(checkout).resolve() / "src" / "edysec"
-    spec = importlib.util.spec_from_file_location(OTHER, package / "__init__.py",
-                                                  submodule_search_locations=[str(package)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[OTHER] = module  # its relative imports resolve under OTHER
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{OTHER}.neuralnet")
 
 
 def page_aligned(values: np.ndarray) -> np.ndarray:
@@ -142,7 +130,10 @@ def main(argv: list[str]) -> int:
     shapes = [(p, int(w)) for p, w in (arg.split(":") for arg in args.shapes)] or [
         (p, w) for p in PRESETS for w in WIDTHS
     ]
-    modules = [nn] if args.against is None else [nn, load_other(args.against)]
+    if args.against is None:
+        modules = [nn]
+    else:
+        modules = [nn, importlib.import_module(f"{load_other(args.against).__name__}.neuralnet")]
     print(f"{'preset':>8} {'width':>5} {'batch':>5} {'params':>9} {'side':>5} {'forward':>8} {'backward':>8}"
           f" {'adam':>8} {'idle':>8} {'step':>8}   (ms; step is the busy mean, the others medians)")
     for preset, width in shapes:

@@ -97,20 +97,22 @@ class TestKernelShap:
     ], ids=["default-exact", "default-sampled", "covering-exact", "one-under-sampled"])
     def test_row_budget_picks_the_plan(self, d, rows, budget):
         # exact where the whole background times every proper coalition fits the budget
-        # (7 x 100 rows: 12,600; 8: 25,400): one centroid that holds the whole background,
-        # with every proper coalition; weighted centroids with sampled coalitions one row over
+        # (7 x 100 rows: 12,600; 8: 25,400): every background row its own centroid of
+        # weight 1/r, each with every proper coalition; weighted centroids with sampled
+        # coalitions one row over
         rng = np.random.default_rng(d)
         bg, groups = rng.normal(size=(rows, d)), make_groups(d)
         kwargs = {} if budget == explain.KERNEL_SAMPLE_BUDGET else {"budget": budget}
         plan = explain.explanation_plan(bg, groups, seed=5, **kwargs)
-        assert len(plan.bits) * plan.centers.shape[1] <= budget
+        assert len(plan.bits) <= budget
         if rows * ((1 << d) - 2) <= budget:
-            assert plan.centers.shape == (1, rows, d) and np.array_equal(plan.centers[0], bg)
-            assert plan.weights.tolist() == [1.0] and plan.bounds.tolist() == [0, (1 << d) - 2]
-            sizes = plan.bits.sum(axis=1)
-            assert len(np.unique(plan.bits, axis=0)) == (1 << d) - 2 and 0 < sizes.min() and sizes.max() < d
+            assert np.array_equal(plan.centers, bg) and np.all(plan.weights == 1 / rows)
+            assert plan.bounds.tolist() == list(range(0, rows * ((1 << d) - 2) + 1, (1 << d) - 2))
+            for lo, hi in zip(plan.bounds[:-1], plan.bounds[1:]):
+                bits, sizes = plan.bits[lo:hi], plan.bits[lo:hi].sum(axis=1)
+                assert len(np.unique(bits, axis=0)) == (1 << d) - 2 and 0 < sizes.min() and sizes.max() < d
         else:
-            assert plan.centers.shape == (min(rows, explain.KERNEL_BACKGROUND_K), 1, d)
+            assert plan.centers.shape == (min(rows, explain.KERNEL_BACKGROUND_K), d)
 
     def test_sampled_linear_closed_form(self):
         # the summary keeps the background mean, so a linear model stays exact at d = 17
@@ -243,12 +245,14 @@ class TestPlan:
 
     def test_exact_path_scores_whole_coalitions_per_call(self):
         # d = 8 over 100 background rows, under a budget that covers them: one call for
-        # the background and x, then the 254 proper coalitions five at a time (500 rows) in 51 calls
+        # the background and x, then the 100 x 254 (row, coalition) rows in 50 calls of at
+        # most MODEL_BLOCK_ROWS
         model, groups, xs, bg = tanh_case(8, 11, 100, seed=8)
         calls = []
         counting = lambda rows: calls.append(len(rows)) or model(rows)
         explain.kernel_shap(counting, xs[0], explain.explanation_plan(bg, groups, budget=25_400))
-        assert len(calls) == 52 and max(calls) <= 500
+        assert len(calls) == 51 and calls[0] == 101 and max(calls[1:]) <= explain.MODEL_BLOCK_ROWS
+        assert sum(calls) == 25_501
 
     def test_sampled_band_against_the_covering_exact_plan(self):
         # 12 features over 100 rows need 409,400 rows exact, so the default plan samples; on a
@@ -264,7 +268,7 @@ class TestPlan:
         assert len(groups) == 12
         sampled = explain.explanation_plan(bg, groups)
         exact = explain.explanation_plan(bg, groups, budget=len(bg) * ((1 << 12) - 2))
-        assert sampled.centers.shape[1] == 1 and exact.centers.shape[:2] == (1, 100)
+        assert len(sampled.centers) <= explain.KERNEL_BACKGROUND_K and len(exact.centers) == 100
         for x in test.X[:5]:
             phi = np.array(list(explain.kernel_shap(model, x, sampled).phi.values()))
             ref = np.array(list(explain.kernel_shap(model, x, exact).phi.values()))

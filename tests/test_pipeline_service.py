@@ -81,7 +81,7 @@ class TestPipeline:
         options = fast_options(seed=3, selectors=("anova",), epochs=1)
         res = pipeline.run_pipeline(ds, options)
         fresh = art.ModelArtifact.from_dict(res.artifact.to_dict())
-        assert fresh.explanation_plan().centers.shape[1] == 1 < len(fresh.background)  # sampled centroids
+        assert len(fresh.explanation_plan().centers) <= explain.KERNEL_BACKGROUND_K < len(fresh.background)  # sampled centroids
         test = fresh.project(res.splits.test)
         # the test rows the pipeline draws to explain, at the run's seed
         rng = np.random.default_rng(options.seed)
@@ -626,6 +626,32 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("which, content", [
+        ("manifest", None),
+        ("manifest", b"{not json"),
+        ("manifest", b'{"version": 1}'),
+        ("manifest", json.dumps({
+            "version": 1, "id_column": "package", "label_column": "label",
+            "features": [{"name": "a", "kind": "numeric", "trace": "TCP"}] * 2,
+        }).encode()),
+        ("data", None),
+        ("data", b"package,label\n\xff\xfe\n"),
+        ("data", b"x" * 200_000 + b"\n"),  # over csv's 131,072-character field limit
+    ], ids=["no-manifest", "manifest-not-json", "manifest-no-features", "manifest-duplicates",
+            "no-data", "data-not-utf8", "data-cell-too-long"])
+    def test_unreadable_inputs_exit_2(self, trained, tmp_path, capsys, which, content):
+        out, _ = trained
+        paths = {"data": out / "data.csv", "manifest": out / "manifest.json"}
+        paths[which] = tmp_path / f"bad-{which}"
+        if content is not None:  # None: the file does not exist
+            paths[which].write_bytes(content)
+        capsys.readouterr()
+        assert cli.main([
+            "split", "--data", str(paths["data"]), "--manifest", str(paths["manifest"]), "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -4,28 +4,16 @@ rather than only in a benchmark run."""
 
 import dataclasses
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
 from edysec import featsel, pipeline
 from edysec.dataset import generate_synthetic
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def load_by_path(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
+from loaders import perfbench
 
 
 def test_every_traced_target_resolves():
-    tracing = load_by_path("tracing")
+    tracing = perfbench("tracing")
     for module_name in tracing.MODULES:
         importlib.import_module(f"edysec.{module_name}")
     missing = []
@@ -40,7 +28,7 @@ def test_every_traced_target_resolves():
 
 @pytest.mark.parametrize("sizes", ["FULL", "SMOKE"])
 def test_benchmark_pipeline_options_build(sizes):
-    workloads = load_by_path("workloads")
+    workloads = perfbench("workloads")
     options = workloads.pipeline_options(41, getattr(workloads, sizes))
     assert isinstance(options, pipeline.PipelineOptions)
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import http.client
-import importlib.util
 import os
 import statistics
 import subprocess
@@ -35,21 +34,13 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from loaders import ROOT, perfbench
+
 CONNECTIONS = (1, 2)  # keep-alive connections, one client thread each
 WARM_UP = 50  # verdicts per side and connection count before the bursts
 READY_S = 60.0  # seconds a server may take to answer /v1/health
 
-
-def _load_by_path(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # its dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _load_by_path("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+WORKLOADS = perfbench("workloads")
 
 
 class Server:
