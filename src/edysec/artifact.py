@@ -32,6 +32,13 @@ ARTIFACT_VERSION = 2
 VERDICT_TOP_K = 5  # attributions an explained verdict carries, largest |phi| first
 
 
+def _finite(probs: np.ndarray) -> np.ndarray:
+    """Network probabilities as float64; a non-finite one is rejected, never thresholded."""
+    if not np.isfinite(probs).all():
+        raise NonFiniteScore("the network produced a non-finite probability")
+    return probs.astype(float)
+
+
 def _encode(arr: np.ndarray, dtype: str) -> dict:
     return {
         "shape": list(arr.shape),
@@ -88,10 +95,15 @@ class ModelArtifact:
         in nn.NETWORK_DTYPE and returned as float64. A row that is not finite
         there is refused before the forward pass (NonFiniteInput), and a
         non-finite score is rejected, never thresholded."""
-        probs = nn.predict_proba(self.params, X).astype(float)
-        if not np.isfinite(probs).all():
-            raise NonFiniteScore("the network produced a non-finite probability")
-        return probs
+        return _finite(nn.predict_proba(self.params, X))
+
+    @property
+    def network(self) -> explain.SplitModel:
+        """The network as Kernel SHAP scores it: `predict_proba`, and the
+        first layer's weights and bias, after which `nn.forward_from` scores
+        a coalition row from its pre-activations, checked as predict_proba's."""
+        head = lambda z: _finite(nn.forward_from(self.params, z)[0])
+        return explain.SplitModel(self.predict_proba, self.params.weights[0], self.params.biases[0], head)
 
     def explanation_background(self) -> np.ndarray:
         if self.background is None:
@@ -113,8 +125,8 @@ class ModelArtifact:
 
     def explain(self, x) -> explain.Attribution:
         """Kernel SHAP attributions of one row of the input matrix:
-        `predict_proba` against the background, through the shared plan."""
-        return explain.kernel_shap(self.predict_proba, x, self.explanation_plan())
+        the `network` against the background, through the shared plan."""
+        return explain.kernel_shap(self.network, x, self.explanation_plan())
 
     def to_dict(self) -> dict:
         return {

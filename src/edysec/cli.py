@@ -4,6 +4,7 @@ stability, explanations, the full pipeline, and the verdict service."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from .dataset import (
     save_dataset,
     split_dataset,
 )
-from .errors import BadFeatureList, BadOption, BadRecord, EdysecError
+from .errors import BadFeatureList, BadOption, BadRecord, EdysecError, UnwritableOutput
 
 ARTIFACT_ENV = "EDYSEC_ARTIFACT"
 
@@ -48,6 +49,36 @@ def _options(args) -> pipeline.PipelineOptions:
     })
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Writes under `path`; an OSError they raise is UnwritableOutput."""
+    try:
+        yield
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
+
+
+def _check_out_dir(path) -> None:
+    """Refuse an output directory that cannot be made, before anything is
+    computed for it: the nearest path at or above it that exists must be a
+    directory."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise UnwritableOutput(f"cannot write {path}: {existing} is not a directory")
+
+
+def _check_out_file(path) -> None:
+    """Refuse an output file that names a directory or whose directory does
+    not exist, before anything is computed for it."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise UnwritableOutput(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(folder):
+        raise UnwritableOutput(f"cannot write {path}: no directory {folder}")
+
+
 def _bind(value: str) -> tuple[str, int]:
     host, colon, port = value.rpartition(":")
     if not (colon and port.isdecimal() and int(port) <= 65535):
@@ -65,23 +96,24 @@ def cmd_synth(args):
     ds = generate_synthetic(
         args.rows, args.informative, args.noise, kinds=kinds, seed=args.seed
     )
-    os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "data.csv")
     manifest_path = os.path.join(args.out, "manifest.json")
-    save_dataset(ds, data_path)
-    ds.manifest.save(manifest_path)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        save_dataset(ds, data_path)
+        ds.manifest.save(manifest_path)
     _emit({"data": data_path, "manifest": manifest_path, "rows": len(ds), "sha256": dataset_hash(ds)})
 
 
 def cmd_split(args):
     ds, options = _load(args), _options(args)
     splits = split_dataset(ds, options.ratios, options.seed)
-    os.makedirs(args.out, exist_ok=True)
     sizes = {}
-    for name, part in (("train", splits.train), ("validation", splits.validation), ("test", splits.test)):
-        path = os.path.join(args.out, f"{name}.csv")
-        save_dataset(part, path)
-        sizes[name] = len(part)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        for name, part in (("train", splits.train), ("validation", splits.validation), ("test", splits.test)):
+            save_dataset(part, os.path.join(args.out, f"{name}.csv"))
+            sizes[name] = len(part)
     _emit({"out": args.out, "seed": options.seed, "sizes": sizes})
 
 
@@ -107,6 +139,7 @@ def _feature_list(path: str) -> tuple[str, ...]:
 
 def cmd_train(args):
     ds, options = _load(args), _options(args)
+    _check_out_file(args.artifact)
     with workers.Pool(1) as pool:
         _, pre, matrices = pipeline.prepare(ds, options)
         train_pm = matrices[0]
@@ -116,7 +149,8 @@ def cmd_train(args):
         ds, pre, train_pm, selected, params, args.model, options,
         provenance={"method": "manual", "d_j": len(selected)},
     )
-    save_artifact(artifact, args.artifact)
+    with _writing(args.artifact):
+        save_artifact(artifact, args.artifact)
     last = history[-1]
     _emit({
         "artifact": args.artifact,
@@ -173,10 +207,15 @@ def cmd_explain(args):
 def cmd_pipeline(args):
     ds = _load(args)
     options = _options(args)
-    result = pipeline.run_pipeline(ds, options)
-    written = pipeline.emit_reports(result, args.out)
+    _check_out_dir(args.out)
     if args.artifact:
-        save_artifact(result.artifact, args.artifact)
+        _check_out_file(args.artifact)
+    result = pipeline.run_pipeline(ds, options)
+    with _writing(args.out):
+        written = pipeline.emit_reports(result, args.out)
+    if args.artifact:
+        with _writing(args.artifact):
+            save_artifact(result.artifact, args.artifact)
         written.append(args.artifact)
     _emit({
         "chosen_selector": result.chosen.method,

@@ -67,6 +67,10 @@ class UnreadableInput(EdysecError):
     """A manifest or dataset file that cannot be read, or is not a valid one."""
 
 
+class UnwritableOutput(EdysecError):
+    """An output file or directory that cannot be written."""
+
+
 # preprocess
 class WrongKind(EdysecError):
     pass

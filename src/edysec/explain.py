@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +17,12 @@ from .preprocess import ProcessedMatrix
 KERNEL_SAMPLE_BUDGET = 20480  # (coalition, centroid) forward rows a plan makes unless told otherwise
 KERNEL_BACKGROUND_K = 16  # weighted centroids that stand in for the background, each with its own sample
 # Rows per model call, one per (coalition, centroid); a centroid is one weighted
-# background row, so a block may span centroids. The benchmark's explained
-# verdicts (two BLAS threads) took a median 262 / 252 / 244 ms at 256 / 512 /
-# 1024 rows, with a peak RSS of 60.2 / 61.7 / 65.0 MB (100 rows: 380 ms, 59.8
-# MB). Past 512, a doubling buys about 3% for 3 MB more.
+# background row, so a block may span centroids. An explained verdict of the
+# benchmark's served artifact (in process, two BLAS threads) took a median
+# 150-153 / 130-134 / 128-131 ms at 256 / 512 / 1024 rows, with a peak RSS of
+# 45.5 / 47.8 / 51.3 MB; tests/explain_profile.py read 512 against 256 at
+# 0.85-0.87 and against 1024 at 1.025-1.032, at widths 92 and 1543. Past 512,
+# a doubling buys about 3% for 3.5 MB more.
 MODEL_BLOCK_ROWS = 512
 LIME_PERTURBATIONS = 5000  # masked rows per LIME fit, at least 10 per feature
 
@@ -230,20 +233,58 @@ def explanation_plan(background, groups, budget: int = KERNEL_SAMPLE_BUDGET, see
     return ExplanationPlan(dict(groups), centers, weights, bits, kernel, bounds, gram_inv)
 
 
+@dataclass(frozen=True)
+class SplitModel:
+    """A model split after its first affine layer, f(X) = head(X·weight +
+    bias), as `kernel_shap` scores it: `predict` is f itself, which scores the
+    explained row and the centroids, and `head` scores first-layer
+    pre-activations. A plain callable f is the split with weight I, bias 0
+    and head f (`SplitModel.of`)."""
+
+    predict: Callable[[np.ndarray], np.ndarray]
+    weight: np.ndarray
+    bias: np.ndarray
+    head: Callable[[np.ndarray], np.ndarray]
+
+    @classmethod
+    def of(cls, model, width: int) -> "SplitModel":
+        if isinstance(model, cls):
+            return model
+        return cls(model, np.eye(width), np.zeros(width), model)
+
+
 def kernel_shap(model, x, plan: ExplanationPlan) -> Attribution:
     """Weighted least squares over the Shapley kernel with the empty/full
-    coalition constraints enforced exactly, as `plan` lays it out. A caller
-    that explains many rows builds the plan once."""
+    coalition constraints enforced exactly, as `plan` lays it out. `model` is
+    a SplitModel or a plain callable (see there). A caller that explains many
+    rows builds the plan once.
+
+    A coalition row, x on the features in S and centroid c_k elsewhere, enters
+    the model as its first-layer pre-activation c_k·W + b + Σ_{g∈S} (x −
+    c_k)_g·W_g: with base_k = c_k·W + b and U_k, whose row g is (x −
+    c_k)[cols_g] @ W[cols_g], a block of centroid k's coalition bits is
+    `bits @ U_k + base_k`, computed in the dtype of W."""
     x = np.asarray(x, dtype=float)
+    model = SplitModel.of(model, len(x))
     # one call for every centroid and x: float32 scores depend on the batch they are in
-    ends = np.asarray(model(np.vstack([plan.centers, x])), dtype=float)
+    ends = np.asarray(model.predict(np.vstack([plan.centers, x])), dtype=float)
     bases, fx = ends[:-1], float(ends[-1])
+    weight = model.weight
+    centers = plan.centers.astype(weight.dtype)
+    shift = x.astype(weight.dtype) - centers
+    lift = np.stack([shift[:, cols] @ weight[cols] for cols in plan.groups.values()], axis=1)  # U_k, (k, d, units)
+    offset = centers @ weight + model.bias  # base_k, (k, units)
     owner = np.repeat(np.arange(len(bases)), np.diff(plan.bounds))
     v = np.empty(len(plan.bits))
-    for start in range(0, len(v), MODEL_BLOCK_ROWS):  # column masks for one block at a time
-        block = slice(start, start + MODEL_BLOCK_ROWS)
-        masks = _column_masks(plan.groups, plan.bits[block], plan.centers.shape[1])
-        v[block] = model(np.where(masks, x, plan.centers[owner[block]]))
+    for start in range(0, len(v), MODEL_BLOCK_ROWS):
+        stop = min(start + MODEL_BLOCK_ROWS, len(v))
+        bits = plan.bits[start:stop].astype(weight.dtype)
+        z = np.empty((stop - start, weight.shape[1]), dtype=weight.dtype)
+        for k in range(owner[start], owner[stop - 1] + 1):  # the block's rows, owner by owner
+            rows = slice(max(plan.bounds[k], start) - start, min(plan.bounds[k + 1], stop) - start)
+            np.matmul(bits[rows], lift[k], out=z[rows])
+            z[rows] += offset[k]
+        v[start:stop] = model.head(z)
     phi = np.zeros(len(plan.groups))
     for k, (lo, hi) in enumerate(zip(plan.bounds[:-1], plan.bounds[1:])):
         bits = plan.bits[lo:hi]

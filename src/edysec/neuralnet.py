@@ -137,18 +137,29 @@ def _sigmoid(z):
 
 def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng=None) -> tuple[np.ndarray, dict | None]:
     """Probabilities for a batch, computed in the dtype of `params.flat` (the
-    input is cast to it), plus the cache backward() needs. Each layer adds its
-    bias and applies its ReLU in place on the matmul's output. A training pass
-    (`train=True`) also applies inverted dropout in place and keeps each
-    layer's input and dropout mask; a scoring pass keeps nothing, and its
-    cache is None."""
+    input is cast to it), plus the cache backward() needs: the first affine
+    layer, then `forward_from` its pre-activations. A training pass
+    (`train=True`) also applies inverted dropout and keeps each layer's input
+    and dropout mask; a scoring pass keeps nothing, and its cache is None."""
     if X.shape[1] != params.spec.input_width:
         raise WidthMismatch(f"expected width {params.spec.input_width}, got {X.shape[1]}")
     a = np.asarray(X, dtype=params.flat.dtype)
-    inputs, masks = [a], []
+    z = a @ params.weights[0]
+    z += params.biases[0]
+    probs, cache = forward_from(params, z, train, rng)
+    if train:
+        cache["inputs"].insert(0, a)
+    return probs, cache
+
+
+def forward_from(params: NetworkParams, z: np.ndarray, train: bool = False, rng=None) -> tuple[np.ndarray, dict | None]:
+    """`forward_batch` on from the first layer's pre-activations z = X·W₀ + b₀,
+    which it overwrites. Each hidden layer applies its ReLU in place (and, in a
+    training pass, its inverted dropout), then the next affine layer adds its
+    bias in place on the matmul's output. A training pass's cache holds each
+    later layer's input; forward_batch puts X in front of them."""
+    a, inputs, masks = z, [], []
     for i, layer in enumerate(params.spec.hidden):
-        a = a @ params.weights[i]
-        a += params.biases[i]
         np.maximum(a, 0.0, out=a)
         if train:
             mask = None
@@ -158,8 +169,9 @@ def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng
                 a *= mask
             inputs.append(a)
             masks.append(mask)
-    logits = a @ params.weights[-1] + params.biases[-1]
-    probs = _sigmoid(logits[:, 0])
+        a = a @ params.weights[i + 1]
+        a += params.biases[i + 1]
+    probs = _sigmoid(a[:, 0])
     return probs, ({"inputs": inputs, "masks": masks, "probs": probs} if train else None)
 
 

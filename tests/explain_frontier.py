@@ -5,8 +5,8 @@ tests/make_shapley_oracle.py for the served artifact it rebuilds).
 For each (centroids, budget) setting it prints the forward rows one
 explanation runs, the mean relative L2 error over the fixture's three records
 at seed 0, the median and the worst of that error over seeds 0-9, and the
-median in-process `kernel_shap` time with the plan built beforehand, as a
-served explanation runs it. The centroid count is set through
+median in-process `kernel_shap` time with the plan built beforehand, through
+the artifact's network form, as a served explanation runs it. The centroid count is set through
 `explain.KERNEL_BACKGROUND_K`; the budget is passed to `explanation_plan`,
 where one that covers r * (2^d - 2) rows (r background rows, d features)
 builds the exact plan instead.
@@ -19,6 +19,7 @@ A setting of 20,480 rows takes about 20 s on 2 cores.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -47,10 +48,15 @@ def measure(model, groups, rows, records, centroids: int, budget: int) -> dict:
     background = model.explanation_background()
     forwarded = 0
 
-    def forward(batch):
-        nonlocal forwarded
-        forwarded += len(batch)
-        return model.predict_proba(batch)
+    def counted(score):
+        def forward(batch):
+            nonlocal forwarded
+            forwarded += len(batch)
+            return score(batch)
+        return forward
+
+    network = model.network
+    network = dataclasses.replace(network, predict=counted(network.predict), head=counted(network.head))
 
     errors, ms = [], []
     for seed in SEEDS:
@@ -59,7 +65,7 @@ def measure(model, groups, rows, records, centroids: int, budget: int) -> dict:
         for record in records:
             forwarded = 0
             start = time.perf_counter()
-            attr = explain.kernel_shap(forward, rows[record["package"]], plan)
+            attr = explain.kernel_shap(network, rows[record["package"]], plan)
             ms.append((time.perf_counter() - start) * 1e3)
             phi, exact = np.array([attr.phi[f] for f in groups]), np.array(record["phi"])
             per_record.append(float(np.linalg.norm(phi - exact) / np.linalg.norm(exact)))

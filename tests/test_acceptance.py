@@ -1,7 +1,6 @@
 """Acceptance suite. Each criterion prints one PASS/FAIL line (collected into
 the terminal summary by conftest)."""
 
-import json
 import os
 import statistics
 import time

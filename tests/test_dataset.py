@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -7,10 +6,8 @@ import pytest
 from edysec import dataset
 from edysec.artifact import dataset_hash
 from edysec.dataset import (
-    DatasetSplits,
     FeatureColumn,
     FeatureManifest,
-    TraceDataset,
     allocate,
     generate_synthetic,
     load_dataset,

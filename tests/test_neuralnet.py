@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from edysec import featsel, metrics
+from edysec import metrics
 from edysec import neuralnet as nn
 from edysec.errors import NonFiniteInput, ShapeMismatch, StateMissing, WidthMismatch
 

@@ -290,6 +290,31 @@ def counted_plans(monkeypatch, delay_s=0.0):
     return built
 
 
+def artifact_case(preset: str, d: int, rows: int, seed: int):
+    """A random-init `preset` artifact, with seeded nonzero biases, over every
+    feature of a seeded corpus of d source features (text ones too), with a
+    `rows`-row background, and the corpus projected through it."""
+    ds = generate_synthetic(300, 4, d - 4, kinds={"numeric": 0.5, "categorical": 0.25, "pattern": 0.25}, seed=seed)
+    pre = Preprocessor.fit(ds)
+    pm = pre.transform(ds)
+    params = nn.init_network(getattr(nn.NetworkSpec, preset)(pm.width), seed=seed)
+    for bias in params.biases:
+        bias[...] = np.random.default_rng(seed).normal(scale=0.1, size=bias.shape)
+    model = art.ModelArtifact(
+        manifest=ds.manifest, preprocessor=pre, selected=tuple(ds.manifest.feature_names()),
+        selector_provenance={"method": "manual"}, params=params,
+        background=explain.sample_background(pm, rows, seed=seed),
+    )
+    return model, pm
+
+
+def counted_forward(monkeypatch) -> list:
+    """The rows of each nn.forward_from call from here on: every row the network scores."""
+    forwarded, forward_from = [], nn.forward_from
+    monkeypatch.setattr(nn, "forward_from", lambda params, z, *a: forwarded.append(len(z)) or forward_from(params, z, *a))
+    return forwarded
+
+
 class TestExplanationPlan:
     def test_plain_verdicts_build_no_plan(self, run, monkeypatch):
         ds, res = run
@@ -302,23 +327,63 @@ class TestExplanationPlan:
         art.predict_package(fresh, dict(ds.rows[1]), explain_verdict=True)
         assert len(built) == 1
 
-    @pytest.mark.parametrize("d", [12, 14])
+    @pytest.mark.parametrize("d", [12, 14, 17])
     def test_explained_verdict_stays_within_the_row_budget(self, d, monkeypatch):
-        # the plan's budget, and one forward row for each of the 100 background rows and for x
-        ds = generate_synthetic(300, 4, d - 4, seed=d)
-        pre = Preprocessor.fit(ds)
-        pm = pre.transform(ds)
-        model = art.ModelArtifact(
-            manifest=ds.manifest, preprocessor=pre, selected=tuple(ds.manifest.feature_names()),
-            selector_provenance={"method": "manual"}, params=nn.init_network(nn.NetworkSpec.nn(pm.width), seed=d),
-            background=explain.sample_background(pm, 100, seed=d),
-        )
+        # every row the network scores passes nn.forward_from: one call for the
+        # centroids and x, then the plan's coalition rows in calls of at most
+        # MODEL_BLOCK_ROWS; at 17 features, 16 centroids + x + 20,480 rows
+        model, pm = artifact_case("nn", d, 100, seed=d)
         assert len(model.groups) == d and len(model.background) == 100
-        forwarded = []
-        predict = nn.predict_proba
-        monkeypatch.setattr(nn, "predict_proba", lambda params, X: forwarded.append(len(X)) or predict(params, X))
+        forwarded = counted_forward(monkeypatch)
         model.explain(pm.X[0])
-        assert sum(forwarded) <= explain.KERNEL_SAMPLE_BUDGET + 101
+        plan = model.explanation_plan()
+        assert forwarded[0] == len(plan.centers) + 1 and max(forwarded[1:]) <= explain.MODEL_BLOCK_ROWS
+        assert sum(forwarded) == len(plan.centers) + 1 + len(plan.bits) <= explain.KERNEL_SAMPLE_BUDGET + 101
+        if d == 17:
+            assert sum(forwarded) == 20_497
+
+    @pytest.mark.parametrize("preset", ["mlp", "nn"])
+    @pytest.mark.parametrize("rows", [80, 100], ids=["exact", "sampled"])
+    def test_first_layer_values_match_masked_rows(self, preset, rows):
+        # 8 features over 80 rows fit 80 x 254 = 20,320 rows exact, over 100 they
+        # sample: either way a coalition's value from `bits @ U_k + base_k` is the
+        # probability of its column-masked row, to float32 rounding
+        model, pm = artifact_case(preset, 8, rows, seed=3)
+        plan = model.explanation_plan()
+        assert len(plan.centers) == (rows if rows == 80 else explain.KERNEL_BACKGROUND_K)
+        network, scored = model.network, []
+        recording = dataclasses.replace(network, head=lambda z: scored.append(network.head(z)) or scored[-1])
+        explain.kernel_shap(recording, pm.X[0], plan)
+        owner = np.repeat(np.arange(len(plan.centers)), np.diff(plan.bounds))
+        masked = np.where(explain._column_masks(plan.groups, plan.bits, pm.width), pm.X[0], plan.centers[owner])
+        block = explain.MODEL_BLOCK_ROWS
+        want = np.concatenate([model.predict_proba(masked[i : i + block]) for i in range(0, len(masked), block)])
+        got = np.concatenate(scored)
+        assert 0.05 < got.mean() < 0.95  # not saturated
+        assert np.abs(got - want).max() <= 2e-6
+
+    def test_row_beyond_float32_is_refused_before_any_coalition(self, monkeypatch):
+        model, pm = artifact_case("nn", 8, 100, seed=4)
+        x = pm.X[0].copy()
+        x[0] = 1e39  # finite in float64
+        forwarded = counted_forward(monkeypatch)
+        with pytest.raises(NonFiniteInput):
+            model.explain(x)
+        assert forwarded == []
+
+    def test_non_finite_coalition_score_is_refused(self, monkeypatch):
+        model, pm = artifact_case("nn", 8, 100, seed=5)
+        forward_from, calls = nn.forward_from, []
+
+        def nan_after_the_first_call(params, z, *a):
+            calls.append(len(z))
+            probs, cache = forward_from(params, z, *a)
+            return (probs if len(calls) == 1 else np.full_like(probs, np.nan)), cache
+
+        monkeypatch.setattr(nn, "forward_from", nan_after_the_first_call)
+        with pytest.raises(NonFiniteScore):
+            model.explain(pm.X[0])
+        assert len(calls) == 2
 
     def test_concurrent_explained_verdicts_share_one_plan(self, run, monkeypatch):
         ds, res = run
@@ -702,6 +767,38 @@ class TestCli:
         assert cli.main([part for a in argv for part in placeholders.get(a, [a])]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    # FILE is an existing file, UNDER_FILE a path below it, NODIR a file in a
+    # directory that does not exist, DIR an existing directory
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--rows", "40", "--informative", "1", "--noise", "1", "--out", "FILE"],
+        ["split", "DATA", "--out", "FILE"],
+        ["train", "DATA", "--model", "nn", "--artifact", "NODIR"],
+        ["train", "DATA", "--model", "nn", "--artifact", "DIR"],
+        ["pipeline", "DATA", "--out", "FILE"],
+        ["pipeline", "DATA", "--out", "UNDER_FILE"],
+        ["pipeline", "DATA", "--out", "OUT", "--artifact", "NODIR"],
+    ], ids=["synth-out", "split-out", "train-artifact-nodir", "train-artifact-dir", "pipeline-out",
+            "pipeline-out-under-file", "pipeline-artifact-nodir"])
+    def test_unwritable_outputs_exit_2(self, trained, tmp_path, capsys, monkeypatch, argv):
+        # an error line and exit 2, and `train` and `pipeline` refuse before they prepare or run anything
+        out, _ = trained
+        existing = tmp_path / "data.csv"
+        existing.write_text("kept\n")
+        (tmp_path / "dir").mkdir()
+        placeholders = {
+            "DATA": ["--data", str(out / "data.csv"), "--manifest", str(out / "manifest.json")],
+            "FILE": [str(existing)], "UNDER_FILE": [str(existing / "reports")],
+            "NODIR": [str(tmp_path / "nodir" / "m.json")], "DIR": [str(tmp_path / "dir")], "OUT": [str(tmp_path / "out")],
+        }
+        started = []
+        monkeypatch.setattr(pipeline, "prepare", lambda *a, **k: started.append("prepare"))
+        monkeypatch.setattr(pipeline, "run_pipeline", lambda *a, **k: started.append("run_pipeline"))
+        capsys.readouterr()
+        assert cli.main([part for a in argv for part in placeholders.get(a, [a])]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert started == [] and existing.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "dir"] and not any((tmp_path / "dir").iterdir())
 
     def test_one_selector_stability_is_refused_before_selection(self, trained, tmp_path, capsys, monkeypatch):
         # stability across selectors needs at least two of them; that is known from the options

@@ -6,7 +6,7 @@ import pytest
 
 from edysec import featsel
 from edysec.dataset import FeatureColumn, FeatureManifest, TraceDataset, generate_synthetic
-from edysec.errors import RowMismatch, UnknownColumn, UnknownFeature, WrongKind
+from edysec.errors import UnknownColumn, UnknownFeature, WrongKind
 from edysec.preprocess import (
     Preprocessor,
     ScalerParams,

@@ -1,5 +1,6 @@
 """Accuracy gate for explained verdicts: default Kernel SHAP on the
-benchmark's served artifact against exact Shapley values over all 2^17
+benchmark's served artifact, through the artifact's own network form as
+`ModelArtifact.explain` runs it, against exact Shapley values over all 2^17
 coalitions (tests/data/shapley_oracle.json, written by
 tests/make_shapley_oracle.py, which also rebuilds the model here)."""
 
@@ -70,7 +71,7 @@ def test_kernel_shap_against_exact_shapley(oracle, served):
         errors = []
         for record in fixture["records"]:
             plan = explain.explanation_plan(background, groups, seed=seed)
-            attr = explain.kernel_shap(model.predict_proba, rows[record["package"]], plan)
+            attr = explain.kernel_shap(model.network, rows[record["package"]], plan)
             phi, exact = np.array([attr.phi[f] for f in fixture["features"]]), np.array(record["phi"])
             errors.append(float(np.linalg.norm(phi - exact) / np.linalg.norm(exact)))
             if seed == 0:  # the seed every served explanation uses
@@ -90,4 +91,4 @@ def test_loaded_artifact_knows_its_groups(served):
     assert all(np.array_equal(model.groups[name], cols) for name, cols in groups.items())
     x = next(iter(rows.values()))
     plan = explain.explanation_plan(model.explanation_background(), groups)
-    assert model.explain(x) == explain.kernel_shap(model.predict_proba, x, plan)
+    assert model.explain(x) == explain.kernel_shap(model.network, x, plan)
