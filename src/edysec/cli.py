@@ -132,8 +132,8 @@ def _feature_list(path: str) -> tuple[str, ...]:
             names = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise BadFeatureList(f"cannot read a JSON feature list from {path}: {exc}") from exc
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise BadFeatureList(f"{path} must hold a JSON list of feature names")
+    if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+        raise BadFeatureList(f"{path} must hold a non-empty JSON list of feature names")
     return tuple(names)
 
 
@@ -192,7 +192,7 @@ def cmd_explain(args):
         method = artifact.explain
     else:
         background = artifact.explanation_background()
-        method = lambda x: explain.lime_explain(artifact.predict_proba, x, background, artifact.groups)
+        method = lambda x: explain.lime_explain(artifact.network, x, background, artifact.groups)
     count = min(args.count, projected.X.shape[0])
     records = []
     for i in range(count):

@@ -51,6 +51,8 @@ class FeatureManifest:
 
     def __post_init__(self):
         names = [c.name for c in self.columns]
+        if not names:
+            raise ValueError("a manifest lists at least one feature column")
         if len(set(names)) != len(names):
             raise ValueError("duplicate feature column names in manifest")
         if self.label_column in names or self.id_column in names:

@@ -66,14 +66,11 @@ def sample_background(pm: ProcessedMatrix, size: int = 100, seed: int = 0) -> np
 def summarize_background(background, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Weighted k-means summary of a background sample: at most
     KERNEL_BACKGROUND_K centroids, each weighted by its cluster's share of the
-    rows, so the weighted mean is the background mean. A background of that
-    many rows or fewer passes through with uniform weights. Seeded k-means++
+    rows, so the weighted mean is the background mean. Seeded k-means++
     start, then at most 100 Lloyd iterations."""
     k = KERNEL_BACKGROUND_K
     background = np.asarray(background, dtype=float)
     n = len(background)
-    if n <= k:
-        return background, np.full(n, 1.0 / n)
     rng = np.random.default_rng(seed)
     centers = [background[rng.integers(n)]]
     dist = ((background - centers[0]) ** 2).sum(axis=1)
@@ -93,15 +90,6 @@ def summarize_background(background, seed: int = 0) -> tuple[np.ndarray, np.ndar
         ])
     used = np.unique(labels)  # the centers left are exactly the means of these clusters
     return centers[used], np.bincount(labels)[used] / n
-
-
-def _column_masks(groups, coalitions, width: int) -> np.ndarray:
-    """One boolean row per coalition over the processed columns: True where
-    the column's group is in the coalition."""
-    columns = np.zeros((len(coalitions), width), dtype=bool)
-    for j, idx in enumerate(groups.values()):
-        columns[:, idx] = coalitions[:, j : j + 1]
-    return columns
 
 
 def _kernel_weight(d: int, size: int) -> float:
@@ -207,10 +195,10 @@ def _gram_inverse(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def explanation_plan(background, groups, budget: int = KERNEL_SAMPLE_BUDGET, seed: int = 0) -> ExplanationPlan:
     """Coalitions, kernel weights, background centroids and solve for
     `kernel_shap` over the source-feature `groups`, within `budget`
-    (coalition, centroid) forward rows. The plan is exact, each of the r
-    background rows a centroid of weight 1/r that enumerates every proper
-    coalition, where that fits: r * (2^d - 2) <= budget. Otherwise the
-    background is summarised to at most KERNEL_BACKGROUND_K weighted centroids.
+    (coalition, centroid) forward rows. Each of the r background rows is a
+    centroid of weight 1/r where r * (2^d - 2) <= budget (the plan is exact:
+    each enumerates every proper coalition) or r <= KERNEL_BACKGROUND_K.
+    Otherwise the background is summarised to that many weighted centroids.
     The budget is split between the centroids by weight, and each takes its
     own distinct coalitions with `_sample_coalitions`, seeded by `seed` (see
     `ExplanationPlan`). Raises NoBackground for a background of no rows and
@@ -219,11 +207,12 @@ def explanation_plan(background, groups, budget: int = KERNEL_SAMPLE_BUDGET, see
     if d < 2:
         raise TooFewFeatures(f"kernel SHAP needs at least two source features, got {d}")
     background = np.asarray(background, dtype=float)
-    if not len(background):
+    r = len(background)
+    if not r:
         raise NoBackground("kernel SHAP needs at least one background row")
     rng = np.random.default_rng(seed)
-    if len(background) * ((1 << d) - 2) <= budget:  # each share caps at 2^d - 2: whole tiers, nothing drawn
-        centers, weights = background, np.full(len(background), 1 / len(background))
+    if r <= KERNEL_BACKGROUND_K or r * ((1 << d) - 2) <= budget:  # the rows are their own centroids
+        centers, weights = background, np.full(r, 1 / r)
     else:
         centers, weights = summarize_background(background, seed=seed)
     samples = [_sample_coalitions(d, 2 * share, rng) for share in allocate(budget // 2, weights)]
@@ -253,38 +242,44 @@ class SplitModel:
         return cls(model, np.eye(width), np.zeros(width), model)
 
 
+def _coalition_values(model: SplitModel, x, centers, groups, bits, bounds) -> np.ndarray:
+    """`model.head`'s value of each coalition row: x on the features in S and
+    row k of `centers` elsewhere, for the rows bits[bounds[k]:bounds[k+1]].
+
+    A coalition row enters the model as its first-layer pre-activation c_k·W
+    + b + Σ_{g∈S} (x − c_k)_g·W_g: with base_k = c_k·W + b and U_k, whose row
+    g is (x − c_k)[cols_g] @ W[cols_g], a block of centroid k's coalition bits
+    is `bits @ U_k + base_k`, computed in the dtype of W."""
+    weight = model.weight
+    centers = centers.astype(weight.dtype)
+    shift = x.astype(weight.dtype) - centers
+    lift = np.stack([shift[:, cols] @ weight[cols] for cols in groups.values()], axis=1)  # U_k, (k, d, units)
+    offset = centers @ weight + model.bias  # base_k, (k, units)
+    owner = np.repeat(np.arange(len(centers)), np.diff(bounds))
+    v = np.empty(len(bits))
+    for start in range(0, len(v), MODEL_BLOCK_ROWS):
+        stop = min(start + MODEL_BLOCK_ROWS, len(v))
+        block = bits[start:stop].astype(weight.dtype)
+        z = np.empty((stop - start, weight.shape[1]), dtype=weight.dtype)
+        for k in range(owner[start], owner[stop - 1] + 1):  # the block's rows, owner by owner
+            rows = slice(max(bounds[k], start) - start, min(bounds[k + 1], stop) - start)
+            np.matmul(block[rows], lift[k], out=z[rows])
+            z[rows] += offset[k]
+        v[start:stop] = model.head(z)
+    return v
+
+
 def kernel_shap(model, x, plan: ExplanationPlan) -> Attribution:
     """Weighted least squares over the Shapley kernel with the empty/full
     coalition constraints enforced exactly, as `plan` lays it out. `model` is
-    a SplitModel or a plain callable (see there). A caller that explains many
-    rows builds the plan once.
-
-    A coalition row, x on the features in S and centroid c_k elsewhere, enters
-    the model as its first-layer pre-activation c_k·W + b + Σ_{g∈S} (x −
-    c_k)_g·W_g: with base_k = c_k·W + b and U_k, whose row g is (x −
-    c_k)[cols_g] @ W[cols_g], a block of centroid k's coalition bits is
-    `bits @ U_k + base_k`, computed in the dtype of W."""
+    a SplitModel or a plain callable (see there), scored through
+    `_coalition_values`. A caller that explains many rows builds the plan once."""
     x = np.asarray(x, dtype=float)
     model = SplitModel.of(model, len(x))
     # one call for every centroid and x: float32 scores depend on the batch they are in
     ends = np.asarray(model.predict(np.vstack([plan.centers, x])), dtype=float)
     bases, fx = ends[:-1], float(ends[-1])
-    weight = model.weight
-    centers = plan.centers.astype(weight.dtype)
-    shift = x.astype(weight.dtype) - centers
-    lift = np.stack([shift[:, cols] @ weight[cols] for cols in plan.groups.values()], axis=1)  # U_k, (k, d, units)
-    offset = centers @ weight + model.bias  # base_k, (k, units)
-    owner = np.repeat(np.arange(len(bases)), np.diff(plan.bounds))
-    v = np.empty(len(plan.bits))
-    for start in range(0, len(v), MODEL_BLOCK_ROWS):
-        stop = min(start + MODEL_BLOCK_ROWS, len(v))
-        bits = plan.bits[start:stop].astype(weight.dtype)
-        z = np.empty((stop - start, weight.shape[1]), dtype=weight.dtype)
-        for k in range(owner[start], owner[stop - 1] + 1):  # the block's rows, owner by owner
-            rows = slice(max(plan.bounds[k], start) - start, min(plan.bounds[k + 1], stop) - start)
-            np.matmul(bits[rows], lift[k], out=z[rows])
-            z[rows] += offset[k]
-        v[start:stop] = model.head(z)
+    v = _coalition_values(model, x, plan.centers, plan.groups, plan.bits, plan.bounds)
     phi = np.zeros(len(plan.groups))
     for k, (lo, hi) in enumerate(zip(plan.bounds[:-1], plan.bounds[1:])):
         bits = plan.bits[lo:hi]
@@ -298,20 +293,24 @@ def kernel_shap(model, x, plan: ExplanationPlan) -> Attribution:
 def lime_explain(model, x, background, groups) -> Attribution:
     """Local surrogate: mask random feature subsets to background values, fit a
     distance-weighted linear model on the binary mask design. Draws
-    LIME_PERTURBATIONS masks at seed 0."""
+    LIME_PERTURBATIONS masks at seed 0. `model` is scored as in `kernel_shap`,
+    each background row the centroid of the perturbations drawn against it."""
     d = len(groups)
     n_pert = LIME_PERTURBATIONS
     if 10 * d > n_pert:
         raise TooManyFeatures(f"LIME covers at most {n_pert // 10} source features, got {d}")
     x = np.asarray(x, dtype=float)
     background = np.asarray(background, dtype=float)
-    names = list(groups)
+    model = SplitModel.of(model, len(x))
+    fx = float(np.asarray(model.predict(x.reshape(1, -1)))[0])
     rng = np.random.default_rng(0)
 
     masks = rng.integers(0, 2, size=(n_pert, d))  # 1 = keep the instance value
     bg_idx = rng.integers(0, len(background), size=n_pert)
-    rows = np.where(_column_masks(groups, masks == 1, len(x)), x, background[bg_idx])
-    preds = np.asarray(model(rows), dtype=float)
+    order = np.argsort(bg_idx, kind="stable")  # the perturbations grouped by background row
+    bounds = np.cumsum([0, *np.bincount(bg_idx, minlength=len(background))])
+    preds = np.empty(n_pert)
+    preds[order] = _coalition_values(model, x, background, groups, masks[order], bounds)
 
     dist = 1.0 - masks.mean(axis=1)
     width = 0.75 * math.sqrt(d)
@@ -321,8 +320,7 @@ def lime_explain(model, x, background, groups) -> Attribution:
     if rank < d + 1:
         raise SingularSystem("degenerate perturbation sample")
 
-    fx = float(np.asarray(model(x.reshape(1, -1)))[0])
-    phi = {name: float(c) for name, c in zip(names, solution[1:])}
+    phi = {name: float(c) for name, c in zip(groups, solution[1:])}
     return Attribution(phi=phi, base=float(solution[0]), fx=fx, method="lime")
 
 

@@ -351,8 +351,6 @@ class MaskFitness:
     workers of `pool` (a `workers.Pool`)."""
 
     def __init__(self, train_pm, val_pm, pool, alpha=DEFAULT_ALPHA, baseline=BaselineConfig()):
-        self.train_pm = train_pm
-        self.val_pm = val_pm
         self.alpha = alpha
         self.baseline = baseline
         self.pool = pool

@@ -411,6 +411,9 @@ class TestBackground:
         assert np.array_equal(centers, again[0]) and np.array_equal(weights, again[1])
 
     def test_small_summary_passes_through(self):
-        bg = np.random.default_rng(0).normal(size=(explain.KERNEL_BACKGROUND_K, 3))
-        centers, weights = explain.summarize_background(bg)
-        assert np.array_equal(centers, bg) and np.all(weights == 1 / len(bg))
+        # 16 rows at 17 features need 16 x 131,070 rows to be exact, yet are no more
+        # rows than a summary keeps: the plan takes each as a centroid of weight 1/16
+        bg = np.random.default_rng(0).normal(size=(explain.KERNEL_BACKGROUND_K, 17))
+        plan = explain.explanation_plan(bg, make_groups(17))
+        assert len(plan.bits) == explain.KERNEL_SAMPLE_BUDGET
+        assert np.array_equal(plan.centers, bg) and np.all(plan.weights == 1 / len(bg))

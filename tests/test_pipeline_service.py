@@ -184,6 +184,7 @@ class TestArtifact:
 
     @pytest.mark.parametrize("defect", [
         "not an object", "no network", "no flat", "one weight short", "one weight extra", "2-D flat",
+        "no feature columns",
     ])
     def test_malformed_payload_fails_closed(self, run, tmp_path, capsys, defect):
         ds, res = run
@@ -199,6 +200,8 @@ class TestArtifact:
             network["flat"] = art._encode(flat[:-1], "<f4")
         elif defect == "one weight extra":
             network["flat"] = art._encode(np.append(flat, flat[-1]), "<f4")
+        elif defect == "no feature columns":
+            payload["manifest"]["features"] = []
         else:  # every weight, as one row
             network["flat"] = art._encode(flat[None, :], "<f4")
         path, rec = tmp_path / "m.json", tmp_path / "rec.json"
@@ -355,7 +358,10 @@ class TestExplanationPlan:
         recording = dataclasses.replace(network, head=lambda z: scored.append(network.head(z)) or scored[-1])
         explain.kernel_shap(recording, pm.X[0], plan)
         owner = np.repeat(np.arange(len(plan.centers)), np.diff(plan.bounds))
-        masked = np.where(explain._column_masks(plan.groups, plan.bits, pm.width), pm.X[0], plan.centers[owner])
+        keep = np.zeros((len(plan.bits), pm.width), dtype=bool)  # the reference: each coalition's columns
+        for j, cols in enumerate(plan.groups.values()):
+            keep[:, cols] = plan.bits[:, j : j + 1]
+        masked = np.where(keep, pm.X[0], plan.centers[owner])
         block = explain.MODEL_BLOCK_ROWS
         want = np.concatenate([model.predict_proba(masked[i : i + block]) for i in range(0, len(masked), block)])
         got = np.concatenate(scored)
@@ -369,6 +375,28 @@ class TestExplanationPlan:
         forwarded = counted_forward(monkeypatch)
         with pytest.raises(NonFiniteInput):
             model.explain(x)
+        assert forwarded == []
+
+    @pytest.mark.parametrize("preset", ["mlp", "nn"])
+    def test_lime_through_the_network_matches_the_callable(self, preset):
+        # a plain callable scores LIME's perturbations as full-width masked rows;
+        # the network scores them from first-layer values, to float32 rounding
+        model, pm = artifact_case(preset, 8, 100, seed=6)
+        args = (pm.X[0], model.explanation_background(), model.groups)
+        got = explain.lime_explain(model.network, *args)
+        want = explain.lime_explain(model.predict_proba, *args)
+        assert got.fx == want.fx
+        assert [f for f, _ in got.ranked()] == [f for f, _ in want.ranked()]
+        assert max(abs(p) for p in want.phi.values()) > 1e-3  # not saturated
+        assert max(abs(got.phi[f] - want.phi[f]) for f in want.phi) <= 1e-6
+
+    def test_lime_row_beyond_float32_is_refused_before_any_perturbation(self, monkeypatch):
+        model, pm = artifact_case("nn", 8, 100, seed=4)
+        x = pm.X[0].copy()
+        x[0] = 1e39  # finite in float64
+        forwarded = counted_forward(monkeypatch)
+        with pytest.raises(NonFiniteInput):
+            explain.lime_explain(model.network, x, model.explanation_background(), model.groups)
         assert forwarded == []
 
     def test_non_finite_coalition_score_is_refused(self, monkeypatch):
@@ -656,7 +684,7 @@ class TestCli:
         assert cli.main(["predict", "--artifact", str(model), "--in", str(rec)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [None, "not json", '{"inf_0": 1}', '["inf_0", 3]'])
+    @pytest.mark.parametrize("content", [None, "not json", '{"inf_0": 1}', '["inf_0", 3]', "[]"])
     def test_train_features_must_be_a_list_of_names(self, trained, tmp_path, capsys, content):
         out, _ = trained
         features = tmp_path / "features.json"
@@ -700,11 +728,14 @@ class TestCli:
             "version": 1, "id_column": "package", "label_column": "label",
             "features": [{"name": "a", "kind": "numeric", "trace": "TCP"}] * 2,
         }).encode()),
+        ("manifest", json.dumps({
+            "version": 1, "id_column": "package", "label_column": "label", "features": [],
+        }).encode()),
         ("data", None),
         ("data", b"package,label\n\xff\xfe\n"),
         ("data", b"x" * 200_000 + b"\n"),  # over csv's 131,072-character field limit
     ], ids=["no-manifest", "manifest-not-json", "manifest-no-features", "manifest-duplicates",
-            "no-data", "data-not-utf8", "data-cell-too-long"])
+            "manifest-empty-features", "no-data", "data-not-utf8", "data-cell-too-long"])
     def test_unreadable_inputs_exit_2(self, trained, tmp_path, capsys, which, content):
         out, _ = trained
         paths = {"data": out / "data.csv", "manifest": out / "manifest.json"}
