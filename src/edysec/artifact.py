@@ -183,7 +183,7 @@ def save_artifact(artifact: ModelArtifact, path) -> None:
     payload = _PAYLOAD.encode(artifact.to_dict())
     checksum = hashlib.sha256(payload.encode()).hexdigest()
     with open(path, "wb") as fh:
-        fh.write(f'{{"checksum": "{checksum}", "payload": {json.dumps(payload)}}}\n'.encode())
+        fh.write((json.dumps({"checksum": checksum, "payload": payload}) + "\n").encode())
 
 
 def load_artifact(path) -> ModelArtifact:

@@ -8,6 +8,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import explain, featsel, metrics, pipeline, service, stability, workers
 from .artifact import dataset_hash, load_artifact, predict_package, save_artifact
@@ -123,7 +124,7 @@ def cmd_select(args):
         _, _, (train_pm, val_pm, _) = pipeline.prepare(ds, options)
         results = pipeline.run_selectors(train_pm, val_pm, options, pool)
     chosen = featsel.choose_selector(results)
-    _emit({"selectors": [r.to_dict() for r in results], "chosen": chosen.method})
+    _emit({"selectors": [asdict(r) for r in results], "chosen": chosen.method})
 
 
 def _feature_list(path: str) -> tuple[str, ...]:
@@ -134,6 +135,8 @@ def _feature_list(path: str) -> tuple[str, ...]:
         raise BadFeatureList(f"cannot read a JSON feature list from {path}: {exc}") from exc
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise BadFeatureList(f"{path} must hold a non-empty JSON list of feature names")
+    if len(set(names)) < len(names):
+        raise BadFeatureList(f"{path} names a feature more than once")
     return tuple(names)
 
 
@@ -164,7 +167,7 @@ def cmd_train(args):
 def cmd_evaluate(args):
     artifact, projected = _load_projected(args)
     report, cm = metrics.evaluate(projected.labels, artifact.predict_proba(projected.X), artifact.threshold, auc=True)
-    _emit({"metrics": report.to_dict(), "confusion": cm.to_dict()})
+    _emit({"metrics": report.to_dict(), "confusion": asdict(cm)})
 
 
 def cmd_stability(args):

@@ -84,6 +84,10 @@ class RowMismatch(EdysecError):
     pass
 
 
+class NoFeatureColumn(EdysecError):
+    """Training rows whose features give the processed matrix no column."""
+
+
 # feature selection
 class BadK(EdysecError):
     pass

@@ -34,15 +34,6 @@ class SelectorResult:
         if not (0.0 <= self.p_j <= 1.0):
             raise ValueError("validation score must lie in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "selected": list(self.selected),
-            "d_j": self.d_j,
-            "p_j": self.p_j,
-            "objective": self.objective,
-        }
-
 
 @dataclass(frozen=True)
 class SwarmConfig:

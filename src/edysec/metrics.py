@@ -3,7 +3,7 @@ and `evaluate`, the one path from probabilities to a report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,9 +21,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn}
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -38,14 +35,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "fpr": self.fpr,
-            "fnr": self.fnr,
-            "error_rate": self.error_rate,
-            "auc": self.auc,
+            **asdict(self),
             # 2-decimal display fields, percentage style for the error rates
             "display": {
                 "fpr_pct": round(self.fpr * 100, 2),

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from . import explain, featsel, metrics, stability, workers
 from . import neuralnet as nn
 from .artifact import ModelArtifact, dataset_hash
 from .dataset import DatasetSplits, TraceDataset, split_dataset
-from .errors import BadOption
+from .errors import BadOption, NoFeatureColumn
 from .preprocess import Preprocessor, ProcessedMatrix
 
 ANOVA_K = 12  # features the ANOVA selector keeps (all of them if fewer)
@@ -61,14 +61,6 @@ class PipelineOptions:
         """The config of every network the pipeline trains, at `seed`."""
         return nn.TrainConfig(self.epochs, self.batch_size, self.learning_rate, seed)
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["swarm"] = vars(self.swarm).copy()
-        d["baseline"] = vars(self.baseline).copy()
-        for key in ("ratios", "selectors", "models"):
-            d[key] = list(d[key])
-        return d
-
 
 @dataclass
 class CandidateScore:
@@ -98,10 +90,15 @@ def prepare(
     ds: TraceDataset, options: PipelineOptions
 ) -> tuple[DatasetSplits, Preprocessor, tuple[ProcessedMatrix, ProcessedMatrix, ProcessedMatrix]]:
     """The split at the options' ratios and seed, the preprocessor fitted on
-    its training rows, and the processed (train, validation, test) rows."""
+    its training rows, and the processed (train, validation, test) rows.
+    Raises NoFeatureColumn when the training rows give no column: every
+    feature is text, and no training cell holds a token."""
     splits = split_dataset(ds, options.ratios, options.seed)
     pre = Preprocessor.fit(splits.train)
-    return splits, pre, tuple(pre.transform(part) for part in (splits.train, splits.validation, splits.test))
+    matrices = tuple(pre.transform(part) for part in (splits.train, splits.validation, splits.test))
+    if not matrices[0].width:
+        raise NoFeatureColumn("the training rows give no feature column: no text feature holds a token in them")
+    return splits, pre, matrices
 
 
 def largest_batch(options: PipelineOptions) -> int:
@@ -203,7 +200,7 @@ def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions())
             "objective": chosen.objective,
             "alpha": options.alpha,
         },
-        fingerprint={"options": options.to_dict()},
+        fingerprint={"options": asdict(options)},
     )
     test_sel = featsel.project(test_pm, chosen.selected)
     report, cm = metrics.evaluate(test_sel.labels, artifact.predict_proba(test_sel.X), artifact.threshold, auc=True)
@@ -300,9 +297,9 @@ def emit_reports(result: PipelineResult, out_dir) -> list[str]:
         "model": result.best_model,
         "features": len(result.chosen.selected),
         "metrics": result.evaluation.to_dict(),
-        "confusion": result.confusion.to_dict(),
+        "confusion": asdict(result.confusion),
     })
-    dump("selectors.json", [r.to_dict() for r in result.selector_results])
+    dump("selectors.json", [asdict(r) for r in result.selector_results])
     if result.stability_rows is not None:
         dump("stability.json", [r.display() for r in result.stability_rows])
         write("stability.txt", stability.render_table(result.stability_rows))

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ class TestConfusion:
         probs = [0.9, 0.2, 0.1, 0.8, 0.6]
         cm = confusion(labels, probs)
         assert (cm.tp, cm.tn, cm.fp, cm.fn) == (2, 1, 1, 1)
-        assert cm.to_dict() == {"tp": 2, "tn": 1, "fp": 1, "fn": 1}
+        assert asdict(cm) == {"tp": 2, "tn": 1, "fp": 1, "fn": 1}
         # evaluate: the same counts, their report, and the AUC only when asked
         report, evaluated = evaluate(labels, probs, 0.5)
         assert evaluated == cm and report == classification_metrics(cm) and report.auc is None

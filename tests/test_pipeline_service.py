@@ -49,6 +49,13 @@ def fast_options(**overrides):
     return pipeline.PipelineOptions(**base)
 
 
+# The keys of each written record, one place for each: a field added to a
+# record is an edit here.
+SELECTOR_KEYS = {"method", "selected", "d_j", "p_j", "objective"}
+CONFUSION_KEYS = {"tp", "tn", "fp", "fn"}
+METRICS_KEYS = {"accuracy", "precision", "recall", "f1", "fpr", "fnr", "error_rate", "auc", "display"}
+
+
 @pytest.fixture(scope="module")
 def run():
     ds = generate_synthetic(240, 3, 3, seed=6)
@@ -126,6 +133,15 @@ class TestPipeline:
         for name in ("evaluation.json", "selectors.json", "explanations.jsonl", "overlap.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+
+    def test_report_records_hold_their_fields(self, run, tmp_path):
+        _, res = run
+        pipeline.emit_reports(res, tmp_path)
+        evaluation = json.loads((tmp_path / "evaluation.json").read_text())
+        assert set(evaluation["confusion"]) == CONFUSION_KEYS
+        assert set(evaluation["metrics"]) == METRICS_KEYS
+        rows = json.loads((tmp_path / "selectors.json").read_text())
+        assert len(rows) == len(res.selector_results) and all(set(row) == SELECTOR_KEYS for row in rows)
 
 def save_payload(payload, path):
     """Save an artifact payload under a valid checksum, tampered or not."""
@@ -656,6 +672,19 @@ class TestCli:
         written = json.loads((reports / "evaluation.json").read_text())
         assert evaluated == {"metrics": written["metrics"], "confusion": written["confusion"]}
 
+    def test_select_and_evaluate_print_the_record_fields(self, trained, capsys):
+        out, model = trained
+        data = ["--data", str(out / "data.csv"), "--manifest", str(out / "manifest.json")]
+        capsys.readouterr()
+        assert cli.main(["select", *data, "--methods", "anova", "corr"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert set(printed) == {"selectors", "chosen"} and len(printed["selectors"]) == 2
+        assert all(set(row) == SELECTOR_KEYS for row in printed["selectors"])
+        assert cli.main(["evaluate", "--artifact", str(model), *data]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert set(printed) == {"metrics", "confusion"}
+        assert set(printed["metrics"]) == METRICS_KEYS and set(printed["confusion"]) == CONFUSION_KEYS
+
     @pytest.mark.parametrize("files", [
         {},
         {"notes.txt": "not a report"},
@@ -684,7 +713,9 @@ class TestCli:
         assert cli.main(["predict", "--artifact", str(model), "--in", str(rec)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [None, "not json", '{"inf_0": 1}', '["inf_0", 3]', "[]"])
+    @pytest.mark.parametrize("content", [
+        None, "not json", '{"inf_0": 1}', '["inf_0", 3]', "[]", '["inf_0", "inf_0", "inf_1"]',
+    ])
     def test_train_features_must_be_a_list_of_names(self, trained, tmp_path, capsys, content):
         out, _ = trained
         features = tmp_path / "features.json"
@@ -748,6 +779,34 @@ class TestCli:
         ]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.fixture
+    def tokenless(self, tmp_path):
+        """--data/--manifest of a corpus whose two features are text with no token in any cell."""
+        manifest, data = tmp_path / "manifest.json", tmp_path / "data.csv"
+        manifest.write_text(json.dumps({
+            "version": 1, "id_column": "package", "label_column": "label", "features": [
+                {"name": "a", "kind": "categorical", "trace": "TCP"},
+                {"name": "b", "kind": "pattern", "trace": "Pattern"},
+            ],
+        }))
+        data.write_text("package,label,a,b\n" + "".join(f"p{i},{i % 2},,--\n" for i in range(60)))
+        return ["--data", str(data), "--manifest", str(manifest)]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--artifact", "OUT"], ["stability", "--runs", "2"],
+        ["select", "--methods", "pso"], ["select", "--methods", "importance"], ["pipeline", "--out", "OUT"],
+    ], ids=["train", "stability", "select-pso", "select-importance", "pipeline"])
+    def test_corpus_without_a_column_is_refused_before_training(self, tokenless, tmp_path, capsys, monkeypatch, argv):
+        started = []
+        monkeypatch.setattr(pipeline, "run_selectors", lambda *a, **k: started.append("run_selectors"))
+        monkeypatch.setattr(pipeline, "train_batch", lambda *a, **k: started.append("train_batch"))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main([argv[0], *tokenless, *(str(out) if a == "OUT" else a for a in argv[1:])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no feature column" in err and err.count("\n") == 1
+        assert started == [] and not out.exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
