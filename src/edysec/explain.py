@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import allocate
-from .errors import FeatureMismatch, NoBackground, SingularSystem, TooFewFeatures, TooManyFeatures
+from .errors import FeatureMismatch, NoBackground, SingularSystem, TooFewFeatures, TooManyFeatures, WidthMismatch
 from .preprocess import ProcessedMatrix
 
 KERNEL_SAMPLE_BUDGET = 20480  # (coalition, centroid) forward rows a plan makes unless told otherwise
@@ -273,8 +273,12 @@ def kernel_shap(model, x, plan: ExplanationPlan) -> Attribution:
     """Weighted least squares over the Shapley kernel with the empty/full
     coalition constraints enforced exactly, as `plan` lays it out. `model` is
     a SplitModel or a plain callable (see there), scored through
-    `_coalition_values`. A caller that explains many rows builds the plan once."""
+    `_coalition_values`. A caller that explains many rows builds the plan once.
+    Raises WidthMismatch, before any scoring, for a row not as wide as the
+    plan's centroids."""
     x = np.asarray(x, dtype=float)
+    if x.shape != plan.centers.shape[1:]:
+        raise WidthMismatch(f"expected width {plan.centers.shape[1]}, got a row of shape {x.shape}")
     model = SplitModel.of(model, len(x))
     # one call for every centroid and x: float32 scores depend on the batch they are in
     ends = np.asarray(model.predict(np.vstack([plan.centers, x])), dtype=float)

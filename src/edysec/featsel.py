@@ -66,10 +66,9 @@ def source_matrix(pm: ProcessedMatrix) -> tuple[np.ndarray, list[str]]:
     return out, pm.source_features()
 
 
-def anova_f_scores(pm: ProcessedMatrix) -> dict[str, float]:
-    """One-way two-group F per source feature over the scalar summaries."""
-    summary, names = source_matrix(pm)
-    y = np.asarray(pm.labels)
+def _anova_f(summary: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One-way two-group F of each column of `summary`: 0 for a constant
+    column, inf where each class is constant but the classes differ."""
     if len(set(y.tolist())) < 2:
         raise SingleClass("both classes must be present")
     g0 = summary[y == 0]
@@ -79,13 +78,14 @@ def anova_f_scores(pm: ProcessedMatrix) -> dict[str, float]:
     between = n0 * (g0.mean(axis=0) - grand) ** 2 + n1 * (g1.mean(axis=0) - grand) ** 2
     within = ((g0 - g0.mean(axis=0)) ** 2).sum(axis=0) + ((g1 - g1.mean(axis=0)) ** 2).sum(axis=0)
     within_ms = within / (n0 + n1 - 2)
-    scores = {}
-    for j, name in enumerate(names):
-        if within_ms[j] > 0:
-            scores[name] = float(between[j] / within_ms[j])
-        else:
-            scores[name] = 0.0 if between[j] == 0 else float("inf")
-    return scores
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(within_ms > 0, between / within_ms, np.where(between == 0, 0.0, np.inf))
+
+
+def anova_f_scores(pm: ProcessedMatrix) -> dict[str, float]:
+    """One-way two-group F per source feature over the scalar summaries."""
+    summary, names = source_matrix(pm)
+    return dict(zip(names, _anova_f(summary, np.asarray(pm.labels)).tolist()))
 
 
 def select_anova(scores: dict[str, float], k: int) -> tuple[str, ...]:
@@ -95,43 +95,30 @@ def select_anova(scores: dict[str, float], k: int) -> tuple[str, ...]:
     return tuple(sorted(scores, key=lambda f: -scores[f])[:k])
 
 
-def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
-    sa, sb = a.std(), b.std()
-    if sa == 0 or sb == 0:
-        return 0.0
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
-
-
 def select_corr(
     pm: ProcessedMatrix,
     relevance_min: float = 0.1,
     redundancy_max: float = 0.9,
 ) -> tuple[str, ...]:
-    """Keep features with |point-biserial| >= relevance_min, then drop (ascending
-    relevance) features too correlated with a kept feature."""
+    """Keep features with |point-biserial r| >= relevance_min, then drop (ascending
+    relevance) features whose |r| with another kept feature exceeds
+    redundancy_max. With two classes r^2 = F / (F + n - 2) for the ANOVA F;
+    a constant column correlates with nothing."""
     if not (0.0 <= relevance_min <= 1.0 and 0.0 <= redundancy_max <= 1.0):
         raise BadOption("thresholds must lie in [0, 1]")
     summary, names = source_matrix(pm)
-    y = np.asarray(pm.labels, dtype=float)
-    relevance = {
-        name: abs(_safe_corr(summary[:, j], y)) for j, name in enumerate(names)
-    }
-    kept = [name for name in names if relevance[name] >= relevance_min]
-    if not kept:
+    n = len(summary)
+    relevance = np.sqrt(1.0 - (n - 2) / (_anova_f(summary, np.asarray(pm.labels)) + n - 2))
+    kept = relevance >= relevance_min
+    if not kept.any():
         raise EmptyResult("no feature passes the relevance threshold")
-    order = {name: i for i, name in enumerate(names)}
-    survivors = set(kept)
-    for name in sorted(kept, key=lambda f: (relevance[f], order[f])):
-        col = summary[:, names.index(name)]
-        for other in survivors:
-            if other == name:
-                continue
-            if abs(_safe_corr(col, summary[:, names.index(other)])) > redundancy_max:
-                survivors.discard(name)
-                break
-    if not survivors:
-        raise EmptyResult("all features dropped as redundant")
-    return tuple(name for name in names if name in survivors)
+    std = summary.std(axis=0)
+    z = np.divide(summary - summary.mean(axis=0), std, out=np.zeros_like(summary), where=std > 0)
+    redundant = np.abs(z.T @ z) / n > redundancy_max
+    for j in sorted(np.flatnonzero(kept), key=lambda j: relevance[j]):  # stable: ties in column order
+        kept[j] = False  # j against every other survivor
+        kept[j] = not redundant[j, kept].any()
+    return tuple(name for name, keep in zip(names, kept) if keep)
 
 
 def permutation_importance(
@@ -159,11 +146,10 @@ def permutation_importance(
 
 
 def select_importance(importances: dict[str, float], fraction: float) -> tuple[str, ...]:
+    """The features at or above `fraction` of the top importance, and the top
+    feature itself when every importance is negative."""
     top = max(importances.values())
-    kept = [name for name, importance in importances.items() if importance >= fraction * top]
-    if not kept:
-        raise EmptyResult("no feature reaches the importance threshold")
-    return tuple(kept)
+    return tuple(name for name, importance in importances.items() if importance >= min(fraction * top, top))
 
 
 def _sigmoid(v):

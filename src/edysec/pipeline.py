@@ -14,7 +14,7 @@ from . import explain, featsel, metrics, stability, workers
 from . import neuralnet as nn
 from .artifact import ModelArtifact, dataset_hash
 from .dataset import DatasetSplits, TraceDataset, split_dataset
-from .errors import BadOption, NoFeatureColumn
+from .errors import BadOption, NoFeatureColumn, SingleClass
 from .preprocess import Preprocessor, ProcessedMatrix
 
 ANOVA_K = 12  # features the ANOVA selector keeps (all of them if fewer)
@@ -176,6 +176,8 @@ def run_pipeline(ds: TraceDataset, options: PipelineOptions = PipelineOptions())
     with workers.Pool(largest_batch(options)) as pool:  # the workers start while the data is prepared
         splits, pre, matrices = prepare(ds, options)
         train_pm, val_pm, test_pm = matrices
+        if len(set(test_pm.labels.tolist())) < 2:  # refused before the selection and training it would waste
+            raise SingleClass("the test split holds one class: its AUC needs both")
         selector_results = run_selectors(train_pm, val_pm, options, pool)
         chosen = featsel.choose_selector(selector_results)
         runs = stability_configs(options, chosen.selected, selector_results)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from edysec import featsel, pipeline, workers
-from edysec.dataset import generate_synthetic, split_dataset
+from edysec.dataset import TraceDataset, generate_synthetic, split_dataset
 from edysec.errors import BadK, BadOption, EmptyResult, LayoutMismatch, UnknownFeature
-from edysec.preprocess import Preprocessor
+from edysec.preprocess import Preprocessor, ProcessedMatrix
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +81,38 @@ class TestCorr:
         with pytest.raises(EmptyResult):
             featsel.select_corr(train_pm, relevance_min=1.0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_pair_reference(self, seed):
+        # 36 source features with text columns, plus three built ones: a
+        # perfectly separating column, a constant one and a near copy of inf_0
+        ds = generate_synthetic(400, 6, 30, kinds={"numeric": 0.4, "categorical": 0.3, "pattern": 0.3}, seed=seed)
+        train = split_dataset(ds, seed=seed).train
+        pm = Preprocessor.fit(train).transform(train)
+        y = pm.labels
+        built = np.column_stack([y, np.ones(len(y)), pm.X[:, 0] + np.random.default_rng(seed).normal(0, 0.05, len(y))])
+        layout = (("separating", "numeric", 1), ("constant", "numeric", 1), ("near_copy", "numeric", 1))
+        pm = ProcessedMatrix(np.hstack([pm.X, built]), pm.layout + layout, y)
+        summary, names = featsel.source_matrix(pm)
+
+        def r(a, b):  # |Pearson r|, 0 against a constant column
+            return 0.0 if a.std() == 0 or b.std() == 0 else abs(np.corrcoef(a, b)[0, 1])
+
+        relevance = [r(col, y.astype(float)) for col in summary.T]
+        survivors = {j for j, rel in enumerate(relevance) if rel >= 0.1}
+        for j in sorted(survivors, key=lambda j: (relevance[j], j)):
+            if any(r(summary[:, j], summary[:, k]) > 0.9 for k in survivors - {j}):
+                survivors.discard(j)
+        selected = featsel.select_corr(pm)
+        assert selected == tuple(names[j] for j in sorted(survivors))
+        assert "separating" in selected and "constant" not in selected
+        assert not {"inf_0", "near_copy"} <= set(selected)  # one of the pair goes as redundant
+
+        scores, n = featsel.anova_f_scores(pm), len(y)
+        assert scores["separating"] == np.inf and scores["constant"] == 0.0
+        for name, rel in zip(names, relevance):
+            if np.isfinite(scores[name]):
+                assert scores[name] == pytest.approx((n - 2) * rel**2 / (1 - rel**2), rel=1e-8)
+
 
 class TestImportance:
     def test_permutation_recovers_signal(self, matrices):
@@ -93,6 +125,17 @@ class TestImportance:
         )
         selected = featsel.select_importance(imp, pipeline.IMPORTANCE_FRACTION)
         assert {"inf_0", "inf_1"} <= set(selected)
+
+    def test_top_feature_kept_when_every_importance_is_negative(self):
+        assert featsel.select_importance({"a": -0.01, "b": -0.03}, 0.2) == ("a",)
+        assert featsel.select_importance({"a": -0.01, "b": -0.01, "c": -0.02}, 0.2) == ("a", "b")
+        # label noise: at this seed every permutation importance is negative
+        ds = generate_synthetic(120, 1, 2, seed=3)
+        labels = tuple(np.random.default_rng(3).permutation(ds.labels).tolist())
+        options = pipeline.PipelineOptions(selectors=("importance",))
+        _, _, (train_pm, val_pm, _) = pipeline.prepare(TraceDataset(ds.manifest, ds.ids, ds.rows, labels), options)
+        [result] = pipeline.run_selectors(train_pm, val_pm, options, RecordingPool())
+        assert result.selected == ("noise_1",)
 
     def test_layout_mismatch(self, matrices):
         train_pm, val_pm = matrices

@@ -29,7 +29,9 @@ from edysec.errors import (
     NoBackground,
     NonFiniteInput,
     NonFiniteScore,
+    SingleClass,
     VersionMismatch,
+    WidthMismatch,
 )
 from edysec.featsel import BaselineConfig, SwarmConfig
 from edysec.preprocess import Preprocessor
@@ -112,6 +114,20 @@ class TestPipeline:
         )
         assert res.stability_rows is not None
         assert [r.model for r in res.stability_rows] == ["nn"]
+
+    def test_one_class_test_split_is_refused_before_selection(self, monkeypatch):
+        ds = generate_synthetic(200, 2, 2, seed=1)
+        benign = [i for i, label in enumerate(ds.labels) if label == 0][:60]
+        malicious = [i for i, label in enumerate(ds.labels) if label == 1][:3]
+        ds = ds.subset(sorted(benign + malicious))
+        options = fast_options()
+        _, _, (_, _, test_pm) = pipeline.prepare(ds, options)
+        assert set(test_pm.labels.tolist()) == {0}  # 9 benign rows at the default ratios and seed
+        started = []
+        monkeypatch.setattr(pipeline, "run_selectors", lambda *a, **k: started.append("run_selectors"))
+        with pytest.raises(SingleClass, match="test split"):
+            pipeline.run_pipeline(ds, options)
+        assert started == []
 
     def test_test_cell_beyond_float32_fails_the_run(self, run, tmp_path):
         # finite in float64 and in the CSV; its z-score is infinite in float32
@@ -405,6 +421,15 @@ class TestExplanationPlan:
         assert [f for f, _ in got.ranked()] == [f for f, _ in want.ranked()]
         assert max(abs(p) for p in want.phi.values()) > 1e-3  # not saturated
         assert max(abs(got.phi[f] - want.phi[f]) for f in want.phi) <= 1e-6
+
+    def test_row_narrower_than_the_plan_is_refused_before_any_scoring(self, monkeypatch):
+        model, pm = artifact_case("nn", 8, 100, seed=4)
+        plan = model.explanation_plan()
+        forwarded = counted_forward(monkeypatch)
+        for x in (pm.X[0, :-1], pm.X[:2]):
+            with pytest.raises(WidthMismatch, match=f"expected width {pm.width}"):
+                explain.kernel_shap(model.network, x, plan)
+        assert forwarded == []
 
     def test_lime_row_beyond_float32_is_refused_before_any_perturbation(self, monkeypatch):
         model, pm = artifact_case("nn", 8, 100, seed=4)
@@ -972,6 +997,21 @@ class TestCli:
             server.server_close()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+    @pytest.mark.parametrize("method", ["shap", "lime"])
+    def test_network_wider_than_the_features_cannot_be_explained(self, trained, tmp_path, capsys, method):
+        # one selected feature fewer than the network was trained on: the
+        # background keeps the network's width, the projected rows do not
+        out, model = trained
+        artifact = art.load_artifact(model)
+        narrowed = tmp_path / "narrowed.json"
+        art.save_artifact(dataclasses.replace(artifact, selected=artifact.selected[:-1]), narrowed)
+        width = art.load_artifact(narrowed).params.spec.input_width
+        capsys.readouterr()
+        argv = ["explain", "--artifact", str(narrowed), "--data", str(out / "data.csv"), "--count", "1"]
+        assert cli.main([*argv, "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"expected width {width}" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [
         ["predict", "--in", "rec.json"],
