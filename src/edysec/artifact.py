@@ -32,11 +32,11 @@ ARTIFACT_VERSION = 2
 VERDICT_TOP_K = 5  # attributions an explained verdict carries, largest |phi| first
 
 
-def _finite(probs: np.ndarray) -> np.ndarray:
-    """Network probabilities as float64; a non-finite one is rejected, never thresholded."""
-    if not np.isfinite(probs).all():
-        raise NonFiniteScore("the network produced a non-finite probability")
-    return probs.astype(float)
+def _finite(values: np.ndarray, what: str = "probability") -> np.ndarray:
+    """Network outputs as they are; a non-finite one is rejected, never thresholded."""
+    if not np.isfinite(values).all():
+        raise NonFiniteScore(f"the network produced a non-finite {what}")
+    return values
 
 
 def _encode(arr: np.ndarray, dtype: str) -> dict:
@@ -95,15 +95,18 @@ class ModelArtifact:
         in nn.NETWORK_DTYPE and returned as float64. A row that is not finite
         there is refused before the forward pass (NonFiniteInput), and a
         non-finite score is rejected, never thresholded."""
-        return _finite(nn.predict_proba(self.params, X))
+        return _finite(nn.predict_proba(self.params, X)).astype(float)
 
     @property
     def network(self) -> explain.SplitModel:
-        """The network as Kernel SHAP scores it: `predict_proba`, and the
-        first layer's weights and bias, after which `nn.forward_from` scores
-        a coalition row from its pre-activations, checked as predict_proba's."""
-        head = lambda z: _finite(nn.forward_from(self.params, z)[0])
-        return explain.SplitModel(self.predict_proba, self.params.weights[0], self.params.biases[0], head)
+        """The network as Kernel SHAP scores it: the first layer's weights and
+        bias, after which `nn.forward_from` gives a row's logit from its
+        pre-activations and the sigmoid its probability, to the bits of
+        predict_proba. A non-finite logit is rejected, as is a non-finite
+        probability."""
+        head = lambda z: _finite(nn.forward_from(self.params, z)[0], "logit")
+        link = lambda t: _finite(nn._sigmoid(t)).astype(float)
+        return explain.SplitModel(self.params.weights[0], self.params.biases[0], head, link)
 
     def explanation_background(self) -> np.ndarray:
         if self.background is None:

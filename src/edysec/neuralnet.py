@@ -127,12 +127,10 @@ def init_network(spec: NetworkSpec, seed: int = 0) -> NetworkParams:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) in the dtype of z, branch-free and without overflow:
+    with e = e^-|z| <= 1, it is 1 / (1 + e) for z >= 0 and e / (1 + e) below."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1, e) / (1 + e)
 
 
 def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng=None) -> tuple[np.ndarray, dict | None]:
@@ -146,9 +144,11 @@ def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng
     a = np.asarray(X, dtype=params.flat.dtype)
     z = a @ params.weights[0]
     z += params.biases[0]
-    probs, cache = forward_from(params, z, train, rng)
+    logits, cache = forward_from(params, z, train, rng)
+    probs = _sigmoid(logits)
     if train:
         cache["inputs"].insert(0, a)
+        cache["probs"] = probs
     return probs, cache
 
 
@@ -156,8 +156,10 @@ def forward_from(params: NetworkParams, z: np.ndarray, train: bool = False, rng=
     """`forward_batch` on from the first layer's pre-activations z = X·W₀ + b₀,
     which it overwrites. Each hidden layer applies its ReLU in place (and, in a
     training pass, its inverted dropout), then the next affine layer adds its
-    bias in place on the matmul's output. A training pass's cache holds each
-    later layer's input; forward_batch puts X in front of them."""
+    bias in place on the matmul's output. Returns the output layer's logits,
+    before the sigmoid that forward_batch applies. A training pass's cache
+    holds each later layer's input; forward_batch puts X in front of them and
+    adds the probabilities."""
     a, inputs, masks = z, [], []
     for i, layer in enumerate(params.spec.hidden):
         np.maximum(a, 0.0, out=a)
@@ -171,8 +173,7 @@ def forward_from(params: NetworkParams, z: np.ndarray, train: bool = False, rng=
             masks.append(mask)
         a = a @ params.weights[i + 1]
         a += params.biases[i + 1]
-    probs = _sigmoid(a[:, 0])
-    return probs, ({"inputs": inputs, "masks": masks, "probs": probs} if train else None)
+    return a[:, 0], ({"inputs": inputs, "masks": masks} if train else None)
 
 
 def batch_bce(probs: np.ndarray, y: np.ndarray) -> float:

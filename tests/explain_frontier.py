@@ -2,19 +2,18 @@
 the accuracy gate's case (tests/data/shapley_oracle.json; see
 tests/make_shapley_oracle.py for the served artifact it rebuilds).
 
-For each (centroids, budget) setting it prints the forward rows one
-explanation runs, the mean relative L2 error over the fixture's three records
-at seed 0, the median and the worst of that error over seeds 0-9, and the
-median in-process `kernel_shap` time with the plan built beforehand, through
-the artifact's network form, as a served explanation runs it. The centroid count is set through
-`explain.KERNEL_BACKGROUND_K`; the budget is passed to `explanation_plan`,
-where one that covers r * (2^d - 2) rows (r background rows, d features)
-builds the exact plan instead.
+For each budget it prints the forward rows one explanation runs, the mean
+relative L2 error over the fixture's three records at seed 0, the median and
+the worst of that error over seeds 0-9, and the median in-process
+`kernel_shap` time with the plan built beforehand, through the artifact's
+network form, as a served explanation runs it. The budget is passed to
+`explanation_plan`, where one that covers r * (2^d - 2) rows (r background
+rows, d features) builds the exact plan instead.
 
-    PYTHONPATH=src python tests/explain_frontier.py              # SETTINGS below
-    PYTHONPATH=src python tests/explain_frontier.py 16:20480 8:10240
+    PYTHONPATH=src python tests/explain_frontier.py              # BUDGETS below
+    PYTHONPATH=src python tests/explain_frontier.py 12288 20480
 
-A setting of 20,480 rows takes about 20 s on 2 cores.
+A budget of 12,288 rows takes about 15 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from edysec import explain
 
 ORACLE = Path(__file__).resolve().parent / "make_shapley_oracle.py"
-SETTINGS = ((16, 20480), (16, 10240), (8, 10240), (10, 20480), (32, 20480), (16, 40960))
+BUDGETS = (6144, 10240, 12288, 20480, 40960)
 SEEDS = range(10)
 
 
@@ -43,8 +42,7 @@ def _oracle():
     return module
 
 
-def measure(model, groups, rows, records, centroids: int, budget: int) -> dict:
-    explain.KERNEL_BACKGROUND_K = centroids
+def measure(model, groups, rows, records, budget: int) -> dict:
     background = model.explanation_background()
     forwarded = 0
 
@@ -56,7 +54,7 @@ def measure(model, groups, rows, records, centroids: int, budget: int) -> dict:
         return forward
 
     network = model.network
-    network = dataclasses.replace(network, predict=counted(network.predict), head=counted(network.head))
+    network = dataclasses.replace(network, head=counted(network.head))
 
     errors, ms = [], []
     for seed in SEEDS:
@@ -71,7 +69,6 @@ def measure(model, groups, rows, records, centroids: int, budget: int) -> dict:
             per_record.append(float(np.linalg.norm(phi - exact) / np.linalg.norm(exact)))
         errors.append(float(np.mean(per_record)))
     return {
-        "centroids": centroids,
         "budget": budget,
         "rows": forwarded,
         "seed0": errors[0],
@@ -82,16 +79,16 @@ def measure(model, groups, rows, records, centroids: int, budget: int) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    settings = [tuple(int(v) for v in arg.split(":")) for arg in argv] or SETTINGS
+    budgets = [int(arg) for arg in argv] or BUDGETS
     oracle = _oracle()
     records = json.loads(oracle.FIXTURE.read_text())["records"]
     with tempfile.TemporaryDirectory() as tmp:
         model, groups, rows = oracle.served_case(Path(tmp))
-    print(f"{'centroids':>9} {'budget':>7} {'rows':>7} {'seed 0':>7} {'median':>7} {'worst':>7} {'ms':>7}")
-    for centroids, budget in settings:
-        r = measure(model, groups, rows, records, centroids, budget)
+    print(f"{'budget':>7} {'rows':>7} {'seed 0':>7} {'median':>7} {'worst':>7} {'ms':>7}")
+    for budget in budgets:
+        r = measure(model, groups, rows, records, budget)
         print(
-            f"{r['centroids']:>9} {r['budget']:>7} {r['rows']:>7} {r['seed0']:>7.3f}"
+            f"{r['budget']:>7} {r['rows']:>7} {r['seed0']:>7.3f}"
             f" {r['median']:>7.3f} {r['worst']:>7.3f} {r['kernel_shap_ms']:>7.0f}",
             flush=True,
         )

@@ -8,7 +8,7 @@ MLP and a 100-row background. At any other width the served artifact keeps
 its manifest and preprocessing, and takes a random-init `mlp` of that width,
 100 seeded normal background rows, two seeded normal rows to explain, and its
 17 features as contiguous column ranges of about equal size: the same plan
-(16 centroids, 20,480 coalition rows) at the paper's widths, 770 and 1543.
+(100 centroids, 12,288 coalition rows) at the paper's widths, 770 and 1543.
 
 With `--against <checkout>` it is an interleaved A/B of this checkout's
 `ModelArtifact.explain` and another's: the other checkout's `edysec` is

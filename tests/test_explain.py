@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,29 +94,29 @@ class TestKernelShap:
             assert sampled.phi[name] == pytest.approx(exact.phi[name], abs=0.05)
 
     @pytest.mark.parametrize("d, rows, budget", [
-        (7, 100, explain.KERNEL_SAMPLE_BUDGET), (8, 100, explain.KERNEL_SAMPLE_BUDGET), (9, 5, 2550), (9, 5, 2549),
+        (6, 100, explain.KERNEL_SAMPLE_BUDGET), (7, 100, explain.KERNEL_SAMPLE_BUDGET), (9, 5, 2550), (9, 5, 2549),
     ], ids=["default-exact", "default-sampled", "covering-exact", "one-under-sampled"])
     def test_row_budget_picks_the_plan(self, d, rows, budget):
-        # exact where the whole background times every proper coalition fits the budget
-        # (7 x 100 rows: 12,600; 8: 25,400): every background row its own centroid of
-        # weight 1/r, each with every proper coalition; weighted centroids with sampled
-        # coalitions one row over
+        # every background row is its own centroid of weight 1/r; exact where the whole
+        # background times every proper coalition fits the budget (6 x 100 rows: 6,200;
+        # 7: 12,600 > 12,288), each centroid with every proper coalition, and each with
+        # its own share of sampled coalitions one row over
         rng = np.random.default_rng(d)
         bg, groups = rng.normal(size=(rows, d)), make_groups(d)
         kwargs = {} if budget == explain.KERNEL_SAMPLE_BUDGET else {"budget": budget}
         plan = explain.explanation_plan(bg, groups, seed=5, **kwargs)
         assert len(plan.bits) <= budget
+        assert np.array_equal(plan.centers, bg) and np.all(plan.weights == 1 / rows)
         if rows * ((1 << d) - 2) <= budget:
-            assert np.array_equal(plan.centers, bg) and np.all(plan.weights == 1 / rows)
             assert plan.bounds.tolist() == list(range(0, rows * ((1 << d) - 2) + 1, (1 << d) - 2))
             for lo, hi in zip(plan.bounds[:-1], plan.bounds[1:]):
                 bits, sizes = plan.bits[lo:hi], plan.bits[lo:hi].sum(axis=1)
                 assert len(np.unique(bits, axis=0)) == (1 << d) - 2 and 0 < sizes.min() and sizes.max() < d
         else:
-            assert plan.centers.shape == (min(rows, explain.KERNEL_BACKGROUND_K), d)
+            assert np.diff(plan.bounds).min() < (1 << d) - 2  # some centroid samples
 
     def test_sampled_linear_closed_form(self):
-        # the summary keeps the background mean, so a linear model stays exact at d = 17
+        # each centroid's game is additive, which its Kernel SHAP solves exactly at d = 17
         rng = np.random.default_rng(17)
         w, x, bg = rng.normal(size=17), rng.normal(size=17), rng.normal(size=(100, 17))
         attr = explain.kernel_shap(linear_model(w, b=0.3), x, explain.explanation_plan(bg, make_groups(17), seed=2))
@@ -124,7 +125,7 @@ class TestKernelShap:
         assert abs(attr.residual) < 1e-9
 
     def test_sampled_converges_to_exact(self):
-        # a 10-row background passes through the summary, so the error is the sampler's alone;
+        # every background row is its own centroid, so the error is the sampler's alone;
         # bounds are twice the worst relative L2 error seen over 6 models x 8 seeds when the 10
         # rows shared 4096 (0.0235) or 8192 (0.0117) coalitions; each row now draws that many of
         # its own, so the budgets, in forward rows, are 10 times those counts
@@ -201,7 +202,7 @@ def itertools_tier(d, s):
 class TestPlan:
     @pytest.mark.parametrize("d, width, rows", [(5, 8, 12), (17, 20, 100)])
     def test_reused_plan_matches_a_fresh_build(self, d, width, rows):
-        # exact path at d = 5, sampled path (16 centroids, each with its own coalitions) at d = 17
+        # exact path at d = 5, sampled path (100 centroids, each with its own coalitions) at d = 17
         model, groups, xs, bg = tanh_case(d, width, rows, seed=d)
         plan = explain.explanation_plan(bg, groups, seed=3)
         for x in xs:
@@ -268,7 +269,8 @@ class TestPlan:
         assert len(groups) == 12
         sampled = explain.explanation_plan(bg, groups)
         exact = explain.explanation_plan(bg, groups, budget=len(bg) * ((1 << 12) - 2))
-        assert len(sampled.centers) <= explain.KERNEL_BACKGROUND_K and len(exact.centers) == 100
+        assert len(sampled.bits) == explain.KERNEL_SAMPLE_BUDGET < len(exact.bits)
+        assert len(sampled.centers) == len(exact.centers) == 100
         for x in test.X[:5]:
             phi = np.array(list(explain.kernel_shap(model, x, sampled).phi.values()))
             ref = np.array(list(explain.kernel_shap(model, x, exact).phi.values()))
@@ -286,7 +288,7 @@ class TestPlan:
             explain.explanation_plan(np.zeros((0, 4)), make_groups(4))
 
     def test_too_small_a_share_is_refused_when_built(self):
-        # 600 rows over the 16 centroids of a 50-row background leave some centroid
+        # 600 rows over the 50 centroids of a 50-row background leave some centroid
         # fewer than the 15 coalitions its 16 attributions need
         _, groups, _, bg = tanh_case(16, 16, 50, seed=0)
         with pytest.raises(SingularSystem):
@@ -296,7 +298,7 @@ class TestPlan:
         _, groups, _, bg = tanh_case(17, 20, 100, seed=1)
         plan = explain.explanation_plan(bg, groups)
         shares = np.diff(plan.bounds)
-        assert len(plan.centers) == explain.KERNEL_BACKGROUND_K
+        assert len(plan.centers) == len(bg)
         assert shares.sum() == len(plan.bits) == explain.KERNEL_SAMPLE_BUDGET
         assert np.all(shares % 2 == 0)  # complement pairs
         assert np.abs(shares - plan.weights * explain.KERNEL_SAMPLE_BUDGET).max() <= 2
@@ -334,13 +336,81 @@ class TestPlan:
         assert attrs[0] == attrs[1]
 
     def test_plan_stays_small(self):
-        # the served shape (17 features, 92 columns): 20,480 x 17 coalition bits (348 kB),
-        # one kernel weight per row (164 kB), 16 inverse Gram matrices of 16 x 16 (33 kB),
-        # 16 centroids of 92 columns (12 kB) and the groups' column indices: about 557 kB
+        # the served shape (17 features, 92 columns): 12,288 x 17 coalition bits (209 kB),
+        # one kernel weight per row (98 kB), 100 inverse Gram matrices of 16 x 16 (205 kB),
+        # the 100 background rows of 92 columns as centroids (74 kB; the background itself,
+        # not a copy) and the groups' column indices: about 588 kB
         _, groups, _, bg = tanh_case(17, 92, 100, seed=3)
         plan = explain.explanation_plan(bg, groups)
         arrays = [plan.centers, plan.weights, plan.bits, plan.kernel, plan.bounds, plan.gram_inv]
-        assert sum(a.nbytes for a in [*arrays, *plan.groups.values()]) <= 560_000
+        assert sum(a.nbytes for a in [*arrays, *plan.groups.values()]) <= 590_000
+        assert plan.centers is bg
+
+
+def sigmoid(t):
+    return 1.0 / (1.0 + np.exp(-t))
+
+
+def brute_force_shapley(game, d):
+    """Shapley values of `game` (a function of bool coalition rows) by enumerating all 2^d coalitions."""
+    codes = np.arange(1 << d)
+    v = game((codes[:, None] >> np.arange(d) & 1).astype(bool))
+    sizes = np.array([bin(c).count("1") for c in codes])
+    weight = np.array([math.factorial(s) * math.factorial(d - s - 1) / math.factorial(d) for s in range(d)])
+    phi = np.empty(d)
+    for j in range(d):
+        without = codes[(codes >> j & 1) == 0]
+        phi[j] = np.sum(weight[sizes[without]] * (v[without | 1 << j] - v[without]))
+    return phi
+
+
+class TestControlVariate:
+    @pytest.mark.parametrize("d", [6, 9])
+    def test_closed_form_matches_enumeration(self, d):
+        # each centroid's surrogate game G_k(S) = s_k(a_k·1_S), enumerated over all
+        # 2^d coalitions, against its closed-form Shapley value
+        rng = np.random.default_rng(d)
+        a, h = rng.normal(size=(5, d)) * 2, rng.normal(size=5) * 3
+        a[4] = 0.0  # a centroid equal to x: the range of a_k·1_S is a point
+        surrogate = explain._Surrogate.fit(sigmoid, h, a)
+        closed = surrogate.shapley(a)
+        for k in range(len(a)):
+            game = lambda bits: surrogate(bits @ a[k], np.full(len(bits), k))
+            assert np.abs(brute_force_shapley(game, d) - closed[k]).max() <= 1e-12
+        assert np.isfinite(closed).all()
+
+    def test_identity_link_corrects_nothing(self):
+        # under the identity link s_k is its chord and G_k is additive, so the plan's
+        # Kernel SHAP of G_k is its Shapley value: the correction is zero up to rounding
+        d = 17
+        rng = np.random.default_rng(4)
+        plan = explain.explanation_plan(rng.normal(size=(100, d)), make_groups(d))
+        owner = np.repeat(np.arange(100), np.diff(plan.bounds))
+        a, h = rng.normal(size=(100, d)), rng.normal(size=100)
+        surrogate = explain._Surrogate.fit(lambda t: t, h, a)
+        k = np.arange(100)
+        g = surrogate(np.einsum("nd,nd->n", plan.bits, a[owner]), owner)
+        sampled = explain._solve(plan, owner, g, surrogate(np.zeros(100), k), surrogate(a.sum(axis=1), k))
+        assert np.abs(sampled - surrogate.shapley(a)).max() <= 1e-12
+
+    def test_wide_plan_builds_nothing_of_size_two_to_the_d(self):
+        # at d = 24 an array of 2^d bools alone would take 16 MiB; the plan, the
+        # coalition rows and the control variate's closed form stay below it
+        d, width = 24, 30
+        _, groups, xs, bg = tanh_case(d, width, 100, seed=24)
+        rng = np.random.default_rng(24)
+        w1, w2 = rng.normal(size=(width, 8)) / 2, rng.normal(size=8)
+        split = explain.SplitModel(w1, np.zeros(8), lambda z: np.tanh(z) @ w2, sigmoid)  # a logit head
+        tracemalloc.start()
+        try:
+            plan = explain.explanation_plan(bg, groups)
+            attr = explain.kernel_shap(split, xs[0], plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(plan.bits) == explain.KERNEL_SAMPLE_BUDGET
+        assert peak < 1 << d
+        assert np.isfinite(list(attr.phi.values())).all() and abs(attr.residual) <= 1e-9
 
 
 class TestLime:
@@ -400,20 +470,10 @@ class TestBackground:
         assert np.array_equal(a, b)
         assert a.shape == (10, pm.width)
 
-    @pytest.mark.parametrize("rows", [100, 57, 34])
-    def test_summary_keeps_the_mean(self, rows):
-        bg = np.random.default_rng(rows).normal(size=(rows, 6))
-        centers, weights = explain.summarize_background(bg, seed=4)
-        assert len(centers) == len(weights) <= explain.KERNEL_BACKGROUND_K
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(weights @ centers, bg.mean(axis=0), atol=1e-12)
-        again = explain.summarize_background(bg, seed=4)
-        assert np.array_equal(centers, again[0]) and np.array_equal(weights, again[1])
-
-    def test_small_summary_passes_through(self):
-        # 16 rows at 17 features need 16 x 131,070 rows to be exact, yet are no more
-        # rows than a summary keeps: the plan takes each as a centroid of weight 1/16
-        bg = np.random.default_rng(0).normal(size=(explain.KERNEL_BACKGROUND_K, 17))
+    def test_every_background_row_is_its_own_centroid(self):
+        # 16 rows at 17 features need 16 x 131,070 rows to be exact, so the plan samples,
+        # with each row a centroid of weight 1/16 and its own share of the budget
+        bg = np.random.default_rng(0).normal(size=(16, 17))
         plan = explain.explanation_plan(bg, make_groups(17))
         assert len(plan.bits) == explain.KERNEL_SAMPLE_BUDGET
         assert np.array_equal(plan.centers, bg) and np.all(plan.weights == 1 / len(bg))

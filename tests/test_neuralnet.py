@@ -178,6 +178,29 @@ class TestForward:
         assert scored.dtype == dtype and np.array_equal(scored, trained)
         assert np.array_equal(train_cache["probs"], scored)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_keeps_the_bits_of_the_masked_formula(self, dtype):
+        # the branch-free sigmoid against the four-mask formula it replaced: the
+        # same bits on seeded values at scales 0.1-300 and at the edges; a NaN
+        # stays NaN, though the sign bit of a NaN may differ
+        def masked(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        rng = np.random.default_rng(11)
+        scales = np.repeat(np.geomspace(0.1, 300, 8), 50_000)
+        edges = [0.0, -0.0, np.inf, -np.inf, 1e30, -1e30, np.nan]
+        z = np.concatenate([rng.normal(size=len(scales)) * scales, edges]).astype(dtype)
+        got, want = nn._sigmoid(z), masked(z)
+        assert got.dtype == dtype
+        finite = ~np.isnan(want)
+        assert np.array_equal(np.isnan(got), ~finite) and finite.sum() == len(z) - 1
+        assert got[finite].tobytes() == want[finite].tobytes()
+
 
 class TestLoss:
     def test_bce_clamps(self):

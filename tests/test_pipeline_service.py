@@ -90,7 +90,8 @@ class TestPipeline:
         options = fast_options(seed=3, selectors=("anova",), epochs=1)
         res = pipeline.run_pipeline(ds, options)
         fresh = art.ModelArtifact.from_dict(res.artifact.to_dict())
-        assert len(fresh.explanation_plan().centers) <= explain.KERNEL_BACKGROUND_K < len(fresh.background)  # sampled centroids
+        plan, d = fresh.explanation_plan(), len(fresh.groups)
+        assert len(plan.bits) < len(fresh.background) * ((1 << d) - 2)  # sampled coalitions
         test = fresh.project(res.splits.test)
         # the test rows the pipeline draws to explain, at the run's seed
         rng = np.random.default_rng(options.seed)
@@ -366,7 +367,7 @@ class TestExplanationPlan:
     def test_explained_verdict_stays_within_the_row_budget(self, d, monkeypatch):
         # every row the network scores passes nn.forward_from: one call for the
         # centroids and x, then the plan's coalition rows in calls of at most
-        # MODEL_BLOCK_ROWS; at 17 features, 16 centroids + x + 20,480 rows
+        # MODEL_BLOCK_ROWS; at 17 features, 100 centroids + x + 12,288 rows
         model, pm = artifact_case("nn", d, 100, seed=d)
         assert len(model.groups) == d and len(model.background) == 100
         forwarded = counted_forward(monkeypatch)
@@ -375,20 +376,22 @@ class TestExplanationPlan:
         assert forwarded[0] == len(plan.centers) + 1 and max(forwarded[1:]) <= explain.MODEL_BLOCK_ROWS
         assert sum(forwarded) == len(plan.centers) + 1 + len(plan.bits) <= explain.KERNEL_SAMPLE_BUDGET + 101
         if d == 17:
-            assert sum(forwarded) == 20_497
+            assert sum(forwarded) == 12_389
 
     @pytest.mark.parametrize("preset", ["mlp", "nn"])
-    @pytest.mark.parametrize("rows", [80, 100], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("rows", [48, 100], ids=["exact", "sampled"])
     def test_first_layer_values_match_masked_rows(self, preset, rows):
-        # 8 features over 80 rows fit 80 x 254 = 20,320 rows exact, over 100 they
-        # sample: either way a coalition's value from `bits @ U_k + base_k` is the
-        # probability of its column-masked row, to float32 rounding
+        # 8 features over 48 rows fit 48 x 254 = 12,192 rows exact, over 100 they
+        # sample: either way a coalition's value from `bits @ U_k + base_k`, through
+        # the head and the link, is the probability of its column-masked row, to
+        # float32 rounding
         model, pm = artifact_case(preset, 8, rows, seed=3)
         plan = model.explanation_plan()
-        assert len(plan.centers) == (rows if rows == 80 else explain.KERNEL_BACKGROUND_K)
+        assert len(plan.centers) == rows and (len(plan.bits) == rows * 254) == (rows == 48)
         network, scored = model.network, []
         recording = dataclasses.replace(network, head=lambda z: scored.append(network.head(z)) or scored[-1])
         explain.kernel_shap(recording, pm.X[0], plan)
+        scored = [network.link(logits) for logits in scored[1:]]  # the first call scores the centroids and x
         owner = np.repeat(np.arange(len(plan.centers)), np.diff(plan.bounds))
         keep = np.zeros((len(plan.bits), pm.width), dtype=bool)  # the reference: each coalition's columns
         for j, cols in enumerate(plan.groups.values()):
