@@ -99,14 +99,15 @@ class ModelArtifact:
 
     @property
     def network(self) -> explain.SplitModel:
-        """The network as Kernel SHAP scores it: the first layer's weights and
-        bias, after which `nn.forward_from` gives a row's logit from its
-        pre-activations and the sigmoid its probability, to the bits of
-        predict_proba. A non-finite logit is rejected, as is a non-finite
-        probability."""
+        """The network as Kernel SHAP scores it: `nn.predict_proba`'s logits
+        of whole rows, and the first layer's weights and bias, after which
+        `nn.forward_from` gives a row's logit from its pre-activations; the
+        sigmoid maps either to the bits of predict_proba. A non-finite logit
+        is rejected, as is a non-finite probability."""
+        logits = lambda X: _finite(nn.predict_proba(self.params, X, logits=True), "logit")
         head = lambda z: _finite(nn.forward_from(self.params, z)[0], "logit")
         link = lambda t: _finite(nn._sigmoid(t)).astype(float)
-        return explain.SplitModel(self.params.weights[0], self.params.biases[0], head, link)
+        return explain.SplitModel(logits, self.params.weights[0], self.params.biases[0], head, link)
 
     def explanation_background(self) -> np.ndarray:
         if self.background is None:

@@ -14,7 +14,6 @@ from .dataset import allocate
 from .errors import (
     FeatureMismatch,
     NoBackground,
-    NonFiniteInput,
     SingularSystem,
     TooFewFeatures,
     TooManyFeatures,
@@ -37,11 +36,9 @@ MODEL_BLOCK_ROWS = 512
 LIME_PERTURBATIONS = 5000  # masked rows per LIME fit, at least 10 per feature
 # Each centroid's control variate (`_Surrogate`) stands in for the link by its
 # chord plus SURROGATE_SINES sine terms, fitted on SURROGATE_POINTS interior
-# points, and its closed form runs over SURROGATE_CHUNK centroids at a time
-# (at d = 17, three complex arrays of 17 x 32 x 8 x 9, 0.6 MB each).
+# points.
 SURROGATE_SINES = 8
 SURROGATE_POINTS = 32
-SURROGATE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -186,8 +183,12 @@ def explanation_plan(background, groups, budget: int = KERNEL_SAMPLE_BUDGET, see
     budget is split evenly between them, and each takes its own distinct
     coalitions with `_sample_coalitions`, seeded by `seed` (see
     `ExplanationPlan`): every proper coalition where r * (2^d - 2) <= budget.
-    Raises NoBackground for a background of no rows and SingularSystem if the
-    coalitions cannot determine every attribution."""
+    A coalition and its complement give one design row between them, so each
+    centroid's budget // (2r) pairs must determine its d - 1 unknowns: over a
+    100-row background the default budget (61 or 62 pairs a centroid) covers
+    at most 59 source features, some seeds 60. Raises NoBackground for a
+    background of no rows and SingularSystem if the coalitions cannot
+    determine every attribution."""
     d = len(groups)
     if d < 2:
         raise TooFewFeatures(f"kernel SHAP needs at least two source features, got {d}")
@@ -207,12 +208,14 @@ def explanation_plan(background, groups, budget: int = KERNEL_SAMPLE_BUDGET, see
 @dataclass(frozen=True)
 class SplitModel:
     """A model split after its first affine layer and before its link,
-    f(X) = link(head(X·weight + bias)), as `kernel_shap` scores it: `head`
-    takes first-layer pre-activations to the values the link maps to scores
-    (a network's logits), and `link` is applied to whole arrays of them. A
-    plain callable f is the split with weight I, bias 0, head f and the
-    identity link (`SplitModel.of`)."""
+    f(X) = link(head(X·weight + bias)), as `kernel_shap` scores it: `logits`
+    takes whole rows (the explained row and the centroids) to the values the
+    link maps to scores, a network's logits, and `head` takes first-layer
+    pre-activations to the same values; `link` is applied to whole arrays of
+    them. A plain callable f is the split with logits f, weight I, bias 0,
+    head f and the identity link (`SplitModel.of`)."""
 
+    logits: Callable[[np.ndarray], np.ndarray]
     weight: np.ndarray
     bias: np.ndarray
     head: Callable[[np.ndarray], np.ndarray]
@@ -222,22 +225,7 @@ class SplitModel:
     def of(cls, model, width: int) -> "SplitModel":
         if isinstance(model, cls):
             return model
-        return cls(np.eye(width), np.zeros(width), model, lambda t: t)
-
-    def logits(self, rows) -> np.ndarray:
-        """The head's values of whole rows, through the first layer in the
-        dtype of `weight`. A row not as wide as `weight` (WidthMismatch), or
-        not finite in its dtype (NonFiniteInput), is refused before the head
-        sees it."""
-        if rows.shape[1] != len(self.weight):
-            raise WidthMismatch(f"expected width {len(self.weight)}, got {rows.shape[1]}")
-        with np.errstate(over="ignore"):
-            rows = np.asarray(rows, dtype=self.weight.dtype)
-        if not np.isfinite(rows).all():
-            raise NonFiniteInput(f"an explained row is not finite in {rows.dtype}")
-        z = rows @ self.weight
-        z += self.bias
-        return self.head(z)
+        return cls(model, np.eye(width), np.zeros(width), model, lambda t: t)
 
 
 def _coalition_values(model: SplitModel, x, centers, groups, bits, bounds) -> np.ndarray:
@@ -247,26 +235,21 @@ def _coalition_values(model: SplitModel, x, centers, groups, bits, bounds) -> np
     A coalition row enters the model as its first-layer pre-activation c_k·W
     + b + Σ_{g∈S} (x − c_k)_g·W_g: with base_k = c_k·W + b and U_k, whose row
     g is (x − c_k)[cols_g] @ W[cols_g], a block of centroid k's coalition bits
-    is `bits @ U_k + base_k`, computed in the dtype of W. Each block forms U_k
-    for its own owners only, and carries the last one into the next block
-    that it spans."""
+    is `bits @ U_k + base_k`, computed in the dtype of W."""
     weight = model.weight
     centers = centers.astype(weight.dtype)
     shift = x.astype(weight.dtype) - centers
+    lift = np.stack([shift[:, cols] @ weight[cols] for cols in groups.values()], axis=1)  # U_k, (k, d, units)
     offset = centers @ weight + model.bias  # base_k, (k, units)
     owner = np.repeat(np.arange(len(centers)), np.diff(bounds))
-    values, lift, held = [], None, 0  # lift[k - first]: U_k of the block's owners; U_0..U_held-1 were formed
+    values = []
     for start in range(0, len(bits), MODEL_BLOCK_ROWS):
         stop = min(start + MODEL_BLOCK_ROWS, len(bits))
-        first, last = owner[start], owner[stop - 1] + 1
-        fresh = np.stack([shift[max(first, held) : last, cols] @ weight[cols] for cols in groups.values()], axis=1)
-        lift = np.concatenate([lift[-1:], fresh]) if first < held else fresh
-        held = last
         block = bits[start:stop].astype(weight.dtype)
         z = np.empty((stop - start, weight.shape[1]), dtype=weight.dtype)
-        for k in range(first, last):  # the block's rows, owner by owner
+        for k in range(owner[start], owner[stop - 1] + 1):  # the block's rows, owner by owner
             rows = slice(max(bounds[k], start) - start, min(bounds[k + 1], stop) - start)
-            np.matmul(block[rows], lift[k - first], out=z[rows])
+            np.matmul(block[rows], lift[k], out=z[rows])
             z[rows] += offset[k]
         values.append(model.head(z))
     return np.concatenate(values)
@@ -336,22 +319,19 @@ class _Surrogate:
         d = a.shape[1]
         q, qw = np.polynomial.legendre.leggauss(-(-d // 2))
         q, qw = (q + 1) / 2, qw / 2  # on [0, 1]
-        m = np.arange(1, SURROGATE_SINES + 1)
-        phi = self.slope[:, None] * a
-        for lo in range(0, len(a), SURROGATE_CHUNK):
-            part = slice(lo, lo + SURROGATE_CHUNK)
-            omega = np.pi * m / self.span[part, None]  # (c, M)
-            w = np.exp(1j * omega * a[part].T[:, :, None]) - 1  # z_j - 1, (d, c, M)
-            f = 1 + w[..., None] * q  # (d, c, M, nodes)
-            before, after = np.empty_like(f), np.empty_like(f)
-            before[0] = after[-1] = 1
-            for j in range(1, d):
-                np.multiply(before[j - 1], f[j - 1], out=before[j])
-                np.multiply(after[d - j], f[d - j], out=after[d - j - 1])
-            before *= after
-            c = self.coef[part] * np.exp(-1j * omega * self.lo[part, None])  # sin(ω(t − lo)) = Im(e^{-iωlo} e^{iωt})
-            phi[part] += np.einsum("cm,dcm->cd", c, w * (before @ qw)).imag
-        return phi
+        omega = np.pi * np.arange(1, SURROGATE_SINES + 1) / self.span[:, None]  # (k, M)
+        w = np.exp(1j * omega * a.T[:, :, None]) - 1  # z_j - 1, (d, k, M)
+        factor = lambda j: 1 + w[j, ..., None] * q  # (k, M, nodes)
+        left = np.empty(w.shape + q.shape, dtype=complex)  # left[i]: the product over j < i, then j != i
+        left[0] = 1
+        for j in range(1, d):
+            np.multiply(left[j - 1], factor(j - 1), out=left[j])
+        right = np.ones_like(left[0])  # the product over j > i
+        for i in reversed(range(d)):
+            left[i] *= right
+            right *= factor(i)
+        c = self.coef * np.exp(-1j * omega * self.lo[:, None])  # sin(ω(t − lo)) = Im(e^{-iωlo} e^{iωt})
+        return self.slope[:, None] * a + np.einsum("km,dkm->kd", c, w * (left @ qw)).imag
 
 
 def kernel_shap(model, x, plan: ExplanationPlan) -> Attribution:

@@ -139,17 +139,22 @@ def forward_batch(params: NetworkParams, X: np.ndarray, train: bool = False, rng
     layer, then `forward_from` its pre-activations. A training pass
     (`train=True`) also applies inverted dropout and keeps each layer's input
     and dropout mask; a scoring pass keeps nothing, and its cache is None."""
-    if X.shape[1] != params.spec.input_width:
-        raise WidthMismatch(f"expected width {params.spec.input_width}, got {X.shape[1]}")
     a = np.asarray(X, dtype=params.flat.dtype)
-    z = a @ params.weights[0]
-    z += params.biases[0]
-    logits, cache = forward_from(params, z, train, rng)
+    logits, cache = forward_from(params, _first_layer(params, a), train, rng)
     probs = _sigmoid(logits)
     if train:
         cache["inputs"].insert(0, a)
         cache["probs"] = probs
     return probs, cache
+
+
+def _first_layer(params: NetworkParams, a: np.ndarray) -> np.ndarray:
+    """The first layer's pre-activations a·W₀ + b₀ of rows `a` in the network's dtype."""
+    if a.shape[1] != params.spec.input_width:
+        raise WidthMismatch(f"expected width {params.spec.input_width}, got {a.shape[1]}")
+    z = a @ params.weights[0]
+    z += params.biases[0]
+    return z
 
 
 def forward_from(params: NetworkParams, z: np.ndarray, train: bool = False, rng=None) -> tuple[np.ndarray, dict | None]:
@@ -360,8 +365,9 @@ def _network_input(X: np.ndarray, dtype) -> np.ndarray:
     return X
 
 
-def predict_proba(params: NetworkParams, X: np.ndarray) -> np.ndarray:
-    """Probabilities in the dtype of `params.flat`; a row that is not finite
-    in that dtype raises NonFiniteInput."""
-    probs, _ = forward_batch(params, _network_input(X, params.flat.dtype))
-    return probs
+def predict_proba(params: NetworkParams, X: np.ndarray, logits: bool = False) -> np.ndarray:
+    """Probabilities in the dtype of `params.flat`, or with `logits` the
+    output layer's logits that the sigmoid maps to them; a row that is not
+    finite in that dtype raises NonFiniteInput."""
+    out, _ = forward_from(params, _first_layer(params, _network_input(X, params.flat.dtype)))
+    return out if logits else _sigmoid(out)

@@ -15,9 +15,10 @@ rows across the score range: those whose probabilities lie nearest to 0,
 
 For each record a fixture holds the exact Shapley value of every feature,
 enumerated over all 2^d coalitions with the whole background, together with
-v(empty) and v(full). It also holds the model's probability on each
-background row; with v(empty) and v(full), the gate uses these to tell
-whether the fixture still describes the model it rebuilds.
+v(empty) and the record's probability scored alone, as the gate scores it. It
+also holds the model's probability on each background row; with v(empty) and
+the record's probability, the gate uses these to tell whether the fixture
+still describes the model it rebuilds.
 
     PYTHONPATH=src python tests/make_shapley_oracle.py            # both cases
     PYTHONPATH=src python tests/make_shapley_oracle.py text       # one of them
@@ -106,7 +107,8 @@ def write_fixture(path: Path, model, groups, rows: dict, packages) -> None:
     records = []
     for pkg in packages:
         exact = exact_shapley(model.predict_proba, rows[pkg], background, groups)
-        records.append({"package": pkg, "phi": list(exact.phi.values()), "base": exact.base, "fx": exact.fx})
+        fx = float(model.predict_proba(rows[pkg][None, :])[0])  # alone, not in a batch of coalition rows
+        records.append({"package": pkg, "phi": list(exact.phi.values()), "base": exact.base, "fx": fx})
         sys.stderr.write(f"{path.name} {pkg}: fx {exact.fx:.3f}, residual {exact.residual:.1e}\n")
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps({

@@ -294,6 +294,15 @@ class TestPlan:
         with pytest.raises(SingularSystem):
             explain.explanation_plan(bg, groups, budget=600)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_budget_covers_59_features_over_100_rows(self, seed):
+        # 61 or 62 complement pairs a centroid, one design row each, determine
+        # the 58 unknowns of 59 features but not the 60 of 61
+        bg = np.random.default_rng(seed).normal(size=(100, 61))
+        explain.explanation_plan(bg[:, :59], make_groups(59), seed=seed)
+        with pytest.raises(SingularSystem):
+            explain.explanation_plan(bg, make_groups(61), seed=seed)
+
     def test_shares_follow_the_weights_and_sum_to_the_budget(self):
         _, groups, _, bg = tanh_case(17, 20, 100, seed=1)
         plan = explain.explanation_plan(bg, groups)
@@ -400,7 +409,8 @@ class TestControlVariate:
         _, groups, xs, bg = tanh_case(d, width, 100, seed=24)
         rng = np.random.default_rng(24)
         w1, w2 = rng.normal(size=(width, 8)) / 2, rng.normal(size=8)
-        split = explain.SplitModel(w1, np.zeros(8), lambda z: np.tanh(z) @ w2, sigmoid)  # a logit head
+        head = lambda z: np.tanh(z) @ w2  # a logit head
+        split = explain.SplitModel(lambda X: head(X @ w1), w1, np.zeros(8), head, sigmoid)
         tracemalloc.start()
         try:
             plan = explain.explanation_plan(bg, groups)

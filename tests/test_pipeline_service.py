@@ -391,7 +391,7 @@ class TestExplanationPlan:
         network, scored = model.network, []
         recording = dataclasses.replace(network, head=lambda z: scored.append(network.head(z)) or scored[-1])
         explain.kernel_shap(recording, pm.X[0], plan)
-        scored = [network.link(logits) for logits in scored[1:]]  # the first call scores the centroids and x
+        scored = [network.link(logits) for logits in scored]  # the centroids and x are scored whole, not here
         owner = np.repeat(np.arange(len(plan.centers)), np.diff(plan.bounds))
         keep = np.zeros((len(plan.bits), pm.width), dtype=bool)  # the reference: each coalition's columns
         for j, cols in enumerate(plan.groups.values()):

@@ -75,10 +75,8 @@ def checked_fixture(path, model, groups, rows) -> dict:
     base = float(probabilities.mean())
     assert all(abs(base - record["base"]) <= 1e-9 for record in fixture["records"]), stale
     for record in fixture["records"]:
-        # a record scored alone, where the fixture scored it in a batch of 3,200
-        # rows, may move as far as a background probability may
         fx = float(model.predict_proba(rows[record["package"]][None, :])[0])
-        assert abs(fx - record["fx"]) <= max(1e-9, MAX_LOGIT_DRIFT * fx * (1 - fx)), stale
+        assert abs(fx - record["fx"]) <= 1e-9, stale
     return fixture
 
 
